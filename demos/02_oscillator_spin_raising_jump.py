@@ -7,9 +7,11 @@ Model:
   - one jump operator that raises spin-down to spin-up inside each level.
 
 The ratio q = 2*delta/omega decides the spectral structure: integer q makes
-level (m, 0) degenerate with (m+q, 1) and routes the solver through the
-degenerate branch, otherwise the non-degenerate branch runs.  Either way the
-pointer family comes out the same:
+level (m, 0) degenerate with (m+q, 1), otherwise every degeneracy class is a
+singleton.  The solver takes the same path for both; the degenerate pairs
+only add internal unknowns to its linear system, and the family's branch
+label is read off the partition.  Either way the pointer family comes out
+the same:
 
   - spin-up populations f_mm00 stay free (one trace constraint),
   - spin-down populations and every coherence vanish.

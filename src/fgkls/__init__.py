@@ -61,10 +61,8 @@ from .perturbation import (
     RankReport,
     SchemeFailure,
     apply_trace_condition,
-    assemble_diagonal_system_nondeg,
     assemble_internal_system_deg,
     offdiag_next_deg,
-    offdiag_next_nondeg,
     run_pointer_scheme,
     solve_with_rank_check,
 )

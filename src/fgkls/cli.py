@@ -96,9 +96,21 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
     return d[key]
 
 
+def _object(d: dict, key: str, path: str = "", required: bool = True) -> dict:
+    value = _get(d, key, path, required=required, default={})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config error at {_ctx(path, key)}: expected an object")
+    return value
+
+
+def _is_real(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+            or not all(_is_real(x) for x in value)):
         raise ConfigError(f"config error at {where}: complex numbers are [re, im] pairs")
     return complex(value[0], value[1])
 
@@ -117,7 +129,7 @@ def _as_matrix(value, where: str) -> np.ndarray:
 def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], OscillatorSpinConfig | None]:
     model = _get(cfg, "model", "")
     if model == "two_level":
-        sub = _get(cfg, "two_level", "")
+        sub = _object(cfg, "two_level")
         eps1 = float(_get(sub, "eps1", "two_level"))
         eps2 = float(_get(sub, "eps2", "two_level"))
         l12 = _as_complex(_get(sub, "l12", "two_level"), "two_level.l12")
@@ -128,8 +140,8 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
             raise ConfigError(f"config error at two_level: {err}") from err
         return model, spectrum, jumps, None
     if model == "oscillator_spin":
-        sub = _get(cfg, "oscillator_spin", "")
-        jump = _get(sub, "jump", "oscillator_spin")
+        sub = _object(cfg, "oscillator_spin")
+        jump = _object(sub, "jump", "oscillator_spin")
         variant_name = _get(jump, "variant", "oscillator_spin.jump")
         if variant_name == "sigma_plus":
             variant = SigmaPlus(lam=_as_complex(_get(jump, "lam", "oscillator_spin.jump"),
@@ -158,7 +170,7 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
         spectrum, jumps = build_oscillator_spin(osc)
         return model, spectrum, jumps, osc
     if model == "custom":
-        sub = _get(cfg, "custom", "")
+        sub = _object(cfg, "custom")
         energies = _get(sub, "energies", "custom")
         if not isinstance(energies, list) or not energies:
             raise ConfigError("config error at custom.energies: expected a list of reals")
@@ -197,22 +209,25 @@ def load_config(path: str, max_order_override: int | None = None,
 
     lambda_values = _get(cfg, "lambda_values", "", required=False, default=[1.0])
     if (not isinstance(lambda_values, list) or not lambda_values
-            or any(not isinstance(x, (int, float)) or x <= 0 for x in lambda_values)):
+            or any(not _is_real(x) or x <= 0 for x in lambda_values)):
         raise ConfigError("config error at lambda_values: expected a non-empty list of positive reals")
 
-    tols = _get(cfg, "tolerances", "", required=False, default={})
+    tols = _object(cfg, "tolerances", required=False)
     for key, val in tols.items():
         if key not in ("tol_degen", "tol_rank", "tol_kernel"):
             raise ConfigError(f"config error at tolerances.{key}: unknown tolerance")
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not _is_real(val) or val <= 0:
             raise ConfigError(f"config error at tolerances.{key}: must be positive")
+        # rank and kernel cutoffs are relative to the largest singular value
+        if key != "tol_degen" and val >= 1:
+            raise ConfigError(f"config error at tolerances.{key}: must lie in (0, 1)")
     tol_degen = tols.get("tol_degen")
     if tol_degen_override is not None:
         tol_degen = tol_degen_override
 
     evolve = None
     if "evolve" in cfg:
-        sub = cfg["evolve"]
+        sub = _object(cfg, "evolve")
         t_end = float(_get(sub, "t_end", "evolve"))
         if t_end <= 0:
             raise ConfigError("config error at evolve.t_end: must be positive")
@@ -222,7 +237,8 @@ def load_config(path: str, max_order_override: int | None = None,
             if n_steps < 1:
                 raise ConfigError("config error at evolve.n_steps: must be at least 1")
         seeds = _get(sub, "seeds", "evolve", required=False, default=[0])
-        if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+        if not isinstance(seeds, list) or not all(
+                isinstance(s, int) and not isinstance(s, bool) for s in seeds):
             raise ConfigError("config error at evolve.seeds: expected a list of integers")
         seed_source = "config"
         env_seed = os.environ.get("LP_SEED")
@@ -234,7 +250,10 @@ def load_config(path: str, max_order_override: int | None = None,
             seed_source = "env:LP_SEED"
         evolve = EvolveConfig(t_end=t_end, n_steps=n_steps, seeds=seeds, seed_source=seed_source)
 
-    thresholds = _get(cfg, "thresholds", "", required=False, default={})
+    thresholds = _object(cfg, "thresholds", required=False)
+    for key, val in thresholds.items():
+        if not _is_real(val):
+            raise ConfigError(f"config error at thresholds.{key}: expected a real number")
     family_max = float(thresholds.get("family_distance", DEFAULT_FAMILY_DISTANCE_MAX))
     endpoint_max = float(thresholds.get("endpoint_distance", DEFAULT_ENDPOINT_DISTANCE_MAX))
 
@@ -247,12 +266,10 @@ def load_config(path: str, max_order_override: int | None = None,
     )
 
 
-def _cx(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _encode_matrix(mat: np.ndarray) -> list:
-    return [[_cx(z) for z in row] for row in np.asarray(mat, dtype=complex)]
+    """Nested rows of [re, im] pairs."""
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def _jumps_all_zero(jumps) -> bool:
@@ -434,8 +451,11 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
     comparisons = []
     family_dirs = family.affine_directions()
     worst_family = 0.0
+    steady_full = None
     for lam in config.lambda_values:
         steady = _exact_for_lambda(config, lam)
+        if lam == 1.0:
+            steady_full = steady
         member = family.evaluate(lam)
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
@@ -459,7 +479,8 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
 
     worst_endpoint = 0.0
     if config.evolve is not None:
-        steady_full = _exact_for_lambda(config, 1.0)
+        if steady_full is None:
+            steady_full = _exact_for_lambda(config, 1.0)
         runs = _run_trajectories(config)
         endpoints = []
         for run in runs:

@@ -23,6 +23,8 @@ from .core import (
     DensityMatrix,
     EnergySpectrum,
     LiouvillianSuperoperator,
+    _orthonormal_span,
+    _real_embed,
     dissipator,
     unvec,
     vec,
@@ -44,28 +46,6 @@ __all__ = [
     "hermitian_affine_distance",
     "fit_exponential_rate",
 ]
-
-
-def _real_embed(mat: np.ndarray) -> np.ndarray:
-    """Flatten a complex matrix to a real vector preserving the Frobenius norm."""
-    return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
-
-
-def _embed_to_matrix(row: np.ndarray, dim: int) -> np.ndarray:
-    re, im = row[: dim * dim], row[dim * dim:]
-    return re.reshape(dim, dim) + 1j * im.reshape(dim, dim)
-
-
-def _orthonormal_span(mats: Sequence[np.ndarray], rel_tol: float = 1e-12) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the real span of the given matrices."""
-    if not mats:
-        return []
-    dim = mats[0].shape[0]
-    rows = np.array([_real_embed(m) for m in mats])
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    return [_embed_to_matrix(vt[i], dim) for i in range(s.size) if s[i] > rel_tol * s[0]]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,13 @@ each order s:
 
   whose right-hand side collects the known external entries of order s.
 
+A non-degenerate spectrum needs no separate scheme: its classes are
+singletons, every off-diagonal pair is external and only the diagonal
+unknowns remain.  One path serves every spectrum, and the "branch" label of a
+family is read off its partition.  The system matrix depends only on the jumps
+and the partition, so it is assembled once per run; each order rebuilds only
+the right-hand side.
+
 The linear systems are real: diagonal unknowns are real by Hermiticity and
 each internal pair contributes a real and an imaginary part.  Solvability is
 decided per order by the Kronecker-Capelli rank comparison; the leftover null
@@ -35,7 +42,7 @@ is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +51,8 @@ from .core import (
     DEFAULT_TOLERANCES,
     DegeneracyPartition,
     EnergySpectrum,
+    _orthonormal_span,
     classify_pairs,
-    default_tol_degen,
     dissipator,
 )
 
@@ -58,9 +65,7 @@ __all__ = [
     "NoSolution",
     "SchemeFailure",
     "PointerFamily",
-    "offdiag_next_nondeg",
     "offdiag_next_deg",
-    "assemble_diagonal_system_nondeg",
     "assemble_internal_system_deg",
     "solve_with_rank_check",
     "apply_trace_condition",
@@ -196,25 +201,6 @@ def _closed_form(jumps, spectrum, prev, mask) -> np.ndarray:
     return out
 
 
-def offdiag_next_nondeg(jumps: Sequence[np.ndarray], spectrum: EnergySpectrum, prev,
-                        tol_gap: float | None = None) -> np.ndarray:
-    """All off-diagonal entries of order s from the complete order s-1 matrix.
-
-    `prev` is the full coefficient matrix of the previous order (the zero
-    matrix for s = 0).  Raises if any off-diagonal energy gap vanishes within
-    `tol_gap`; such pairs belong to the degenerate branch.
-    """
-    if tol_gap is None:
-        tol_gap = default_tol_degen(spectrum)
-    gaps = _offdiag_gaps(spectrum)
-    mask = ~np.eye(spectrum.dim, dtype=bool)
-    if np.any(np.abs(gaps[mask]) <= tol_gap):
-        raise ValueError(
-            "vanishing energy gap: spectrum has internal pairs, use the degenerate branch"
-        )
-    return _closed_form(jumps, spectrum, prev, mask)
-
-
 def offdiag_next_deg(jumps: Sequence[np.ndarray], spectrum: EnergySpectrum,
                      partition: DegeneracyPartition, prev) -> np.ndarray:
     """External off-diagonal entries of order s; internal entries are left zero."""
@@ -232,32 +218,10 @@ def offdiag_next_deg(jumps: Sequence[np.ndarray], spectrum: EnergySpectrum,
     return _closed_form(jumps, spectrum, prev, mask)
 
 
-def _assemble(jumps, dim, unknowns, row_labels, known) -> LinearSystem:
-    known = np.asarray(known, dtype=complex)
-    matrix = np.empty((len(row_labels), len(unknowns)))
-    for j, u in enumerate(unknowns):
-        image = dissipator(jumps, _basis_matrix(dim, u))
-        matrix[:, j] = [_extract(image, r) for r in row_labels]
+def _rhs(jumps, known, rows) -> np.ndarray:
+    """Right-hand side of the same-order system: minus the known entries' image."""
     image = dissipator(jumps, known)
-    rhs = -np.array([_extract(image, r) for r in row_labels])
-    return LinearSystem(matrix=matrix, rhs=rhs, unknowns=tuple(unknowns),
-                        row_labels=tuple(row_labels))
-
-
-def assemble_diagonal_system_nondeg(jumps: Sequence[np.ndarray], offdiag: np.ndarray) -> LinearSystem:
-    """Linear system for the diagonal entries, given same-order off-diagonals.
-
-    Rows are the diagonal stationarity conditions [Diss(f)]_mm = 0; the
-    unknown coefficients form the rate matrix whose columns each sum to zero
-    (summing all equations gives the identity 0 = 0), so one singular value is
-    structurally zero.
-    """
-    offdiag = np.asarray(offdiag, dtype=complex)
-    dim = offdiag.shape[0]
-    known = offdiag.copy()
-    np.fill_diagonal(known, 0.0)
-    labels = [("diag", m) for m in range(dim)]
-    return _assemble(jumps, dim, labels, labels, known)
+    return -np.array([_extract(image, r) for r in rows])
 
 
 def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: DegeneracyPartition,
@@ -266,9 +230,12 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
 
     Unknowns are ordered diagonal-first (ascending index), then internal pairs
     (m, n) with m < n in lexicographic order, each contributing a real and an
-    imaginary part.  Rows stack the diagonal conditions and, per internal
-    pair, the real and imaginary parts of [Diss(f)]_mn = 0.  The right-hand
-    side is assembled from the known external entries.
+    imaginary part; rows carry the same labels and stack the diagonal
+    conditions and, per internal pair, the real and imaginary parts of
+    [Diss(f)]_mn = 0.  The right-hand side is assembled from the known
+    external entries.  For a spectrum without degeneracy only the diagonal
+    unknowns remain: their matrix is the rate matrix whose columns each sum
+    to zero, so one singular value is structurally zero.
     """
     external = np.asarray(external, dtype=complex)
     dim = external.shape[0]
@@ -280,15 +247,16 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
     for m, n in pairs:
         known[m, n] = 0.0
         known[n, m] = 0.0
-    unknowns: list[Unknown] = [("diag", m) for m in range(dim)]
+    labels: list[Unknown] = [("diag", m) for m in range(dim)]
     for m, n in pairs:
-        unknowns.append(("re", m, n))
-        unknowns.append(("im", m, n))
-    rows: list[Unknown] = [("diag", m) for m in range(dim)]
-    for m, n in pairs:
-        rows.append(("re", m, n))
-        rows.append(("im", m, n))
-    return _assemble(jumps, dim, unknowns, rows, known)
+        labels.append(("re", m, n))
+        labels.append(("im", m, n))
+    matrix = np.empty((len(labels), len(labels)))
+    for j, u in enumerate(labels):
+        image = dissipator(jumps, _basis_matrix(dim, u))
+        matrix[:, j] = [_extract(image, r) for r in labels]
+    return LinearSystem(matrix=matrix, rhs=_rhs(jumps, known, labels),
+                        unknowns=tuple(labels), row_labels=tuple(labels))
 
 
 def solve_with_rank_check(system: LinearSystem, tol_rank: float | None = None):
@@ -385,8 +353,12 @@ class PointerFamily:
     orders: tuple[OrderCoefficients, ...]
     free_directions: tuple[tuple[np.ndarray, ...], ...]
     rank_reports: tuple[RankReport, ...]
-    branch: str
     lambda_scale: float = 1.0
+
+    @property
+    def branch(self) -> str:
+        """Report label of the spectrum: "degenerate" if any class has two members."""
+        return "degenerate" if self.partition.has_degeneracy else "non-degenerate"
 
     @property
     def max_order(self) -> int:
@@ -426,32 +398,22 @@ class PointerFamily:
         """Orthonormal Hermitian basis of the union of all free directions."""
         if max_order is None:
             max_order = self.max_order
-        mats = [v for s in range(max_order + 1) for v in self.free_directions[s]]
-        if not mats:
-            return []
-        rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
-        _, s, vt = np.linalg.svd(rows, full_matrices=False)
-        keep = s > 1e-12 * s[0]
-        d = self.spectrum.dim
-        out = []
-        for row in vt[keep]:
-            re, im = row[: d * d].reshape(d, d), row[d * d:].reshape(d, d)
-            out.append(re + 1j * im)
-        return out
+        return _orthonormal_span([v for s in range(max_order + 1)
+                                  for v in self.free_directions[s]])
 
 
 def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
                        partition: DegeneracyPartition | None = None,
-                       max_order: int = 3, tol_rank: float | None = None,
-                       branch: str | None = None):
+                       max_order: int = 3, tol_rank: float | None = None):
     """Alternate the closed form and the linear solve up to `max_order`.
 
-    The branch is picked from the partition (any non-singleton class selects
-    the degenerate variant) unless forced via `branch`.  Each order first
-    fills the off-diagonal (external) entries from the previous order, then
-    solves the same-order system for the remaining entries, checks
-    solvability, and applies the trace condition.  Returns a `PointerFamily`,
-    or a `SchemeFailure` naming the order at which the construction stopped.
+    Every spectrum takes the same path: a spectrum without degeneracy is the
+    case of singleton classes, which leaves no internal pairs.  The system
+    matrix depends only on the jumps and the partition, so it is assembled
+    once; each order then fills the external entries from the previous order,
+    rebuilds the right-hand side from them, checks solvability, and applies
+    the trace condition.  Returns a `PointerFamily`, or a `SchemeFailure`
+    naming the order at which the construction stopped.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -459,12 +421,6 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
         partition = classify_pairs(spectrum)
     if partition.dim != spectrum.dim:
         raise ValueError("partition does not match spectrum dimension")
-    if branch is None:
-        branch = "degenerate" if partition.has_degeneracy else "non-degenerate"
-    if branch not in ("degenerate", "non-degenerate"):
-        raise ValueError(f"unknown branch {branch!r}")
-    if branch == "non-degenerate" and partition.has_degeneracy:
-        raise ValueError("non-degenerate branch requested for a degenerate spectrum")
 
     dim = spectrum.dim
     jumps = [np.asarray(L, dtype=complex) for L in jumps]
@@ -472,15 +428,12 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     directions: list[tuple[np.ndarray, ...]] = []
     reports: list[RankReport] = []
     prev = np.zeros((dim, dim), dtype=complex)
+    system = assemble_internal_system_deg(jumps, partition, prev)
 
     for s in range(max_order + 1):
-        if branch == "degenerate":
-            offdiag = offdiag_next_deg(jumps, spectrum, partition, prev)
-            system = assemble_internal_system_deg(jumps, partition, offdiag)
-        else:
-            offdiag = offdiag_next_nondeg(jumps, spectrum, prev,
-                                          tol_gap=partition.tol_degen)
-            system = assemble_diagonal_system_nondeg(jumps, offdiag)
+        # the closed form leaves the diagonal and internal entries zero
+        offdiag = offdiag_next_deg(jumps, spectrum, partition, prev)
+        system = replace(system, rhs=_rhs(jumps, offdiag, system.row_labels))
 
         sol = solve_with_rank_check(system, tol_rank=tol_rank)
         if isinstance(sol, NoSolution):
@@ -500,5 +453,4 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
         prev = coeff
 
     return PointerFamily(spectrum=spectrum, partition=partition, orders=tuple(orders),
-                         free_directions=tuple(directions), rank_reports=tuple(reports),
-                         branch=branch)
+                         free_directions=tuple(directions), rank_reports=tuple(reports))

@@ -12,6 +12,7 @@ from fgkls.cli import (
     load_config,
     main,
 )
+from fgkls.perturbation import run_pointer_scheme
 
 
 def write_config(tmp_path, name, payload):
@@ -72,6 +73,15 @@ def test_pointer_oscillator_degenerate_structure_note(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["pointer_family"]["branch"] == "degenerate"
     assert any("f_mm00 = f_mm11" in note for note in report["notes"])
+
+    # matrices are written entry by entry as exact [re, im] float pairs
+    config = load_config(cfg)
+    family = run_pointer_scheme(config.spectrum, config.jumps, max_order=1)
+    for oc, dirs, entry in zip(family.orders, family.free_directions,
+                               report["pointer_family"]["orders"]):
+        for mat, encoded in zip((oc.coeff, *dirs),
+                                (entry["coefficients"], *entry["free_directions"])):
+            assert encoded == [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
 def test_exact_command(tmp_path):
@@ -135,12 +145,24 @@ def test_evolve_zero_jumps_liouville_note(tmp_path):
     assert abs(end_01) == pytest.approx(abs(rho0[0, 1]), abs=1e-8)
 
 
-def test_compare_two_level_three_way_agreement(tmp_path):
+def test_compare_two_level_three_way_agreement(tmp_path, monkeypatch):
+    import fgkls.cli as cli
+
+    solved = []
+    real_exact = cli._exact_for_lambda
+
+    def recording_exact(config, lam):
+        solved.append(lam)
+        return real_exact(config, lam)
+
+    monkeypatch.setattr(cli, "_exact_for_lambda", recording_exact)
     payload = dict(TWO_LEVEL)
     payload["evolve"] = {"t_end": 25.0, "n_steps": 6000, "seeds": [7]}
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
+    # the endpoints reuse the lambda = 1 kernel of the comparison
+    assert solved == [1.0, 0.5]
     report = json.loads((out / "report.json").read_text())
     for row in report["oracle_comparison"]:
         assert row["family_vs_exact_distance"] < 1e-8
@@ -194,18 +216,40 @@ def test_invalid_json_is_line_anchored(tmp_path, capsys):
     assert "broken.json:2:" in err
 
 
+# (config, key path the error message must name); each case is checked
+# inside one test so the suite keeps reporting a single test per defect class
+MALFORMED_CONFIGS = [
+    ({"model": "two_level", "two_level": {"eps1": 1.0}}, "two_level.eps2"),
+    ({"model": "two_level", "two_level": 5}, "two_level"),
+    (dict(TWO_LEVEL, thresholds="x"), "thresholds"),
+    (dict(TWO_LEVEL, thresholds={"family_distance": "x"}), "thresholds.family_distance"),
+    (dict(TWO_LEVEL, evolve=5), "evolve"),
+    (dict(TWO_LEVEL, lambda_values=[True]), "lambda_values"),
+    (dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": [True]}), "evolve.seeds"),
+]
+
+
 def test_missing_key_reports_path(tmp_path, capsys):
-    cfg = write_config(tmp_path, "cfg.json", {"model": "two_level", "two_level": {"eps1": 1.0}})
-    assert main(["pointer", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "two_level.eps2" in capsys.readouterr().err
+    for payload, where in MALFORMED_CONFIGS:
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert main(["pointer", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG, where
+        assert f"config error at {where}:" in capsys.readouterr().err
+
+
+BAD_TOLERANCES = [
+    ({"tol_rank": -1.0}, "tolerances.tol_rank"),
+    ({"tol_rank": 1e300}, "tolerances.tol_rank"),
+    ({"tol_kernel": 1.0}, "tolerances.tol_kernel"),
+    ({"tol_degen": True}, "tolerances.tol_degen"),
+    ([], "tolerances"),
+]
 
 
 def test_bad_tolerance_rejected(tmp_path, capsys):
-    payload = dict(TWO_LEVEL)
-    payload["tolerances"] = {"tol_rank": -1.0}
-    cfg = write_config(tmp_path, "cfg.json", payload)
-    assert main(["pointer", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "tolerances.tol_rank" in capsys.readouterr().err
+    for tolerances, where in BAD_TOLERANCES:
+        cfg = write_config(tmp_path, "cfg.json", dict(TWO_LEVEL, tolerances=tolerances))
+        assert main(["pointer", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG, where
+        assert f"config error at {where}:" in capsys.readouterr().err
 
 
 def test_non_numeric_scalar_rejected(tmp_path, capsys):

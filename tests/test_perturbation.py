@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fgkls import (
+    DegeneracyPartition,
     EnergySpectrum,
     classify_pairs,
     stationarity_residual,
@@ -18,10 +19,8 @@ from fgkls.perturbation import (
     RankReport,
     SchemeFailure,
     apply_trace_condition,
-    assemble_diagonal_system_nondeg,
     assemble_internal_system_deg,
     offdiag_next_deg,
-    offdiag_next_nondeg,
     run_pointer_scheme,
     solve_with_rank_check,
 )
@@ -38,7 +37,7 @@ def _zero(dim):
 def test_offdiag_order_zero_vanishes():
     rng = np.random.default_rng(0)
     spectrum, jumps = random_nondegenerate_model(rng, dim=4)
-    out = offdiag_next_nondeg(jumps, spectrum, _zero(4))
+    out = offdiag_next_deg(jumps, spectrum, classify_pairs(spectrum), _zero(4))
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -50,21 +49,23 @@ def test_offdiag_vanishes_on_spin_up_diagonal_previous_order():
     prev = _zero(8)
     for m in range(4):
         prev[2 * m, 2 * m] = 0.25
-    out = offdiag_next_nondeg(jumps, spectrum, prev)
+    out = offdiag_next_deg(jumps, spectrum, classify_pairs(spectrum), prev)
     assert np.max(np.abs(out)) < 1e-15
 
 
 def test_offdiag_two_level_first_order_vanishes():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
     prev = np.diag([0.2, 0.8]).astype(complex)
-    out = offdiag_next_nondeg(jumps, spectrum, prev)
+    out = offdiag_next_deg(jumps, spectrum, classify_pairs(spectrum), prev)
     assert np.max(np.abs(out)) < 1e-15
 
 
-def test_offdiag_nondeg_rejects_degenerate_spectrum():
+def test_offdiag_singleton_partition_rejects_degenerate_spectrum():
+    # a partition that splits a degenerate level would divide by a zero gap
     spectrum = EnergySpectrum(np.array([1.0, 1.0, 2.0]))
-    with pytest.raises(ValueError, match="vanishing energy gap"):
-        offdiag_next_nondeg([np.eye(3, dtype=complex)], spectrum, _zero(3))
+    singletons = DegeneracyPartition(classes=((0,), (1,), (2,)), tol_degen=1e-9)
+    with pytest.raises(ValueError, match="internal pair routed to the external closed form"):
+        offdiag_next_deg([np.eye(3, dtype=complex)], spectrum, singletons, _zero(3))
 
 
 def test_offdiag_deg_external_only_and_hermitian():
@@ -98,7 +99,7 @@ def test_offdiag_deg_external_only_and_hermitian():
 
 def test_diagonal_system_two_level_matrix():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    system = assemble_diagonal_system_nondeg(jumps, _zero(2))
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
     assert system.unknowns == (("diag", 0), ("diag", 1))
     assert np.allclose(system.matrix, [[-4.0, 1.0], [4.0, -1.0]])
     assert np.max(np.abs(system.rhs)) == 0.0
@@ -106,8 +107,8 @@ def test_diagonal_system_two_level_matrix():
 
 def test_diagonal_system_homogeneous_for_zero_offdiag():
     rng = np.random.default_rng(21)
-    _, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2)
-    system = assemble_diagonal_system_nondeg(jumps, _zero(5))
+    spectrum, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2)
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(5))
     assert np.max(np.abs(system.rhs)) == 0.0
 
 
@@ -116,8 +117,9 @@ def test_equation_rows_sum_to_identity():
     # gives 0 = 0; consequently the smallest singular value is structurally zero
     rng = np.random.default_rng(23)
     spectrum, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2, coupling=0.5)
-    offdiag = offdiag_next_nondeg(jumps, spectrum, random_hermitian(rng, 5))
-    system = assemble_diagonal_system_nondeg(jumps, offdiag)
+    partition = classify_pairs(spectrum)
+    offdiag = offdiag_next_deg(jumps, spectrum, partition, random_hermitian(rng, 5))
+    system = assemble_internal_system_deg(jumps, partition, offdiag)
     assert np.max(np.abs(system.matrix.sum(axis=0))) < 1e-12
     assert abs(system.rhs.sum()) < 1e-12
     s = np.linalg.svd(system.matrix, compute_uv=False)
@@ -172,7 +174,7 @@ def test_internal_system_all_zero_jumps():
 
 def test_solve_two_level_null_space():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    system = assemble_diagonal_system_nondeg(jumps, _zero(2))
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
     sol = solve_with_rank_check(system)
     assert sol.rank_report.rank == 1
     assert len(sol.nullspace_basis) == 1
@@ -215,7 +217,7 @@ def test_solve_inconsistent_reports_no_solution():
 
 def test_trace_condition_two_level_order_zero():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    system = assemble_diagonal_system_nondeg(jumps, _zero(2))
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
     sol = apply_trace_condition(solve_with_rank_check(system), 0, system.unknowns)
     assert isinstance(sol, AffineSolution)
     assert np.allclose(sol.particular, [0.2, 0.8], atol=1e-14)
@@ -224,7 +226,7 @@ def test_trace_condition_two_level_order_zero():
 
 def test_trace_condition_higher_order_keeps_zero():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    system = assemble_diagonal_system_nondeg(jumps, _zero(2))
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
     sol = apply_trace_condition(solve_with_rank_check(system), 1, system.unknowns)
     assert np.max(np.abs(sol.particular)) < 1e-15
     assert sol.nullspace_basis == ()
@@ -326,17 +328,28 @@ def test_scheme_failure_propagates_order(monkeypatch):
     assert "rank" in result.reason
 
 
-def test_branch_consistency_on_nondegenerate_spectrum():
-    rng = np.random.default_rng(37)
-    spectrum, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2)
-    partition = classify_pairs(spectrum)
-    nd = run_pointer_scheme(spectrum, jumps, partition, max_order=2, branch="non-degenerate")
-    dg = run_pointer_scheme(spectrum, jumps, partition, max_order=2, branch="degenerate")
-    for s in range(3):
-        assert np.max(np.abs(nd.orders[s].coeff - dg.orders[s].coeff)) < 1e-12
-        assert nd.free_direction_count(s) == dg.free_direction_count(s)
-        for a, b in zip(nd.free_directions[s], dg.free_directions[s]):
-            assert np.max(np.abs(a - b)) < 1e-12
+def test_scheme_assembles_system_once(monkeypatch):
+    # the system matrix is built once per run; each further order costs one
+    # closed-form and one right-hand-side dissipator call, not one per unknown
+    import fgkls.perturbation as pert
+
+    cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.3, 0.2))
+    spectrum, jumps = build_oscillator_spin(cfg)
+    real_dissipator = pert.dissipator
+
+    def calls_for(max_order):
+        calls = {"n": 0}
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real_dissipator(*args, **kwargs)
+
+        monkeypatch.setattr(pert, "dissipator", counting)
+        assert isinstance(pert.run_pointer_scheme(spectrum, jumps, max_order=max_order),
+                          PointerFamily)
+        return calls["n"]
+
+    assert calls_for(3) - calls_for(1) == 2 * 2
 
 
 def test_residual_scaling_with_truncation_order():
