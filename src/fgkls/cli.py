@@ -10,7 +10,8 @@ Each run writes `report.json` (machine readable, byte-stable across reruns)
 and `report.txt` (human readable, includes timing) into the output directory,
 plus `trajectory_<seed>.csv` files when trajectories are integrated.  Exit
 codes: 0 success, 1 config error, 2 scheme failure (no solution at some
-order), 3 comparison thresholds exceeded.  The environment variable LP_SEED
+order), 3 comparison thresholds exceeded, 4 integration step too large (the
+message carries a suggested step).  The environment variable LP_SEED
 overrides the configured random seeds.
 """
 
@@ -37,6 +38,7 @@ from .core import (
     weak_coupling_ratio,
 )
 from .exact import (
+    StepSizeError,
     SteadyStateSet,
     hermitian_affine_distance,
     integrate_trajectory,
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_SOLUTION = 2
 EXIT_THRESHOLD = 3
+EXIT_STEP_SIZE = 4
 
 DEFAULT_FAMILY_DISTANCE_MAX = 1e-8
 DEFAULT_ENDPOINT_DISTANCE_MAX = 1e-6
@@ -108,6 +111,18 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _real(value, where: str) -> float:
+    if not _is_real(value) or not np.isfinite(value):
+        raise ConfigError(f"config error at {where}: expected a finite real number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"config error at {where}: expected an integer, got {value!r}")
+    return value
+
+
 def _as_complex(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(_is_real(x) for x in value)):
@@ -130,8 +145,8 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
     model = _get(cfg, "model", "")
     if model == "two_level":
         sub = _object(cfg, "two_level")
-        eps1 = float(_get(sub, "eps1", "two_level"))
-        eps2 = float(_get(sub, "eps2", "two_level"))
+        eps1 = _real(_get(sub, "eps1", "two_level"), "two_level.eps1")
+        eps2 = _real(_get(sub, "eps2", "two_level"), "two_level.eps2")
         l12 = _as_complex(_get(sub, "l12", "two_level"), "two_level.l12")
         l21 = _as_complex(_get(sub, "l21", "two_level"), "two_level.l21")
         try:
@@ -158,13 +173,12 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
                 "config error at oscillator_spin.jump.variant: expected "
                 "'sigma_plus' or 'sigma_xy'"
             )
+        n_levels = _integer(_get(sub, "n_levels", "oscillator_spin"), "oscillator_spin.n_levels")
+        omega = _real(_get(sub, "omega", "oscillator_spin"), "oscillator_spin.omega")
+        delta = _real(_get(sub, "delta", "oscillator_spin"), "oscillator_spin.delta")
         try:
-            osc = OscillatorSpinConfig(
-                n_levels=int(_get(sub, "n_levels", "oscillator_spin")),
-                omega=float(_get(sub, "omega", "oscillator_spin")),
-                delta=float(_get(sub, "delta", "oscillator_spin")),
-                jump_variant=variant,
-            )
+            osc = OscillatorSpinConfig(n_levels=n_levels, omega=omega, delta=delta,
+                                       jump_variant=variant)
         except ValueError as err:
             raise ConfigError(f"config error at oscillator_spin: {err}") from err
         spectrum, jumps = build_oscillator_spin(osc)
@@ -201,7 +215,7 @@ def load_config(path: str, max_order_override: int | None = None,
 
     model, spectrum, jumps, osc = _build_model(cfg)
 
-    max_order = int(_get(cfg, "max_order", "", required=False, default=3))
+    max_order = _integer(_get(cfg, "max_order", "", required=False, default=3), "max_order")
     if max_order_override is not None:
         max_order = max_order_override
     if max_order < 0:
@@ -228,12 +242,12 @@ def load_config(path: str, max_order_override: int | None = None,
     evolve = None
     if "evolve" in cfg:
         sub = _object(cfg, "evolve")
-        t_end = float(_get(sub, "t_end", "evolve"))
+        t_end = _real(_get(sub, "t_end", "evolve"), "evolve.t_end")
         if t_end <= 0:
             raise ConfigError("config error at evolve.t_end: must be positive")
         n_steps = sub.get("n_steps")
         if n_steps is not None:
-            n_steps = int(n_steps)
+            n_steps = _integer(n_steps, "evolve.n_steps")
             if n_steps < 1:
                 raise ConfigError("config error at evolve.n_steps: must be at least 1")
         seeds = _get(sub, "seeds", "evolve", required=False, default=[0])
@@ -386,19 +400,20 @@ def cmd_exact(config: RunConfig) -> tuple[int, dict]:
 
 
 def _run_trajectories(config: RunConfig) -> list[dict]:
-    results = []
-    for seed in config.evolve.seeds:
-        rng = np.random.default_rng(seed)
-        rho0 = random_density_matrix(config.spectrum.dim, rng)
-        n_steps = config.evolve.n_steps
-        record = 1
-        if n_steps is not None and n_steps > 1000:
-            record = n_steps // 1000
-        traj = integrate_trajectory(config.spectrum, config.jumps, rho0,
-                                    t_end=config.evolve.t_end, n_steps=n_steps,
-                                    record_every=record)
-        results.append({"seed": seed, "trajectory": traj})
-    return results
+    """Integrate every seed's trajectory in one batch, in seed order."""
+    seeds = config.evolve.seeds
+    if not seeds:
+        return []
+    rho0s = [random_density_matrix(config.spectrum.dim, np.random.default_rng(seed))
+             for seed in seeds]
+    n_steps = config.evolve.n_steps
+    record = 1
+    if n_steps is not None and n_steps > 1000:
+        record = n_steps // 1000
+    trajectories = integrate_trajectory(config.spectrum, config.jumps, rho0s,
+                                        t_end=config.evolve.t_end, n_steps=n_steps,
+                                        record_every=record)
+    return [{"seed": seed, "trajectory": traj} for seed, traj in zip(seeds, trajectories)]
 
 
 def _trajectory_csv(traj) -> str:
@@ -406,13 +421,10 @@ def _trajectory_csv(traj) -> str:
     header = ["t"]
     header += [f"re(rho_{m}{n})" for m in range(d) for n in range(d)]
     header += [f"im(rho_{m}{n})" for m in range(d) for n in range(d)]
-    lines = [",".join(header)]
-    for t, state in zip(traj.times, traj.states):
-        flat = state.matrix.ravel()
-        row = [repr(float(t))]
-        row += [repr(float(x)) for x in flat.real]
-        row += [repr(float(x)) for x in flat.imag]
-        lines.append(",".join(row))
+    flat = np.array([state.matrix.ravel() for state in traj.states])
+    table = np.column_stack([traj.times, flat.real, flat.imag])
+    # row by row: a whole-table tolist() holds every row's floats at once
+    lines = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in table]
     return "\n".join(lines) + "\n"
 
 
@@ -616,6 +628,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except StepSizeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_STEP_SIZE
     elapsed = time.perf_counter() - start
 
     os.makedirs(args.out, exist_ok=True)

@@ -142,20 +142,45 @@ def default_step(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]) -> float
     return 0.01 / scale if scale > 0 else math.inf
 
 
+def _initial_states(rho0) -> tuple[list[DensityMatrix], bool]:
+    """The initial states of `rho0` as a list, and whether `rho0` was one state.
+
+    One state is a `DensityMatrix` or a square array (nested rows of numbers);
+    anything else is a sequence of states.
+    """
+    if isinstance(rho0, DensityMatrix):
+        return [rho0], True
+    if len(rho0) == 0:
+        raise ValueError("no initial states")
+    single = not isinstance(rho0[0], DensityMatrix) and np.ndim(rho0[0]) == 1
+    members = [rho0] if single else list(rho0)
+    return [r if isinstance(r, DensityMatrix) else DensityMatrix(np.asarray(r, dtype=complex))
+            for r in members], single
+
+
 def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho0,
                          t_end: float, n_steps: int | None = None,
-                         record_every: int = 1) -> Trajectory:
+                         record_every: int = 1) -> Trajectory | tuple[Trajectory, ...]:
     """Classical RK4 integration of the FGKLS equation from `rho0`.
+
+    `rho0` is one state (a `DensityMatrix` or a square array), which returns
+    one `Trajectory`, or a sequence of states, which returns a tuple of
+    `Trajectory`, one per state in input order, sharing one read-only `times`
+    array.  All states advance together as one (S, D, D) stack; each one
+    follows the same arithmetic as a run of its own, so its record is
+    bit-identical to a single-state call.
 
     When `n_steps` is omitted it is derived from `default_step`.  States are
     recorded every `record_every` steps (the final state always included) and
     validated; intermediate steps are checked for trace drift only.  A drift
-    beyond tolerance raises `StepSizeError` carrying a suggested step size.
+    or an invalid recorded state in any member raises `StepSizeError`
+    carrying a suggested step size.
     """
-    if not isinstance(rho0, DensityMatrix):
-        rho0 = DensityMatrix(np.asarray(rho0, dtype=complex))
-    if rho0.dim != spectrum.dim:
-        raise ValueError("initial state dimension does not match the spectrum")
+    initial, single = _initial_states(rho0)
+    for i, state in enumerate(initial):
+        if state.dim != spectrum.dim:
+            which = "" if single else f" {i}"
+            raise ValueError(f"initial state{which} dimension does not match the spectrum")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     h_default = default_step(spectrum, jumps)
@@ -168,45 +193,53 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     h = t_end / n_steps
 
     e = spectrum.energies
-    gap = -1j * (e[:, None] - e[None, :])
+    gap = (-1j * (e[:, None] - e[None, :]))[None]  # (1, D, D) broadcasts faster than (D, D)
     jump_list = [np.asarray(L, dtype=complex) for L in jumps]
-    k_total = sum((L.conj().T @ L for L in jump_list),
+    jump_pairs = [(L, L.conj().T) for L in jump_list]
+    k_total = sum((Ld @ L for L, Ld in jump_pairs),
                   np.zeros((spectrum.dim, spectrum.dim), dtype=complex))
 
     def rhs(r: np.ndarray) -> np.ndarray:
         out = gap * r
-        for L in jump_list:
-            out += L @ r @ L.conj().T
+        for L, Ld in jump_pairs:
+            out += L @ r @ Ld
         out -= 0.5 * (k_total @ r + r @ k_total)
         return out
 
-    def too_large(detail: str) -> StepSizeError:
+    def too_large(detail: str, member: int) -> StepSizeError:
+        where = "" if single else f" in initial state {member}"
         return StepSizeError(
-            f"step size {h:.3e} too large: {detail}; suggested step {h_default:.3e} "
+            f"step size {h:.3e} too large: {detail}{where}; suggested step {h_default:.3e} "
             f"({max(1, int(math.ceil(t_end / h_default)))} steps for t_end {t_end:g})",
             suggested_step=h_default,
         )
 
-    rho = rho0.matrix.copy()
+    rho = np.stack([state.matrix for state in initial])
     times = [0.0]
-    states = [rho0]
+    records = [[state] for state in initial]
     for step in range(1, n_steps + 1):
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * h * k1)
         k3 = rhs(rho + 0.5 * h * k2)
         k4 = rhs(rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(rho.trace() - 1.0)
-        if drift > 1e-8 or not np.all(np.isfinite(rho)):
-            raise too_large(f"trace drift {drift:.3e} at t = {step * h:.4g}")
+        drift = np.abs(rho.trace(axis1=1, axis2=2) - 1.0)
+        if not (drift.max() <= 1e-8 and np.isfinite(rho).all()):
+            ok = (drift <= 1e-8) & np.isfinite(rho).all(axis=(1, 2))
+            bad = int(np.argmin(ok))
+            raise too_large(f"trace drift {drift[bad]:.3e} at t = {step * h:.4g}", bad)
         if step % record_every == 0 or step == n_steps:
-            try:
-                state = DensityMatrix(rho)
-            except ValueError as err:
-                raise too_large(str(err)) from err
+            for i, record in enumerate(records):
+                try:
+                    record.append(DensityMatrix(rho[i]))
+                except ValueError as err:
+                    raise too_large(str(err), i) from err
             times.append(step * h)
-            states.append(state)
-    return Trajectory(times=np.array(times), states=tuple(states), step_size=h)
+    times_arr = np.array(times)
+    times_arr.flags.writeable = False
+    trajectories = tuple(Trajectory(times=times_arr, states=tuple(record), step_size=h)
+                         for record in records)
+    return trajectories[0] if single else trajectories
 
 
 @dataclass(frozen=True)

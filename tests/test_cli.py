@@ -8,6 +8,7 @@ from fgkls.cli import (
     EXIT_CONFIG,
     EXIT_NO_SOLUTION,
     EXIT_OK,
+    EXIT_STEP_SIZE,
     EXIT_THRESHOLD,
     load_config,
     main,
@@ -226,6 +227,26 @@ MALFORMED_CONFIGS = [
     (dict(TWO_LEVEL, evolve=5), "evolve"),
     (dict(TWO_LEVEL, lambda_values=[True]), "lambda_values"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": [True]}), "evolve.seeds"),
+    (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps1="x")), "two_level.eps1"),
+    (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps2=[2.0])), "two_level.eps2"),
+    (dict(TWO_LEVEL, max_order=True), "max_order"),
+    (dict(TWO_LEVEL, max_order=2.5), "max_order"),
+    (dict(TWO_LEVEL, evolve={"t_end": "5"}), "evolve.t_end"),
+    (dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 100.0}), "evolve.n_steps"),
+    (dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": True}), "evolve.n_steps"),
+    (dict(TWO_LEVEL, evolve={"t_end": float("inf")}), "evolve.t_end"),
+    ({"model": "oscillator_spin",
+      "oscillator_spin": {"n_levels": "4", "omega": 1.0, "delta": 0.3,
+                          "jump": {"variant": "sigma_plus", "lam": [0.3, 0.0]}}},
+     "oscillator_spin.n_levels"),
+    ({"model": "oscillator_spin",
+      "oscillator_spin": {"n_levels": 4, "omega": "1", "delta": 0.3,
+                          "jump": {"variant": "sigma_plus", "lam": [0.3, 0.0]}}},
+     "oscillator_spin.omega"),
+    ({"model": "oscillator_spin",
+      "oscillator_spin": {"n_levels": 4, "omega": 1.0, "delta": True,
+                          "jump": {"variant": "sigma_plus", "lam": [0.3, 0.0]}}},
+     "oscillator_spin.delta"),
 ]
 
 
@@ -258,6 +279,20 @@ def test_non_numeric_scalar_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", payload)
     assert main(["pointer", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "three" in capsys.readouterr().err
+
+
+def test_step_size_error_exit_code(tmp_path, capsys):
+    payload = {
+        "model": "two_level",
+        "two_level": {"eps1": 0.0, "eps2": 100.0, "l12": [0.1, 0.0], "l21": [0.0, 0.0]},
+        "evolve": {"t_end": 10.0, "n_steps": 3, "seeds": [0]},
+    }
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == EXIT_STEP_SIZE
+    err = capsys.readouterr().err
+    assert err.startswith("error: step size")
+    assert "suggested step" in err
+    assert "Traceback" not in err
 
 
 def test_scheme_failure_exit_code(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from fgkls import (
 )
 from fgkls.exact import (
     StepSizeError,
+    Trajectory,
     TwoLevelParams,
     default_step,
     fit_exponential_rate,
@@ -179,6 +180,69 @@ def test_trajectory_step_too_large_reports_suggestion():
     assert "suggested step" in str(err.value)
 
 
+def _batch_cases():
+    two_level = build_two_level(1.0, 2.0, 0.6, 0.4)
+    cfg = OscillatorSpinConfig(n_levels=3, omega=1.0, delta=0.5, jump_variant=SigmaXY(0.5, 0.4))
+    return [(two_level, 8.0, 800), (build_oscillator_spin(cfg), 4.0, 400)]
+
+
+def test_trajectory_batch_matches_single_calls_bitwise():
+    for (spectrum, jumps), t_end, n_steps in _batch_cases():
+        rng = np.random.default_rng(5)
+        rho0s = [random_density_matrix(spectrum.dim, rng) for _ in range(3)]
+        batch = integrate_trajectory(spectrum, jumps, rho0s, t_end=t_end,
+                                     n_steps=n_steps, record_every=7)
+        assert len(batch) == 3
+        for rho0, traj in zip(rho0s, batch):
+            single = integrate_trajectory(spectrum, jumps, rho0, t_end=t_end,
+                                          n_steps=n_steps, record_every=7)
+            assert np.array_equal(single.times, traj.times)
+            assert single.step_size == traj.step_size
+            assert len(single.states) == len(traj.states) == n_steps // 7 + 2
+            for a, b in zip(single.states, traj.states):
+                assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_trajectory_batch_returns_tuple_with_shared_times():
+    spectrum, jumps = build_two_level(1.0, 2.0, 0.6, 0.4)
+    rng = np.random.default_rng(6)
+    rho0s = [random_density_matrix(2, rng).matrix for _ in range(3)]
+    batch = integrate_trajectory(spectrum, jumps, rho0s, t_end=1.0, n_steps=100,
+                                 record_every=10)
+    assert isinstance(batch, tuple) and len(batch) == 3
+    assert all(isinstance(traj, Trajectory) for traj in batch)
+    for traj in batch[1:]:
+        assert np.array_equal(traj.times, batch[0].times)
+    assert not batch[0].times.flags.writeable
+    single = integrate_trajectory(spectrum, jumps, rho0s[0], t_end=1.0, n_steps=100)
+    assert isinstance(single, Trajectory)
+    # a 3-D array is a batch too
+    stacked = integrate_trajectory(spectrum, jumps, np.stack(rho0s), t_end=1.0, n_steps=100,
+                                   record_every=10)
+    assert isinstance(stacked, tuple) and len(stacked) == 3
+
+
+def test_trajectory_batch_step_too_large_raises():
+    spectrum = EnergySpectrum(np.array([0.0, 100.0]))
+    jumps = [np.array([[0.0, 0.1], [0.0, 0.0]], dtype=complex)]
+    good = DensityMatrix(0.5 * np.eye(2))
+    bad = DensityMatrix(bloch_to_matrix(0.3, 0.2, 0.1))
+    with pytest.raises(StepSizeError) as err:
+        integrate_trajectory(spectrum, jumps, [good, bad, good], t_end=10.0, n_steps=3)
+    assert err.value.suggested_step < 10.0 / 3
+    assert "suggested step" in str(err.value)
+    assert "initial state 1" in str(err.value)
+
+
+def test_trajectory_batch_rejects_wrongly_sized_member():
+    spectrum, jumps = build_two_level(1.0, 2.0, 0.6, 0.4)
+    members = [DensityMatrix(0.5 * np.eye(2)), DensityMatrix(np.eye(3) / 3)]
+    with pytest.raises(ValueError, match="initial state 1 dimension"):
+        integrate_trajectory(spectrum, jumps, members, t_end=1.0, n_steps=10)
+    with pytest.raises(ValueError, match="no initial states"):
+        integrate_trajectory(spectrum, jumps, [], t_end=1.0, n_steps=10)
+
+
 def test_trajectory_endpoints_land_on_steady_slice():
     # every endpoint must sit near the exact steady-state set; the
     # oscillator-spin initial states are pinched into the relaxing component
@@ -196,12 +260,15 @@ def test_trajectory_endpoints_land_on_steady_slice():
     rng = np.random.default_rng(123)
     for spectrum, jumps, t_end, n_steps, pinch in cases:
         steady = steady_state_basis(vectorize_liouvillian(spectrum, jumps))
+        rho0s = []
         for _ in range(20):
             rho0 = random_density_matrix(spectrum.dim, rng)
             if pinch:
                 rho0 = DensityMatrix(_pinch_between_level_coherences(rho0.matrix))
-            traj = integrate_trajectory(spectrum, jumps, rho0, t_end=t_end,
-                                        n_steps=n_steps, record_every=n_steps)
+            rho0s.append(rho0)
+        trajectories = integrate_trajectory(spectrum, jumps, rho0s, t_end=t_end,
+                                            n_steps=n_steps, record_every=n_steps)
+        for traj in trajectories:
             dist = point_to_affine_distance(traj.final_state.matrix,
                                             steady.physical_member,
                                             list(steady.physical_directions))
