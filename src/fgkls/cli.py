@@ -7,12 +7,13 @@ Subcommands
     compare   all three, with distances and the residual-scaling table
 
 Each run writes `report.json` (machine readable, byte-stable across reruns)
-and `report.txt` (human readable, includes timing) into the output directory,
-plus `trajectory_<seed>.csv` files when trajectories are integrated.  Exit
-codes: 0 success, 1 config error, 2 scheme failure (no solution at some
-order), 3 comparison thresholds exceeded, 4 integration step too large (the
-message carries a suggested step).  The environment variable LP_SEED
-overrides the configured random seeds.
+and `report.txt` (human readable, includes timing and, per lambda, the number
+of Liouvillian blocks and the largest block the exact oracle solved) into the
+output directory, plus `trajectory_<seed>.csv` files when trajectories are
+integrated.  Exit codes: 0 success, 1 config error, 2 scheme failure (no
+solution at some order), 3 comparison thresholds exceeded, 4 integration step
+too large (the message carries a suggested step).  The environment variable
+LP_SEED overrides the configured random seeds.
 """
 
 from __future__ import annotations
@@ -254,6 +255,10 @@ def load_config(path: str, max_order_override: int | None = None,
         if not isinstance(seeds, list) or not all(
                 isinstance(s, int) and not isinstance(s, bool) for s in seeds):
             raise ConfigError("config error at evolve.seeds: expected a list of integers")
+        repeated = [seed for k, seed in enumerate(seeds) if seed in seeds[:k]]
+        if repeated:
+            raise ConfigError(f"config error at evolve.seeds: seed {repeated[0]} is repeated "
+                              "(each seed writes its own trajectory_<seed>.csv)")
         seed_source = "config"
         env_seed = os.environ.get("LP_SEED")
         if env_seed is not None:
@@ -266,8 +271,7 @@ def load_config(path: str, max_order_override: int | None = None,
 
     thresholds = _object(cfg, "thresholds", required=False)
     for key, val in thresholds.items():
-        if not _is_real(val):
-            raise ConfigError(f"config error at thresholds.{key}: expected a real number")
+        _real(val, f"thresholds.{key}")
     family_max = float(thresholds.get("family_distance", DEFAULT_FAMILY_DISTANCE_MAX))
     endpoint_max = float(thresholds.get("endpoint_distance", DEFAULT_ENDPOINT_DISTANCE_MAX))
 
@@ -385,9 +389,15 @@ def _exact_for_lambda(config: RunConfig, lam: float) -> SteadyStateSet:
     return steady_state_basis(superop, tol_kernel=config.tol_kernel)
 
 
+def _oracle_blocks(lam: float, steady: SteadyStateSet) -> tuple[float, int, int]:
+    """(lambda, number of Liouvillian blocks, largest block) for report.txt."""
+    return lam, len(steady.block_sizes), max(steady.block_sizes)
+
+
 def cmd_exact(config: RunConfig) -> tuple[int, dict]:
     report = _base_report("exact", config)
     steady = _exact_for_lambda(config, 1.0)
+    report["_oracle_blocks"] = [_oracle_blocks(1.0, steady)]
     residual = stationarity_residual(config.spectrum, config.jumps, steady.physical_member)
     report["exact"] = {
         "kernel_dim": steady.kernel_dim,
@@ -461,6 +471,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         return code, report
 
     comparisons = []
+    blocks = []
     family_dirs = family.affine_directions()
     worst_family = 0.0
     steady_full = None
@@ -468,6 +479,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         steady = _exact_for_lambda(config, lam)
         if lam == 1.0:
             steady_full = steady
+        blocks.append(_oracle_blocks(lam, steady))
         member = family.evaluate(lam)
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
@@ -479,6 +491,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
             "family_vs_exact_distance": dist,
         })
     report["oracle_comparison"] = comparisons
+    report["_oracle_blocks"] = blocks
 
     scaling = []
     for lam in config.lambda_values:
@@ -535,7 +548,8 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _text_report(report: dict, elapsed: float) -> str:
+def _text_report(report: dict, elapsed: float,
+                 oracle_blocks: list[tuple[float, int, int]]) -> str:
     lines = [f"fgkls {report['command']} report", "=" * 40]
     lines.append(f"dimension: {report['dimension']}")
     lines.append(f"energies: {report['energies']}")
@@ -562,6 +576,10 @@ def _text_report(report: dict, elapsed: float) -> str:
         for row in report["oracle_comparison"]:
             lines.append(f"{row['lambda']:<6g} | {row['kernel_dim']:10d} | "
                          f"{row['family_vs_exact_distance']:.3e}")
+    if oracle_blocks:
+        lines.append("lambda | Liouvillian blocks | largest block")
+        for lam, count, largest in oracle_blocks:
+            lines.append(f"{lam:<6g} | {count:18d} | {largest:13d}")
     if "residual_scaling" in report:
         lines.append("lambda | truncated-member residual")
         for row in report["residual_scaling"]:
@@ -635,10 +653,12 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     trajectories = report.pop("_trajectories", None)
+    oracle_blocks = report.pop("_oracle_blocks", [])
     _atomic_write(os.path.join(args.out, "report.json"),
                   json.dumps(report, sort_keys=True, indent=2) + "\n")
     if not args.json_only:
-        _atomic_write(os.path.join(args.out, "report.txt"), _text_report(report, elapsed))
+        _atomic_write(os.path.join(args.out, "report.txt"),
+                      _text_report(report, elapsed, oracle_blocks))
         if trajectories:
             for run in trajectories:
                 name = f"trajectory_{run['seed']}.csv"

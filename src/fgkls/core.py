@@ -273,17 +273,27 @@ def vectorize_liouvillian(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray])
     """Assemble the superoperator matrix of the FGKLS generator.
 
     With column stacking, left multiplication by A maps to (I kron A) and
-    right multiplication by A maps to (A^T kron I).
+    right multiplication by A maps to (A^T kron I).  The matrix is filled as a
+    (D, D, D, D) array t[n, m, q, p] = matrix[m + D n, p + D q], without the
+    kron products against the identity: the Hamiltonian sits on the n = q,
+    m = p diagonal, and each jump adds conj(L)[n, q] L[m, p] minus K / 2 on
+    the n = q slice and K^T / 2 on the m = p slice.  Every entry is summed in
+    the same order as in the kron form, so the two matrices are equal.
     """
     d = spectrum.dim
-    ident = np.eye(d)
-    h = spectrum.hamiltonian()
-    mat = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+    e = spectrum.energies
+    diag = np.arange(d)
+    n, m = np.ix_(diag, diag)
+    mat = np.zeros((d, d, d, d), dtype=complex)
+    mat[n, m, n, m] = -1j * (e[m] - e[n])
     for L in jumps:
         L = _as_operator(L, d)
         K = L.conj().T @ L
-        mat += np.kron(L.conj(), L) - 0.5 * np.kron(ident, K) - 0.5 * np.kron(K.T, ident)
-    return LiouvillianSuperoperator(hilbert_dim=d, matrix=mat)
+        term = L.conj()[:, None, :, None] * L[None, :, None, :]
+        term[diag, :, diag, :] -= 0.5 * K
+        term[:, diag, :, diag] -= 0.5 * K.T
+        mat += term
+    return LiouvillianSuperoperator(hilbert_dim=d, matrix=mat.reshape(d * d, d * d))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Three independent routes are provided:
 
 * the null space of the vectorized Liouvillian (every exact steady state, as
-  an affine trace-1 slice of the kernel span);
+  an affine trace-1 slice of the kernel span), taken block by block over the
+  connected components of the superoperator's nonzero pattern, with one
+  kernel cutoff relative to the largest singular value over all blocks;
 * fixed-step Runge-Kutta integration of the FGKLS equation in the time
   domain, confirming that pointers are attractors;
 * the closed-form solution of the dissipative two-level (Bloch vector)
@@ -50,38 +52,103 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteadyStateSet:
-    """Hermitian basis of the Liouvillian kernel plus its physical trace-1 slice."""
+    """Hermitian basis of the Liouvillian kernel plus its physical trace-1 slice.
+
+    `block_sizes` are the sizes of the independent blocks the superoperator
+    split into for the kernel search, in the order they were solved.
+    """
 
     basis: tuple[np.ndarray, ...]
     physical_member: np.ndarray
     physical_directions: tuple[np.ndarray, ...]
     singular_values: np.ndarray
+    block_sizes: tuple[int, ...]
 
     @property
     def kernel_dim(self) -> int:
         return len(self.basis)
 
 
+def _connected_blocks(mat: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of `mat`.
+
+    Indices i and j are linked when mat[i, j] or mat[j, i] is nonzero.  Each
+    component is grown from its smallest unseen index by a boolean
+    frontier search; the components come back as sorted index arrays, in
+    order of their smallest index.
+    """
+    linked = mat != 0
+    linked = linked | linked.T
+    unseen = np.ones(linked.shape[0], dtype=bool)
+    blocks = []
+    for start in range(unseen.size):
+        if not unseen[start]:
+            continue
+        frontier = np.array([start])
+        members = []
+        while frontier.size:
+            unseen[frontier] = False
+            members.append(frontier)
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
+        blocks.append(np.sort(np.concatenate(members)))
+    return blocks
+
+
+def _block_svds(mat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """SVDs of the independent blocks of `mat`, blocks of equal size stacked.
+
+    Returns (idx, s, vh) per block size: idx[b] are the indices of block b,
+    s[b] its singular values (descending) and vh[b] its right singular
+    vectors.  A matrix that is one block gets one plain SVD of itself.
+    """
+    blocks = _connected_blocks(mat)
+    if len(blocks) == 1:
+        _, s, vh = np.linalg.svd(mat)
+        return [(blocks[0][None], s[None], vh[None])]
+    by_size: dict[int, list[np.ndarray]] = {}
+    for block in blocks:
+        by_size.setdefault(block.size, []).append(block)
+    spectra = []
+    for size in sorted(by_size):
+        idx = np.stack(by_size[size])
+        _, s, vh = np.linalg.svd(mat[idx[:, :, None], idx[:, None, :]])
+        spectra.append((idx, s, vh))
+    return spectra
+
+
 def steady_state_basis(superop: LiouvillianSuperoperator,
                        tol_kernel: float | None = None) -> SteadyStateSet:
     """Exact steady states from the singular vectors of the superoperator.
 
-    Kernel vectors are the right singular vectors whose singular value falls
-    below tol_kernel times the largest one.  Since the generator preserves
-    Hermiticity, the kernel admits a Hermitian basis: the (anti-)Hermitian
-    symmetrizations of the raw vectors are re-orthonormalized and near-zero
-    members discarded.  The physical slice is the trace-1 affine subset of the
-    kernel span, described by one member and traceless directions.
+    The superoperator is split into the connected components of its nonzero
+    pattern (for the oscillator-spin models these are the blocks of the
+    model's weak symmetries), and each block is decomposed on its own, blocks
+    of equal size in one stacked SVD; a matrix that is one block gets one
+    dense SVD.  Kernel vectors are the right singular vectors whose singular
+    value falls below tol_kernel times the largest singular value over all
+    blocks (one global cutoff, not one per block), scattered back to full
+    length.  Since the generator preserves Hermiticity, the kernel admits a
+    Hermitian basis: the (anti-)Hermitian symmetrizations of the raw vectors
+    are re-orthonormalized and members the full superoperator does not
+    annihilate are discarded.  The physical slice is the trace-1 affine subset
+    of the kernel span, described by one member and traceless directions.
+    `singular_values` holds all D^2 singular values in descending order.
     """
     if tol_kernel is None:
         tol_kernel = DEFAULT_TOLERANCES.kernel
     d = superop.hilbert_dim
-    _, s, vh = np.linalg.svd(superop.matrix)
+    spectra = _block_svds(superop.matrix)
+    s = np.sort(np.concatenate([sv.ravel() for _, sv, _ in spectra]))[::-1]
     smax = s[0]
     if smax == 0.0:
-        kernel = [np.eye(d * d, dtype=complex)[:, k] for k in range(d * d)]
+        kernel = list(np.eye(d * d, dtype=complex))
     else:
-        kernel = [vh[i].conj() for i in range(s.size) if s[i] < tol_kernel * smax]
+        kernel = []
+        for idx, sv, vh in spectra:
+            for b, i in zip(*np.nonzero(sv < tol_kernel * smax)):
+                v = np.zeros(d * d, dtype=complex)
+                v[idx[b]] = vh[b, i].conj()
+                kernel.append(v)
     if not kernel:
         raise RuntimeError("empty Liouvillian kernel: superoperator assembly is inconsistent")
 
@@ -92,9 +159,13 @@ def steady_state_basis(superop: LiouvillianSuperoperator,
         candidates.append((k - k.conj().T) / 2j)
     # Symmetrizing an arbitrarily-phased kernel vector can leave a tiny spurious
     # component; keep only unit-norm elements that the superoperator annihilates.
+    # One product for all elements reads the D^2 x D^2 matrix once, not once
+    # per element.
     cutoff = tol_kernel * max(smax, 1.0)
-    basis = [b for b in _orthonormal_span(candidates)
-             if np.linalg.norm(superop.matrix @ vec(b)) <= cutoff]
+    span = _orthonormal_span(candidates)
+    vecs = np.array([vec(b) for b in span], dtype=complex).reshape(len(span), d * d)
+    residuals = np.linalg.norm(superop.matrix @ vecs.T, axis=0)
+    basis = [b for b, r in zip(span, residuals) if r <= cutoff]
     if not basis:
         raise RuntimeError("no Hermitian kernel element below the residual cutoff")
 
@@ -108,8 +179,10 @@ def steady_state_basis(superop: LiouvillianSuperoperator,
         _, _, vt = np.linalg.svd(traces[None, :], full_matrices=True)
         for row in vt[1:]:
             directions.append(sum(c * b for c, b in zip(row, basis)))
+    block_sizes = tuple(idx.shape[1] for idx, _, _ in spectra for _block in idx)
     return SteadyStateSet(basis=tuple(basis), physical_member=member,
-                          physical_directions=tuple(directions), singular_values=s)
+                          physical_directions=tuple(directions), singular_values=s,
+                          block_sizes=block_sizes)
 
 
 class StepSizeError(RuntimeError):

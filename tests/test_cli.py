@@ -173,6 +173,23 @@ def test_compare_two_level_three_way_agreement(tmp_path, monkeypatch):
         assert row["endpoint_vs_family"] < 1e-6
 
 
+def test_text_report_lists_oracle_blocks(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
+    out = tmp_path / "out"
+    assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
+    # the two-level Liouvillian splits into populations and coherences
+    lines = (out / "report.txt").read_text().splitlines()
+    start = lines.index("lambda | Liouvillian blocks | largest block")
+    rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
+    assert rows == [["1", "2", "2"], ["0.5", "2", "2"]]
+    assert "_oracle_blocks" not in (out / "report.json").read_text()
+
+    assert main(["exact", cfg, "--out", str(out)]) == EXIT_OK
+    lines = (out / "report.txt").read_text().splitlines()
+    start = lines.index("lambda | Liouvillian blocks | largest block")
+    assert [field.strip() for field in lines[start + 1].split("|")] == ["1", "2", "2"]
+
+
 def test_compare_kernel_dim_vs_free_parameters(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "oscillator_spin",
@@ -224,9 +241,12 @@ MALFORMED_CONFIGS = [
     ({"model": "two_level", "two_level": 5}, "two_level"),
     (dict(TWO_LEVEL, thresholds="x"), "thresholds"),
     (dict(TWO_LEVEL, thresholds={"family_distance": "x"}), "thresholds.family_distance"),
+    (dict(TWO_LEVEL, thresholds={"family_distance": float("nan")}), "thresholds.family_distance"),
+    (dict(TWO_LEVEL, thresholds={"endpoint_distance": float("inf")}), "thresholds.endpoint_distance"),
     (dict(TWO_LEVEL, evolve=5), "evolve"),
     (dict(TWO_LEVEL, lambda_values=[True]), "lambda_values"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": [True]}), "evolve.seeds"),
+    (dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": [3, 4, 3]}), "evolve.seeds"),
     (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps1="x")), "two_level.eps1"),
     (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps2=[2.0])), "two_level.eps2"),
     (dict(TWO_LEVEL, max_order=True), "max_order"),

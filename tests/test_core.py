@@ -15,7 +15,7 @@ from fgkls import (
     vectorize_liouvillian,
     weak_coupling_ratio,
 )
-from fgkls.models import OscillatorSpinConfig, SigmaPlus, build_oscillator_spin, build_two_level
+from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import component_generator, random_hermitian, random_nondegenerate_model
 
@@ -186,6 +186,35 @@ def test_vectorize_matches_direct_generator():
         direct = fgkls_generator(spectrum, jumps, rho)
         via_matrix = unvec(superop.matrix @ vec(rho))
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
+
+
+def kron_liouvillian(spectrum, jumps):
+    """Reference assembly through kron products against the identity."""
+    d = spectrum.dim
+    ident = np.eye(d)
+    h = spectrum.hamiltonian()
+    mat = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+    for L in jumps:
+        L = np.asarray(L, dtype=complex)
+        K = L.conj().T @ L
+        mat += np.kron(L.conj(), L) - 0.5 * np.kron(ident, K) - 0.5 * np.kron(K.T, ident)
+    return mat
+
+
+def test_vectorize_equals_kron_form():
+    models = [build_two_level(1.0, 2.0, 1.0 + 0.3j, 2.0 - 0.5j)]
+    for n_levels, delta in ((4, 1.0), (16, 0.3)):
+        cfg = OscillatorSpinConfig(n_levels=n_levels, omega=1.0, delta=delta,
+                                   jump_variant=SigmaXY(0.1 + 0.05j, 0.07 - 0.02j))
+        models.append(build_oscillator_spin(cfg))
+    rng = np.random.default_rng(21)
+    models.append(random_nondegenerate_model(rng, dim=5, n_jumps=3, coupling=0.4))
+    models.append((EnergySpectrum(np.array([0.3, 1.1, 2.0])), []))
+    for spectrum, jumps in models:
+        superop = vectorize_liouvillian(spectrum, jumps)
+        assert superop.hilbert_dim == spectrum.dim
+        # the same sums in the same order: equal, up to the sign of zeros
+        assert np.array_equal(superop.matrix, kron_liouvillian(spectrum, jumps)), spectrum.dim
 
 
 def test_vectorize_zero_jumps_commutator_form():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fgkls import (
+    DEFAULT_TOLERANCES,
     DensityMatrix,
     EnergySpectrum,
     LiouvillianSuperoperator,
@@ -10,8 +11,11 @@ from fgkls import (
     random_density_matrix,
     run_pointer_scheme,
     stationarity_residual,
+    unvec,
+    vec,
     vectorize_liouvillian,
 )
+from fgkls.core import _orthonormal_span
 from fgkls.exact import (
     StepSizeError,
     Trajectory,
@@ -76,6 +80,90 @@ def test_kernel_zero_jumps_all_diagonals():
         assert np.max(np.abs(off)) < 1e-10
     assert abs(steady.physical_member.trace() - 1.0) < 1e-12
     assert len(steady.physical_directions) == 2
+
+
+def dense_steady_reference(superop):
+    """The oracle as one dense SVD of the whole superoperator.
+
+    Returns (singular values, Hermitian kernel basis, physical member,
+    physical directions), with the same cutoffs as `steady_state_basis`.
+    """
+    tol = DEFAULT_TOLERANCES.kernel
+    _, s, vh = np.linalg.svd(superop.matrix)
+    kernel = [unvec(vh[i].conj()) for i in range(s.size) if s[i] < tol * s[0]]
+    candidates = []
+    for k in kernel:
+        candidates += [0.5 * (k + k.conj().T), (k - k.conj().T) / 2j]
+    basis = [b for b in _orthonormal_span(candidates)
+             if np.linalg.norm(superop.matrix @ vec(b)) <= tol * max(s[0], 1.0)]
+    traces = np.array([float(b.trace().real) for b in basis])
+    member = sum((t / float(traces @ traces)) * b for t, b in zip(traces, basis))
+    directions = []
+    if len(basis) > 1:
+        _, _, vt = np.linalg.svd(traces[None, :], full_matrices=True)
+        directions = [sum(c * b for c, b in zip(row, basis)) for row in vt[1:]]
+    return s, basis, member, directions
+
+
+def worked_case(lam):
+    """Four levels whose unique steady state |0><0| is reached through a lam^6 leak."""
+    spectrum = EnergySpectrum(np.array([0.7, 1.5, 2.2, 3.0]))
+    l1 = np.zeros((4, 4), dtype=complex)
+    l1[0, 2], l1[1, 1], l1[1, 2] = 0.8 + 0.3j, 0.5 - 0.2j, -0.6 + 0.4j
+    l2 = np.zeros((4, 4), dtype=complex)
+    l2[1, 3] = 0.9 + 0.1j
+    return spectrum, [0.1 * lam * l1, 0.1 * lam * l2]
+
+
+def sigma_xy_case(n_levels, delta):
+    cfg = OscillatorSpinConfig(n_levels=n_levels, omega=1.0, delta=delta,
+                               jump_variant=SigmaXY(0.1 + 0.04j, 0.08 - 0.03j))
+    return build_oscillator_spin(cfg)
+
+
+BLOCK_CASES = {
+    "sigma_xy_D8_integer_q": (lambda: sigma_xy_case(4, 1.0), 4),
+    "sigma_xy_D16_noninteger_q": (lambda: sigma_xy_case(8, 0.3), 8),
+    "two_level": (lambda: build_two_level(1.0, 2.0, 1.0 + 0.5j, 2.0), 1),
+    # the population block's singular values (~1e-12) are kernel only under
+    # the cutoff relative to the largest singular value over all blocks
+    "two_level_weak_jumps": (lambda: build_two_level(1.0, 2.0, 1e-6, 2e-6), 2),
+    # the lam^6 singular value is kernel at lam = 0.1 but not at lam = 1
+    "worked_4x4_lam_0.1": (lambda: worked_case(0.1), 2),
+    "worked_4x4_lam_1": (lambda: worked_case(1.0), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_kernel_matches_dense_reference(case):
+    build, expected_dim = BLOCK_CASES[case]
+    spectrum, jumps = build()
+    superop = vectorize_liouvillian(spectrum, jumps)
+    steady = steady_state_basis(superop)
+    s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
+    assert len(steady.block_sizes) > 1 and sum(steady.block_sizes) == superop.dim
+    assert steady.kernel_dim == len(basis_ref) == expected_dim
+    assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
+                                     member_ref, dirs_ref) < 1e-12
+    s = steady.singular_values
+    assert s.shape == (superop.dim,)
+    assert np.all(np.diff(s) <= 0.0)
+    assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0]
+
+
+def test_one_block_kernel_is_the_dense_svd_bitwise():
+    rng = np.random.default_rng(4)
+    spectrum, jumps = random_nondegenerate_model(rng, dim=6, n_jumps=2, coupling=0.3)
+    superop = vectorize_liouvillian(spectrum, jumps)
+    steady = steady_state_basis(superop)
+    s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
+    assert steady.block_sizes == (36,)
+    assert np.array_equal(steady.singular_values, s_ref)
+    assert len(steady.basis) == len(basis_ref)
+    assert all(np.array_equal(b, r) for b, r in zip(steady.basis, basis_ref))
+    assert np.array_equal(steady.physical_member, member_ref)
+    assert len(steady.physical_directions) == len(dirs_ref)
+    assert all(np.array_equal(b, r) for b, r in zip(steady.physical_directions, dirs_ref))
 
 
 def test_kernel_empty_raises_on_invalid_superoperator():
