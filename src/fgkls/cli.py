@@ -10,10 +10,19 @@ Each run writes `report.json` (machine readable, byte-stable across reruns)
 and `report.txt` (human readable, includes timing and, per lambda, the number
 of Liouvillian blocks and the largest block the exact oracle solved) into the
 output directory, plus `trajectory_<seed>.csv` files when trajectories are
-integrated.  Exit codes: 0 success, 1 config error, 2 scheme failure (no
-solution at some order), 3 comparison thresholds exceeded, 4 integration step
-too large (the message carries a suggested step).  The environment variable
-LP_SEED overrides the configured random seeds.
+integrated.
+
+`report.json` holds exactly the bytes of `json.dumps(report, sort_keys=True,
+indent=2) + "\n"`: sorted keys, 2-space indent, floats as `repr`, NaN and
+Infinity spelled as Python's `json` spells them, and every complex matrix as
+rows of [re, im] pairs.  `_json_chunks` produces those bytes piece by piece (a
+whole matrix in one piece); every output file is streamed to a temporary file
+in the output directory that then replaces the target.
+
+Exit codes: 0 success, 1 config error, 2 scheme failure (no solution at some
+order), 3 comparison thresholds exceeded, 4 integration step too large (the
+message carries a suggested step).  The environment variable LP_SEED overrides
+the configured random seeds.
 """
 
 from __future__ import annotations
@@ -24,15 +33,16 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .core import (
-    DensityMatrix,
+    DegeneracyPartition,
     EnergySpectrum,
     classify_pairs,
-    default_tol_degen,
     random_density_matrix,
     stationarity_residual,
     vectorize_liouvillian,
@@ -78,7 +88,7 @@ class RunConfig:
     jumps: list[np.ndarray]
     max_order: int
     lambda_values: list[float]
-    tol_degen: float | None
+    partition: DegeneracyPartition
     tol_rank: float | None
     tol_kernel: float | None
     evolve: EvolveConfig | None
@@ -126,8 +136,9 @@ def _integer(value, where: str) -> int:
 
 def _as_complex(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_is_real(x) for x in value)):
-        raise ConfigError(f"config error at {where}: complex numbers are [re, im] pairs")
+            or not all(_is_real(x) and np.isfinite(x) for x in value)):
+        raise ConfigError(f"config error at {where}: complex numbers are [re, im] pairs "
+                          "of finite reals")
     return complex(value[0], value[1])
 
 
@@ -189,7 +200,8 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
         energies = _get(sub, "energies", "custom")
         if not isinstance(energies, list) or not energies:
             raise ConfigError("config error at custom.energies: expected a list of reals")
-        spectrum = EnergySpectrum(np.array(energies, dtype=float))
+        spectrum = EnergySpectrum(np.array([_real(e, f"custom.energies[{k}]")
+                                            for k, e in enumerate(energies)]))
         raw_jumps = _get(sub, "jumps", "custom")
         if not isinstance(raw_jumps, list):
             raise ConfigError("config error at custom.jumps: expected a list of matrices")
@@ -224,21 +236,26 @@ def load_config(path: str, max_order_override: int | None = None,
 
     lambda_values = _get(cfg, "lambda_values", "", required=False, default=[1.0])
     if (not isinstance(lambda_values, list) or not lambda_values
-            or any(not _is_real(x) or x <= 0 for x in lambda_values)):
-        raise ConfigError("config error at lambda_values: expected a non-empty list of positive reals")
+            or any(not _is_real(x) or not np.isfinite(x) or x <= 0 for x in lambda_values)):
+        raise ConfigError("config error at lambda_values: expected a non-empty list of "
+                          "positive finite reals")
 
-    tols = _object(cfg, "tolerances", required=False)
+    # a copy: the config is echoed into the report as written
+    tols = dict(_object(cfg, "tolerances", required=False))
+    if tol_degen_override is not None:
+        tols["tol_degen"] = tol_degen_override
     for key, val in tols.items():
         if key not in ("tol_degen", "tol_rank", "tol_kernel"):
             raise ConfigError(f"config error at tolerances.{key}: unknown tolerance")
-        if not _is_real(val) or val <= 0:
+        if _real(val, f"tolerances.{key}") <= 0:
             raise ConfigError(f"config error at tolerances.{key}: must be positive")
         # rank and kernel cutoffs are relative to the largest singular value
         if key != "tol_degen" and val >= 1:
             raise ConfigError(f"config error at tolerances.{key}: must lie in (0, 1)")
-    tol_degen = tols.get("tol_degen")
-    if tol_degen_override is not None:
-        tol_degen = tol_degen_override
+    try:
+        partition = classify_pairs(spectrum, tols.get("tol_degen"))
+    except ValueError as err:
+        raise ConfigError(f"config error at tolerances.tol_degen: {err}") from err
 
     evolve = None
     if "evolve" in cfg:
@@ -277,17 +294,16 @@ def load_config(path: str, max_order_override: int | None = None,
 
     return RunConfig(
         model=model, spectrum=spectrum, jumps=jumps, max_order=max_order,
-        lambda_values=[float(x) for x in lambda_values], tol_degen=tol_degen,
+        lambda_values=[float(x) for x in lambda_values], partition=partition,
         tol_rank=tols.get("tol_rank"), tol_kernel=tols.get("tol_kernel"),
         evolve=evolve, family_distance_max=family_max,
         endpoint_distance_max=endpoint_max, oscillator=osc, echo=cfg,
     )
 
 
-def _encode_matrix(mat: np.ndarray) -> list:
-    """Nested rows of [re, im] pairs."""
-    mat = np.asarray(mat, dtype=complex)
-    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+def _encode_matrix(mat: np.ndarray) -> np.ndarray:
+    """The complex matrix that `_json_chunks` writes as rows of [re, im] pairs."""
+    return np.asarray(mat, dtype=complex)
 
 
 def _jumps_all_zero(jumps) -> bool:
@@ -335,13 +351,6 @@ def _oscillator_structure_notes(config: RunConfig, family: PointerFamily) -> lis
     return notes
 
 
-def _solve_family(config: RunConfig):
-    partition = classify_pairs(config.spectrum, config.tol_degen)
-    result = run_pointer_scheme(config.spectrum, config.jumps, partition,
-                                max_order=config.max_order, tol_rank=config.tol_rank)
-    return partition, result
-
-
 def _base_report(command: str, config: RunConfig) -> dict:
     report = {
         "command": command,
@@ -361,8 +370,9 @@ def _base_report(command: str, config: RunConfig) -> dict:
 
 def _pointer_into_report(config: RunConfig, report: dict):
     """Solve the family, fill the report; returns (exit_code, family-or-None)."""
-    partition, result = _solve_family(config)
-    report["degeneracy_classes"] = [list(c) for c in partition.classes]
+    result = run_pointer_scheme(config.spectrum, config.jumps, config.partition,
+                                max_order=config.max_order, tol_rank=config.tol_rank)
+    report["degeneracy_classes"] = [list(c) for c in config.partition.classes]
     if isinstance(result, SchemeFailure):
         report["scheme_failure"] = {
             "order": result.order,
@@ -426,7 +436,8 @@ def _run_trajectories(config: RunConfig) -> list[dict]:
     return [{"seed": seed, "trajectory": traj} for seed, traj in zip(seeds, trajectories)]
 
 
-def _trajectory_csv(traj) -> str:
+def _trajectory_csv(traj) -> list[str]:
+    """The CSV file as a list of lines, each ending in a newline."""
     d = traj.states[0].dim
     header = ["t"]
     header += [f"re(rho_{m}{n})" for m in range(d) for n in range(d)]
@@ -434,8 +445,8 @@ def _trajectory_csv(traj) -> str:
     flat = np.array([state.matrix.ravel() for state in traj.states])
     table = np.column_stack([traj.times, flat.real, flat.imag])
     # row by row: a whole-table tolist() holds every row's floats at once
-    lines = [",".join(header)] + [",".join(map(repr, row.tolist())) for row in table]
-    return "\n".join(lines) + "\n"
+    return [",".join(header) + "\n"] + [",".join(map(repr, row.tolist())) + "\n"
+                                        for row in table]
 
 
 def cmd_evolve(config: RunConfig) -> tuple[int, dict]:
@@ -471,16 +482,17 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         return code, report
 
     comparisons = []
+    scaling = []
     blocks = []
     family_dirs = family.affine_directions()
     worst_family = 0.0
-    steady_full = None
+    steady_full = member_full = None
     for lam in config.lambda_values:
         steady = _exact_for_lambda(config, lam)
-        if lam == 1.0:
-            steady_full = steady
-        blocks.append(_oracle_blocks(lam, steady))
         member = family.evaluate(lam)
+        if lam == 1.0:
+            steady_full, member_full = steady, member
+        blocks.append(_oracle_blocks(lam, steady))
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
                                          list(steady.physical_directions))
@@ -490,29 +502,27 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
             "kernel_dim": steady.kernel_dim,
             "family_vs_exact_distance": dist,
         })
-    report["oracle_comparison"] = comparisons
-    report["_oracle_blocks"] = blocks
-
-    scaling = []
-    for lam in config.lambda_values:
         scaled = [lam * L for L in config.jumps]
         scaling.append({
             "lambda": lam,
-            "residual": stationarity_residual(config.spectrum, scaled, family.evaluate(lam)),
+            "residual": stationarity_residual(config.spectrum, scaled, member),
         })
+    report["oracle_comparison"] = comparisons
+    report["_oracle_blocks"] = blocks
     report["residual_scaling"] = scaling
 
     worst_endpoint = 0.0
     if config.evolve is not None:
         if steady_full is None:
             steady_full = _exact_for_lambda(config, 1.0)
+            member_full = family.evaluate(1.0)
         runs = _run_trajectories(config)
         endpoints = []
         for run in runs:
             final = run["trajectory"].final_state.matrix
             d_exact = point_to_affine_distance(final, steady_full.physical_member,
                                                list(steady_full.physical_directions))
-            d_family = point_to_affine_distance(final, family.evaluate(1.0), family_dirs)
+            d_family = point_to_affine_distance(final, member_full, family_dirs)
             worst_endpoint = max(worst_endpoint, d_exact, d_family)
             endpoints.append({
                 "seed": run["seed"],
@@ -535,12 +545,95 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if within else EXIT_THRESHOLD), report
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _matrix_template(rows: int, cols: int, level: int) -> str:
+    """`json`'s indent=2 layout of a rows x cols list of [re, im] pairs at
+    nesting `level`, with a `%s` slot for each float."""
+    i1, i2, i3, i4 = ("\n" + "  " * (level + k) for k in range(4))
+    pair = f"[{i4}%s,{i4}%s{i3}]"
+    row = f"[{i3}" + f",{i3}".join([pair] * cols) + f"{i2}]"
+    return f"[{i2}" + f",{i2}".join([row] * rows) + f"{i1}]"
+
+
+def _json_chunks(obj) -> Iterator[str]:
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, piece by piece.
+
+    Takes what `json` takes (dicts with str keys, lists, tuples, str, int,
+    float, bool, None), tested in `json`'s order so that float subclasses such
+    as `np.float64` print as `float.__repr__`, plus 2-D complex arrays, written
+    as the nested list of [re, im] pairs in one piece.  Anything else raises
+    `TypeError`, as `json` does.
+    """
+    templates: dict[tuple[int, int, int], str] = {}
+
+    def chunks(value, level: int) -> Iterator[str]:
+        if isinstance(value, str):
+            yield encode_basestring_ascii(value)
+        elif value is None:
+            yield "null"
+        elif value is True:
+            yield "true"
+        elif value is False:
+            yield "false"
+        elif isinstance(value, int):
+            yield int.__repr__(value)
+        elif isinstance(value, float):
+            yield _float_text(value)
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                yield "[]"
+                return
+            inner = "\n" + "  " * (level + 1)
+            yield "["
+            for k, item in enumerate(value):
+                yield inner if k == 0 else "," + inner
+                yield from chunks(item, level + 1)
+            yield "\n" + "  " * level + "]"
+        elif isinstance(value, dict):
+            if not value:
+                yield "{}"
+                return
+            inner = "\n" + "  " * (level + 1)
+            yield "{"
+            for k, (key, item) in enumerate(sorted(value.items())):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                yield (inner if k == 0 else "," + inner) + encode_basestring_ascii(key) + ": "
+                yield from chunks(item, level + 1)
+            yield "\n" + "  " * level + "}"
+        elif isinstance(value, np.ndarray) and value.ndim == 2 and np.iscomplexobj(value):
+            pairs = np.stack([value.real, value.imag], axis=-1)
+            if value.size == 0 or not np.isfinite(pairs).all():
+                # json's spelling of NaN and Infinity, one float at a time
+                yield from chunks(pairs.tolist(), level)
+                return
+            key = (*value.shape, level)
+            if key not in templates:
+                templates[key] = _matrix_template(*key)
+            yield templates[key] % tuple(map(float.__repr__, pairs.ravel().tolist()))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    yield from chunks(obj, 0)
+    yield "\n"
+
+
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the strings in `chunks` to a temporary file that then replaces `path`."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_report_")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -654,11 +747,10 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     trajectories = report.pop("_trajectories", None)
     oracle_blocks = report.pop("_oracle_blocks", [])
-    _atomic_write(os.path.join(args.out, "report.json"),
-                  json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _atomic_write(os.path.join(args.out, "report.json"), _json_chunks(report))
     if not args.json_only:
         _atomic_write(os.path.join(args.out, "report.txt"),
-                      _text_report(report, elapsed, oracle_blocks))
+                      [_text_report(report, elapsed, oracle_blocks)])
         if trajectories:
             for run in trajectories:
                 name = f"trajectory_{run['seed']}.csv"

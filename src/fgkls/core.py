@@ -156,10 +156,13 @@ def classify_pairs(spectrum: EnergySpectrum, tol_degen: float | None = None) -> 
     the tolerance and every cross-class pair beyond it.  A tolerance that
     merges two genuinely distinct levels (chain of small gaps with a large
     total spread) is rejected, as is a tolerance within a factor two of the
-    smallest true level gap.
+    smallest true level gap, and one that puts levels differing by more than
+    `default_tol_degen` into one class: the scheme drops the commutator term
+    of an internal pair, which is exact only for equal energies.
     """
+    resolution = default_tol_degen(spectrum)
     if tol_degen is None:
-        tol_degen = default_tol_degen(spectrum)
+        tol_degen = resolution
     if tol_degen < 0:
         raise ValueError("tol_degen must be nonnegative")
 
@@ -181,6 +184,13 @@ def classify_pairs(spectrum: EnergySpectrum, tol_degen: float | None = None) -> 
                 "tol_degen too coarse: a chain of near-degenerate levels spans "
                 f"{vals.max() - vals.min():.3e} > tol {tol_degen:.3e}; clustering is "
                 "not transitive-consistent"
+            )
+        if vals.max() - vals.min() > resolution:
+            raise ValueError(
+                f"tol_degen {tol_degen:.3e} merges levels {vals.min():.6g} and "
+                f"{vals.max():.6g}, which differ by {vals.max() - vals.min():.3e} > "
+                f"{resolution:.3e} (the default tolerance); their commutator "
+                "terms would be dropped"
             )
 
     if len(classes) > 1:

@@ -10,10 +10,11 @@ from fgkls.cli import (
     EXIT_OK,
     EXIT_STEP_SIZE,
     EXIT_THRESHOLD,
+    _json_chunks,
     load_config,
     main,
 )
-from fgkls.perturbation import run_pointer_scheme
+from fgkls.perturbation import PointerFamily, run_pointer_scheme
 
 
 def write_config(tmp_path, name, payload):
@@ -150,20 +151,28 @@ def test_compare_two_level_three_way_agreement(tmp_path, monkeypatch):
     import fgkls.cli as cli
 
     solved = []
+    evaluated = []
     real_exact = cli._exact_for_lambda
+    real_evaluate = PointerFamily.evaluate
 
     def recording_exact(config, lam):
         solved.append(lam)
         return real_exact(config, lam)
 
+    def recording_evaluate(family, lam=None, *args, **kwargs):
+        evaluated.append(lam)
+        return real_evaluate(family, lam, *args, **kwargs)
+
     monkeypatch.setattr(cli, "_exact_for_lambda", recording_exact)
+    monkeypatch.setattr(PointerFamily, "evaluate", recording_evaluate)
     payload = dict(TWO_LEVEL)
     payload["evolve"] = {"t_end": 25.0, "n_steps": 6000, "seeds": [7]}
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
-    # the endpoints reuse the lambda = 1 kernel of the comparison
+    # the endpoints reuse the lambda = 1 kernel and member of the comparison
     assert solved == [1.0, 0.5]
+    assert evaluated == [1.0, 0.5]
     report = json.loads((out / "report.json").read_text())
     for row in report["oracle_comparison"]:
         assert row["family_vs_exact_distance"] < 1e-8
@@ -226,6 +235,65 @@ def test_reports_are_byte_identical_across_reruns(tmp_path):
     assert (out1 / "trajectory_5.csv").read_bytes() == (out2 / "trajectory_5.csv").read_bytes()
 
 
+def _nested_pairs(mat):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
+def test_json_writer_matches_json_dumps():
+    rng = np.random.default_rng(3)
+    square = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    wide = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    one = np.array([[0.1 - 2.5e-17j]])
+    broken = np.array([[1.0 + np.nan * 1j, np.inf], [-np.inf * 1j, -0.0]])
+    cases = [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1],
+        [np.float64(0.1), np.float64(1e16), np.float64("nan"), np.float64(-np.inf)],
+        [True, False, 1, 0, -7, None, 2 ** 70],
+        ["caf\u00e9 \u2126", "tab\tnl\nquote\"back\\", "\x00\x1f\x7f", ""],
+        {"b": [], "a": {}, "c": (), "d": (1, [2, (3,)]), "\u00e9": {"z": None, "y": [{}]}},
+        [],
+        {},
+        "top-level string",
+        3.5,
+    ]
+    for obj in cases:
+        assert "".join(_json_chunks(obj)) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    for mat in (one, wide, wide.T, square, broken, np.zeros((0, 3), complex),
+                np.zeros((2, 0), complex)):
+        for wrap in (lambda m: m, lambda m: {"k": [m, {"x": (m,)}]}):
+            written = "".join(_json_chunks(wrap(mat)))
+            assert written == json.dumps(wrap(_nested_pairs(mat)), sort_keys=True, indent=2) + "\n"
+    for bad in (np.int64(1), np.bool_(True), {1: 2}, {"s": {1, 2}}, np.zeros((2, 2)),
+                np.zeros(3, complex), np.zeros((2, 2, 2), complex)):
+        with pytest.raises(TypeError):
+            "".join(_json_chunks(bad))
+
+
+ROUND_TRIP_CONFIGS = [
+    ("pointer", {
+        "model": "oscillator_spin",
+        "oscillator_spin": {"n_levels": 4, "omega": 1.0, "delta": 1.0,
+                            "jump": {"variant": "sigma_xy",
+                                     "gamma1": [0.3, 0.0], "gamma2": [0.0, 0.2]}},
+        "max_order": 2,
+    }),
+    ("exact", TWO_LEVEL),
+    ("evolve", dict(TWO_LEVEL, evolve={"t_end": 5.0, "n_steps": 500, "seeds": [2, 9]})),
+    ("compare", dict(TWO_LEVEL, evolve={"t_end": 5.0, "n_steps": 500, "seeds": [1]},
+                     thresholds={"endpoint_distance": 1.0})),
+]
+
+
+def test_reports_round_trip_through_json(tmp_path):
+    # pins the report.json format independently of the writer that produced it
+    for command, payload in ROUND_TRIP_CONFIGS:
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        out = tmp_path / command
+        assert main([command, cfg, "--out", str(out), "--json-only"]) == EXIT_OK, command
+        text = (out / "report.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", command
+
+
 def test_invalid_json_is_line_anchored(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"model": "two_level",\n  broken\n}')
@@ -245,6 +313,8 @@ MALFORMED_CONFIGS = [
     (dict(TWO_LEVEL, thresholds={"endpoint_distance": float("inf")}), "thresholds.endpoint_distance"),
     (dict(TWO_LEVEL, evolve=5), "evolve"),
     (dict(TWO_LEVEL, lambda_values=[True]), "lambda_values"),
+    (dict(TWO_LEVEL, lambda_values=[float("nan"), 1.0]), "lambda_values"),
+    (dict(TWO_LEVEL, lambda_values=[float("inf")]), "lambda_values"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": [True]}), "evolve.seeds"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": [3, 4, 3]}), "evolve.seeds"),
     (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps1="x")), "two_level.eps1"),
@@ -255,6 +325,14 @@ MALFORMED_CONFIGS = [
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 100.0}), "evolve.n_steps"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": True}), "evolve.n_steps"),
     (dict(TWO_LEVEL, evolve={"t_end": float("inf")}), "evolve.t_end"),
+    ({"model": "custom", "custom": {"energies": [float("nan"), 1.0], "jumps": []}},
+     "custom.energies[0]"),
+    ({"model": "custom", "custom": {"energies": [1.0, "x"], "jumps": []}}, "custom.energies[1]"),
+    (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], l12=[float("nan"), 0.0])),
+     "two_level.l12"),
+    (dict(TWO_LEVEL, tolerances={"tol_degen": 10}), "tolerances.tol_degen"),
+    ({"model": "custom", "custom": {"energies": [1.0, 1.1, 3.0], "jumps": []},
+      "tolerances": {"tol_degen": 1.5}}, "tolerances.tol_degen"),
     ({"model": "oscillator_spin",
       "oscillator_spin": {"n_levels": "4", "omega": 1.0, "delta": 0.3,
                           "jump": {"variant": "sigma_plus", "lam": [0.3, 0.0]}}},
@@ -282,6 +360,8 @@ BAD_TOLERANCES = [
     ({"tol_rank": 1e300}, "tolerances.tol_rank"),
     ({"tol_kernel": 1.0}, "tolerances.tol_kernel"),
     ({"tol_degen": True}, "tolerances.tol_degen"),
+    ({"tol_degen": float("nan")}, "tolerances.tol_degen"),
+    ({"tol_rank": float("nan")}, "tolerances.tol_rank"),
     ([], "tolerances"),
 ]
 
@@ -330,12 +410,17 @@ def test_scheme_failure_exit_code(tmp_path, monkeypatch):
     assert report["scheme_failure"]["order"] == 1
 
 
-def test_cli_override_flags(tmp_path):
+def test_cli_override_flags(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
     out = tmp_path / "out"
     assert main(["pointer", cfg, "--out", str(out), "--max-order", "0", "--json-only"]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["pointer_family"]["max_order"] == 0
+
+    # --tol-degen is checked as the config value is, and never leaves a traceback
+    for value in ("10", "0", "nan"):
+        assert main(["pointer", cfg, "--out", str(out), "--tol-degen", value]) == EXIT_CONFIG
+        assert "config error at tolerances.tol_degen:" in capsys.readouterr().err
 
 
 def test_load_config_custom_model_shape_mismatch(tmp_path):

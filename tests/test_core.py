@@ -174,6 +174,17 @@ def test_classify_tolerance_near_gap_rejected():
         classify_pairs(spectrum, 0.6)
 
 
+def test_classify_tolerance_merging_distinct_levels_rejected():
+    # one class left, so the half-gap rule has no gap to check
+    with pytest.raises(ValueError, match="merges levels 1 and 2"):
+        classify_pairs(EnergySpectrum(np.array([1.0, 2.0])), 10.0)
+    with pytest.raises(ValueError, match="merges levels 1 and 1.1"):
+        classify_pairs(EnergySpectrum(np.array([1.0, 1.1, 3.0])), 1.5)
+    # a tolerance above the default may still merge levels equal within it
+    part = classify_pairs(EnergySpectrum(np.array([1.0, 1.0 + 1e-12, 3.0])), 0.1)
+    assert part.classes == ((0, 1), (2,))
+
+
 # --- vectorized Liouvillian ---------------------------------------------------
 
 def test_vectorize_matches_direct_generator():
