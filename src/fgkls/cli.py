@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -117,15 +118,15 @@ def _object(d: dict, key: str, path: str = "", required: bool = True) -> dict:
     return value
 
 
-def _is_real(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _real(value, where: str) -> float:
-    if not _is_real(value) or not np.isfinite(value):
-        raise ConfigError(f"config error at {where}: expected a finite real number, got {value!r}")
-    return float(value)
+    try:
+        # JSON true/false load as bool, a subclass of int; an integer beyond
+        # the float range makes isfinite raise OverflowError
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"config error at {where}: expected a finite real number, got {value!r}")
 
 
 def _integer(value, where: str) -> int:
@@ -135,11 +136,10 @@ def _integer(value, where: str) -> int:
 
 
 def _as_complex(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_is_real(x) and np.isfinite(x) for x in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"config error at {where}: complex numbers are [re, im] pairs "
                           "of finite reals")
-    return complex(value[0], value[1])
+    return complex(_real(value[0], where), _real(value[1], where))
 
 
 def _as_matrix(value, where: str) -> np.ndarray:
@@ -234,9 +234,10 @@ def load_config(path: str, max_order_override: int | None = None,
     if max_order < 0:
         raise ConfigError("config error at max_order: must be nonnegative")
 
-    lambda_values = _get(cfg, "lambda_values", "", required=False, default=[1.0])
-    if (not isinstance(lambda_values, list) or not lambda_values
-            or any(not _is_real(x) or not np.isfinite(x) or x <= 0 for x in lambda_values)):
+    raw_lambdas = _get(cfg, "lambda_values", "", required=False, default=[1.0])
+    lambda_values = ([_real(x, "lambda_values") for x in raw_lambdas]
+                     if isinstance(raw_lambdas, list) else [])
+    if not lambda_values or min(lambda_values) <= 0:
         raise ConfigError("config error at lambda_values: expected a non-empty list of "
                           "positive finite reals")
 
@@ -247,7 +248,8 @@ def load_config(path: str, max_order_override: int | None = None,
     for key, val in tols.items():
         if key not in ("tol_degen", "tol_rank", "tol_kernel"):
             raise ConfigError(f"config error at tolerances.{key}: unknown tolerance")
-        if _real(val, f"tolerances.{key}") <= 0:
+        val = _real(val, f"tolerances.{key}")
+        if val <= 0:
             raise ConfigError(f"config error at tolerances.{key}: must be positive")
         # rank and kernel cutoffs are relative to the largest singular value
         if key != "tol_degen" and val >= 1:
@@ -294,7 +296,7 @@ def load_config(path: str, max_order_override: int | None = None,
 
     return RunConfig(
         model=model, spectrum=spectrum, jumps=jumps, max_order=max_order,
-        lambda_values=[float(x) for x in lambda_values], partition=partition,
+        lambda_values=lambda_values, partition=partition,
         tol_rank=tols.get("tol_rank"), tol_kernel=tols.get("tol_kernel"),
         evolve=evolve, family_distance_max=family_max,
         endpoint_distance_max=endpoint_max, oscillator=osc, echo=cfg,

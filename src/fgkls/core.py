@@ -12,7 +12,7 @@ classification of the spectrum, and small-dimension Bloch helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -106,6 +106,8 @@ class DegeneracyPartition:
 
     classes: tuple[tuple[int, ...], ...]
     tol_degen: float
+    # class_ids[m] is the index in `classes` of the class holding m
+    class_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -117,21 +119,21 @@ class DegeneracyPartition:
             seen.update(cls)
         if seen != set(range(len(seen))):
             raise ValueError("degeneracy classes must cover indices 0..D-1")
-        lookup = {}
+        ids = np.empty(len(seen), dtype=int)
         for cid, cls in enumerate(self.classes):
-            for idx in cls:
-                lookup[idx] = cid
-        object.__setattr__(self, "_class_of", lookup)
+            ids[list(cls)] = cid
+        ids.flags.writeable = False
+        object.__setattr__(self, "class_ids", ids)
 
     @property
     def dim(self) -> int:
-        return sum(len(c) for c in self.classes)
+        return int(self.class_ids.size)
 
     def class_of(self, m: int) -> int:
-        return self._class_of[m]
+        return int(self.class_ids[m])
 
     def is_internal(self, m: int, n: int) -> bool:
-        return self._class_of[m] == self._class_of[n]
+        return bool(self.class_ids[m] == self.class_ids[n])
 
     @property
     def has_degeneracy(self) -> bool:
@@ -139,13 +141,9 @@ class DegeneracyPartition:
 
     def internal_pairs(self) -> list[tuple[int, int]]:
         """All internal pairs (m, n) with m < n, in lexicographic order."""
-        pairs = []
-        for cls in self.classes:
-            idx = sorted(cls)
-            for i, m in enumerate(idx):
-                for n in idx[i + 1:]:
-                    pairs.append((m, n))
-        return sorted(pairs)
+        ids = self.class_ids
+        m, n = np.nonzero(np.triu(ids[:, None] == ids[None, :], 1))
+        return list(zip(m.tolist(), n.tolist()))
 
 
 def classify_pairs(spectrum: EnergySpectrum, tol_degen: float | None = None) -> DegeneracyPartition:
@@ -222,6 +220,37 @@ def dissipator(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
         K = L.conj().T @ L
         out += L @ rho @ L.conj().T - 0.5 * (K @ rho + rho @ K)
     return out
+
+
+# Weight w of the Hermitian basis element w E_mn + conj(w) E_nm of each kind:
+# E_mm (kind 0, n = m), E_mn + E_nm (kind 1) and i (E_mn - E_nm) (kind 2).
+_KIND_WEIGHTS = np.array([0.5, 1.0, 1.0j])
+
+
+def _hermitian_block(jumps: Sequence[np.ndarray], unknowns: np.ndarray) -> np.ndarray:
+    """Real matrix of the dissipator on Hermitian basis elements, in closed form.
+
+    Row and column i stand for the (kind, m, n) row `unknowns[i]`.  Column j is
+    Diss(B_j) for the basis element B_j of kind 0, 1 or 2 on (m_j, n_j), read
+    at row i as the real part of entry (m_i, n_i) for kinds 0 and 1 and as
+    its imaginary part for kind 2.  Entry (m, n) of Diss(E_pq) is
+    sum_a L[m, p] conj(L[n, q]) - 1/2 K[m, p] delta_nq - 1/2 delta_mp K[q, n].
+    """
+    kind, m, n = np.asarray(unknowns, dtype=int).T
+    w = _KIND_WEIGHTS[kind][None, :]
+    p, q = m[None, :], n[None, :]
+    m, n = m[:, None], n[:, None]
+    out = np.zeros((kind.size, kind.size), dtype=complex)
+    for L in jumps:
+        L = np.asarray(L, dtype=complex)
+        K = L.conj().T @ L
+
+        def unit(p, q):
+            """Entry (m, n) of this jump's Diss(E_pq)."""
+            return L[m, p] * L[n, q].conj() - 0.5 * (K[m, p] * (n == q) + (m == p) * K[q, n])
+
+        out += w * unit(p, q) + w.conj() * unit(q, p)
+    return np.where(kind[:, None] == 2, out.imag, out.real)
 
 
 def fgkls_generator(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho) -> np.ndarray:

@@ -31,7 +31,11 @@ and the partition, so it is assembled once per run; each order rebuilds only
 the right-hand side.
 
 The linear systems are real: diagonal unknowns are real by Hermiticity and
-each internal pair contributes a real and an imaginary part.  Solvability is
+each internal pair contributes a real and an imaginary part.  Each unknown is
+one (kind, m, n) row of an integer array (kind 0: f_mm; kinds 1 and 2: real
+and imaginary part of f_mn), and the system matrix is the dissipator written
+in the matching Hermitian basis E_mm, E_mn + E_nm, i(E_mn - E_nm), built in
+closed form from the jumps over those index arrays.  Solvability is
 decided per order by the Kronecker-Capelli rank comparison; the leftover null
 space is the pointer family's freedom, reduced by one parameter per order by
 the trace condition (trace 1 at order zero, traceless corrections above).
@@ -51,13 +55,14 @@ from .core import (
     DEFAULT_TOLERANCES,
     DegeneracyPartition,
     EnergySpectrum,
+    _KIND_WEIGHTS,
+    _hermitian_block,
     _orthonormal_span,
     classify_pairs,
     dissipator,
 )
 
 __all__ = [
-    "Unknown",
     "OrderCoefficients",
     "LinearSystem",
     "RankReport",
@@ -72,49 +77,18 @@ __all__ = [
     "run_pointer_scheme",
 ]
 
-# Unknown / row labels: ("diag", m), ("re", m, n) or ("im", m, n) with m < n.
-Unknown = tuple
+def _scatter(dim: int, unknowns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian matrices sum_j values[k, j] B_j, one per row k of `values`.
 
-
-def _basis_matrix(dim: int, label: Unknown) -> np.ndarray:
-    """Hermitian basis matrix of one real unknown."""
-    out = np.zeros((dim, dim), dtype=complex)
-    if label[0] == "diag":
-        out[label[1], label[1]] = 1.0
-    elif label[0] == "re":
-        _, m, n = label
-        out[m, n] = 1.0
-        out[n, m] = 1.0
-    elif label[0] == "im":
-        _, m, n = label
-        out[m, n] = 1.0j
-        out[n, m] = -1.0j
-    else:
-        raise ValueError(f"unknown label kind {label!r}")
-    return out
-
-
-def _extract(mat: np.ndarray, label: Unknown) -> float:
-    if label[0] == "diag":
-        return float(mat[label[1], label[1]].real)
-    if label[0] == "re":
-        return float(mat[label[1], label[2]].real)
-    return float(mat[label[1], label[2]].imag)
-
-
-def _matrix_from_unknowns(dim: int, unknowns: Sequence[Unknown], values: np.ndarray) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=complex)
-    for label, v in zip(unknowns, values):
-        if label[0] == "diag":
-            out[label[1], label[1]] += v
-        elif label[0] == "re":
-            _, m, n = label
-            out[m, n] += v
-            out[n, m] += v
-        else:
-            _, m, n = label
-            out[m, n] += 1j * v
-            out[n, m] += -1j * v
+    B_j is the basis element w E_mn + conj(w) E_nm of unknown j (see
+    `core._KIND_WEIGHTS`).  The entries are accumulated, not assigned: the
+    real and imaginary part of a pair land on the same entry.
+    """
+    kind, m, n = unknowns.T
+    weighted = _KIND_WEIGHTS[kind] * values
+    out = np.zeros((len(values), dim, dim), dtype=complex)
+    np.add.at(out, (slice(None), m, n), weighted)
+    np.add.at(out, (slice(None), n, m), weighted.conj())
     return out
 
 
@@ -145,12 +119,17 @@ class OrderCoefficients:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Real linear system over labelled unknowns, with labelled rows."""
+    """Real square linear system; row and column i both stand for `unknowns[i]`.
+
+    `unknowns` is an (N, 3) integer array of rows (kind, m, n): kind 0 is the
+    diagonal entry f_mm (n = m), kinds 1 and 2 the real and imaginary parts of
+    f_mn for an internal pair m < n.  Row i is the same part of entry (m, n)
+    of the stationarity condition.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    unknowns: tuple[Unknown, ...]
-    row_labels: tuple[Unknown, ...]
+    unknowns: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -186,77 +165,59 @@ class SchemeFailure:
     rank_report: RankReport | None
 
 
-def _offdiag_gaps(spectrum: EnergySpectrum) -> np.ndarray:
+def offdiag_next_deg(jumps: Sequence[np.ndarray], spectrum: EnergySpectrum,
+                     partition: DegeneracyPartition, prev) -> np.ndarray:
+    """External entries of order s, -i Diss(prev)_mn / (eps_m - eps_n); the rest is left zero."""
+    if partition.dim != spectrum.dim:
+        raise ValueError("partition does not match spectrum dimension")
+    ids = partition.class_ids
+    mask = ids[:, None] != ids[None, :]
     e = spectrum.energies
-    return e[:, None] - e[None, :]
-
-
-def _closed_form(jumps, spectrum, prev, mask) -> np.ndarray:
-    """-i Diss(prev)_mn / (eps_m - eps_n) on the masked entries, zero elsewhere."""
-    prev = np.asarray(prev, dtype=complex)
-    diss = dissipator(jumps, prev)
-    gaps = _offdiag_gaps(spectrum)
+    gaps = (e[:, None] - e[None, :])[mask]
+    if np.any(np.abs(gaps) <= partition.tol_degen):
+        raise ValueError("internal pair routed to the external closed form")
+    diss = dissipator(jumps, np.asarray(prev, dtype=complex))
     out = np.zeros_like(diss)
-    out[mask] = -1j * diss[mask] / gaps[mask]
+    out[mask] = -1j * diss[mask] / gaps
     return out
 
 
-def offdiag_next_deg(jumps: Sequence[np.ndarray], spectrum: EnergySpectrum,
-                     partition: DegeneracyPartition, prev) -> np.ndarray:
-    """External off-diagonal entries of order s; internal entries are left zero."""
-    d = spectrum.dim
-    if partition.dim != d:
-        raise ValueError("partition does not match spectrum dimension")
-    mask = np.zeros((d, d), dtype=bool)
-    for m in range(d):
-        for n in range(d):
-            if m != n and not partition.is_internal(m, n):
-                mask[m, n] = True
-    gaps = _offdiag_gaps(spectrum)
-    if np.any(np.abs(gaps[mask]) <= partition.tol_degen):
-        raise ValueError("internal pair routed to the external closed form")
-    return _closed_form(jumps, spectrum, prev, mask)
-
-
-def _rhs(jumps, known, rows) -> np.ndarray:
+def _rhs(jumps, known, rows: np.ndarray) -> np.ndarray:
     """Right-hand side of the same-order system: minus the known entries' image."""
-    image = dissipator(jumps, known)
-    return -np.array([_extract(image, r) for r in rows])
+    kind, m, n = rows.T
+    image = dissipator(jumps, known)[m, n]
+    return -np.where(kind == 2, image.imag, image.real)
 
 
 def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: DegeneracyPartition,
                                  external: np.ndarray) -> LinearSystem:
     """Stacked system for diagonal and internal-pair entries of one order.
 
-    Unknowns are ordered diagonal-first (ascending index), then internal pairs
-    (m, n) with m < n in lexicographic order, each contributing a real and an
-    imaginary part; rows carry the same labels and stack the diagonal
-    conditions and, per internal pair, the real and imaginary parts of
-    [Diss(f)]_mn = 0.  The right-hand side is assembled from the known
-    external entries.  For a spectrum without degeneracy only the diagonal
-    unknowns remain: their matrix is the rate matrix whose columns each sum
-    to zero, so one singular value is structurally zero.
+    The unknowns are (kind, m, n) rows (see `LinearSystem`): the diagonal
+    entries first (ascending index), then the internal pairs (m, n), m < n, in
+    lexicographic order, each as a real (kind 1) and an imaginary (kind 2)
+    part.  The rows are the unknowns: the diagonal conditions and, per
+    internal pair, the real and imaginary parts of [Diss(f)]_mn = 0.  The
+    matrix is the dissipator in the Hermitian basis of the unknowns, built in
+    closed form by `_hermitian_block`; the right-hand side is minus the image
+    of the known external entries.  For a spectrum without degeneracy only
+    the diagonal unknowns remain: their matrix is the rate matrix whose
+    columns each sum to zero, so one singular value is structurally zero.
     """
     external = np.asarray(external, dtype=complex)
     dim = external.shape[0]
     if partition.dim != dim:
         raise ValueError("partition does not match operator dimension")
-    pairs = partition.internal_pairs()
-    known = external.copy()
-    np.fill_diagonal(known, 0.0)
-    for m, n in pairs:
-        known[m, n] = 0.0
-        known[n, m] = 0.0
-    labels: list[Unknown] = [("diag", m) for m in range(dim)]
-    for m, n in pairs:
-        labels.append(("re", m, n))
-        labels.append(("im", m, n))
-    matrix = np.empty((len(labels), len(labels)))
-    for j, u in enumerate(labels):
-        image = dissipator(jumps, _basis_matrix(dim, u))
-        matrix[:, j] = [_extract(image, r) for r in labels]
-    return LinearSystem(matrix=matrix, rhs=_rhs(jumps, known, labels),
-                        unknowns=tuple(labels), row_labels=tuple(labels))
+    pairs = np.array(partition.internal_pairs(), dtype=int).reshape(-1, 2)
+    diag = np.arange(dim)
+    unknowns = np.concatenate([
+        np.column_stack([np.zeros(dim, dtype=int), diag, diag]),
+        np.column_stack([np.tile([1, 2], len(pairs)), np.repeat(pairs, 2, axis=0)]),
+    ])
+    ids = partition.class_ids
+    known = np.where(ids[:, None] != ids[None, :], external, 0.0)
+    return LinearSystem(matrix=_hermitian_block(jumps, unknowns),
+                        rhs=_rhs(jumps, known, unknowns), unknowns=unknowns)
 
 
 def solve_with_rank_check(system: LinearSystem, tol_rank: float | None = None):
@@ -294,7 +255,7 @@ def solve_with_rank_check(system: LinearSystem, tol_rank: float | None = None):
     return AffineSolution(particular=particular, nullspace_basis=basis, rank_report=report)
 
 
-def apply_trace_condition(sol: AffineSolution, order: int, unknowns: Sequence[Unknown],
+def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray,
                           tol_trace: float | None = None):
     """Impose the per-order trace target, eliminating one free parameter.
 
@@ -306,7 +267,7 @@ def apply_trace_condition(sol: AffineSolution, order: int, unknowns: Sequence[Un
     """
     if tol_trace is None:
         tol_trace = DEFAULT_TOLERANCES.trace
-    t = np.array([1.0 if u[0] == "diag" else 0.0 for u in unknowns])
+    t = (np.asarray(unknowns)[:, 0] == 0).astype(float)
     target = 1.0 if order == 0 else 0.0
     components = np.array([float(t @ v) for v in sol.nullspace_basis])
     current = float(t @ sol.particular)
@@ -433,7 +394,7 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     for s in range(max_order + 1):
         # the closed form leaves the diagonal and internal entries zero
         offdiag = offdiag_next_deg(jumps, spectrum, partition, prev)
-        system = replace(system, rhs=_rhs(jumps, offdiag, system.row_labels))
+        system = replace(system, rhs=_rhs(jumps, offdiag, system.unknowns))
 
         sol = solve_with_rank_check(system, tol_rank=tol_rank)
         if isinstance(sol, NoSolution):
@@ -442,13 +403,12 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
         if isinstance(sol, NoSolution):
             return SchemeFailure(order=s, reason=sol.reason, rank_report=sol.rank_report)
 
-        coeff = offdiag + _matrix_from_unknowns(dim, system.unknowns, sol.particular)
+        mats = _scatter(dim, system.unknowns, np.array([sol.particular, *sol.nullspace_basis]))
+        coeff = offdiag + mats[0]
         orders.append(OrderCoefficients(order=s, coeff=coeff))
-        mats = []
-        for v in sol.nullspace_basis:
-            mat = _matrix_from_unknowns(dim, system.unknowns, v)
-            mats.append(mat / np.linalg.norm(mat))
-        directions.append(tuple(mats))
+        for mat in mats[1:]:
+            mat /= np.linalg.norm(mat)
+        directions.append(tuple(mats[1:]))
         reports.append(sol.rank_report)
         prev = coeff
 

@@ -47,3 +47,26 @@ def component_generator(energies, jumps, rho):
                         val -= 0.5 * rho[m, k] * np.conj(L[l, k]) * L[l, n]
             out[m, n] = val
     return out
+
+
+def dissipator_columns(jumps, unknowns):
+    """Per-column reference for the scheme's system matrix.
+
+    Builds each (kind, m, n) unknown's Hermitian basis matrix (E_mm,
+    E_mn + E_nm or i(E_mn - E_nm)), applies `dissipator` to it and reads the
+    image at every row: the real part of entry (m, n) for kinds 0 and 1, the
+    imaginary part for kind 2.  One dissipator call per column.
+    """
+    from fgkls import dissipator
+
+    unknowns = np.asarray(unknowns)
+    dim = np.asarray(jumps[0]).shape[0]
+    out = np.empty((len(unknowns), len(unknowns)))
+    for j, (kind, p, q) in enumerate(unknowns):
+        basis = np.zeros((dim, dim), dtype=complex)
+        basis[p, q] = (1.0, 1.0, 1.0j)[kind]
+        if kind:
+            basis[q, p] = (1.0, 1.0, -1.0j)[kind]
+        image = dissipator(jumps, basis)
+        out[:, j] = [image[m, n].imag if k == 2 else image[m, n].real for k, m, n in unknowns]
+    return out

@@ -345,6 +345,11 @@ MALFORMED_CONFIGS = [
       "oscillator_spin": {"n_levels": 4, "omega": 1.0, "delta": True,
                           "jump": {"variant": "sigma_plus", "lam": [0.3, 0.0]}}},
      "oscillator_spin.delta"),
+    # integers beyond the float range (401 digits)
+    (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps1=10**400)), "two_level.eps1"),
+    (dict(TWO_LEVEL, lambda_values=[10**400]), "lambda_values"),
+    (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], l12=[10**400, 0])), "two_level.l12"),
+    (dict(TWO_LEVEL, tolerances={"tol_rank": 10**400}), "tolerances.tol_rank"),
 ]
 
 

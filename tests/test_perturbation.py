@@ -9,6 +9,7 @@ from fgkls import (
     steady_state_basis,
     vectorize_liouvillian,
 )
+from fgkls.core import _hermitian_block
 from fgkls.exact import hermitian_affine_distance
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 from fgkls.perturbation import (
@@ -25,11 +26,16 @@ from fgkls.perturbation import (
     solve_with_rank_check,
 )
 
-from helpers import random_hermitian, random_nondegenerate_model
+from helpers import dissipator_columns, random_hermitian, random_nondegenerate_model
 
 
 def _zero(dim):
     return np.zeros((dim, dim), dtype=complex)
+
+
+def _diag_unknowns(dim):
+    """(kind, m, n) rows of the diagonal unknowns f_00 ... f_(dim-1)(dim-1)."""
+    return np.column_stack([np.zeros(dim, dtype=int), np.arange(dim), np.arange(dim)])
 
 
 # --- off-diagonal closed form ---------------------------------------------
@@ -100,7 +106,7 @@ def test_offdiag_deg_external_only_and_hermitian():
 def test_diagonal_system_two_level_matrix():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
-    assert system.unknowns == (("diag", 0), ("diag", 1))
+    assert np.array_equal(system.unknowns, _diag_unknowns(2))
     assert np.allclose(system.matrix, [[-4.0, 1.0], [4.0, -1.0]])
     assert np.max(np.abs(system.rhs)) == 0.0
 
@@ -140,23 +146,24 @@ def test_internal_system_structure_sigma_xy():
     external = offdiag_next_deg(jumps, spectrum, partition, random_hermitian(rng, 8))
     system = assemble_internal_system_deg(jumps, partition, external)
     n_diag = 8
-    assert system.unknowns[:n_diag] == tuple(("diag", m) for m in range(n_diag))
-    assert system.unknowns[n_diag:] == (("re", 0, 5), ("im", 0, 5), ("re", 2, 7), ("im", 2, 7))
+    assert np.array_equal(system.unknowns[:n_diag], _diag_unknowns(n_diag))
+    assert np.array_equal(system.unknowns[n_diag:], [[1, 0, 5], [2, 0, 5], [1, 2, 7], [2, 2, 7]])
 
     sol = apply_trace_condition(solve_with_rank_check(system), 0, system.unknowns)
     assert isinstance(sol, AffineSolution)
     assert np.linalg.norm(system.matrix @ sol.particular - system.rhs) < 1e-10
     for v in sol.nullspace_basis:
         assert np.linalg.norm(system.matrix @ v) < 1e-10
-    values = dict(zip(system.unknowns, sol.particular))
+    values = dict(zip(map(tuple, system.unknowns.tolist()), sol.particular))
     for m in range(4):
-        assert values[("diag", 2 * m)] == pytest.approx(values[("diag", 2 * m + 1)], abs=1e-12)
+        assert values[(0, 2 * m, 2 * m)] == pytest.approx(values[(0, 2 * m + 1, 2 * m + 1)],
+                                                          abs=1e-12)
 
     # internal unknowns are proportional to the (already known) external
     # entries with ratio (|g1|^2 - |g2|^2) / (|g1|^2 + |g2|^2)
     ratio = (abs(g1) ** 2 - abs(g2) ** 2) / (abs(g1) ** 2 + abs(g2) ** 2)
     for m, n in pairs:
-        got = values[("re", m, n)] + 1j * values[("im", m, n)]
+        got = values[(1, m, n)] + 1j * values[(2, m, n)]
         assert got == pytest.approx(ratio * external[m + 1, n - 1], abs=1e-12)
 
 
@@ -168,6 +175,29 @@ def test_internal_system_all_zero_jumps():
     sol = solve_with_rank_check(system)
     assert sol.rank_report.rank == 0
     assert len(sol.nullspace_basis) == len(system.unknowns)
+
+
+def test_hermitian_block_matches_dissipator_columns():
+    # the closed-form matrix against one dissipator call per basis element
+    rng = np.random.default_rng(29)
+    cases = [build_two_level(1.0, 2.0, 1.0, 2.0),
+             random_nondegenerate_model(rng, dim=5, n_jumps=2)]
+    cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.3, 0.2j))
+    cases.append(build_oscillator_spin(cfg))
+    dense = [0.3 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+             for _ in range(2)]
+    cases.append((EnergySpectrum(np.array([0.5, 0.5, 1.2, 1.2, 1.2, 2.7])), dense))
+    cases.append((EnergySpectrum(np.array([1.0, 1.0, 2.0])), [_zero(3)]))
+    eps = np.finfo(float).eps
+    for spectrum, jumps in cases:
+        partition = classify_pairs(spectrum)
+        unknowns = assemble_internal_system_deg(jumps, partition, _zero(spectrum.dim)).unknowns
+        if partition.has_degeneracy:
+            assert set(unknowns[:, 0]) == {0, 1, 2}
+        block = _hermitian_block(jumps, unknowns)
+        reference = dissipator_columns(jumps, unknowns)
+        assert block.dtype == float and block.shape == reference.shape
+        assert np.max(np.abs(block - reference)) <= 8 * eps * np.max(np.abs(reference))
 
 
 # --- rank-checked solve -------------------------------------------------------
@@ -185,8 +215,7 @@ def test_solve_two_level_null_space():
 
 def test_solve_zero_system_everything_free():
     system = LinearSystem(matrix=np.zeros((3, 3)), rhs=np.zeros(3),
-                          unknowns=(("diag", 0), ("diag", 1), ("diag", 2)),
-                          row_labels=(("diag", 0), ("diag", 1), ("diag", 2)))
+                          unknowns=_diag_unknowns(3))
     sol = solve_with_rank_check(system)
     assert sol.rank_report.rank == 0
     assert np.max(np.abs(sol.particular)) == 0.0
@@ -195,8 +224,7 @@ def test_solve_zero_system_everything_free():
 
 def test_solve_identity_system_unique():
     system = LinearSystem(matrix=np.eye(2), rhs=np.array([1.0, 1.0]),
-                          unknowns=(("diag", 0), ("diag", 1)),
-                          row_labels=(("diag", 0), ("diag", 1)))
+                          unknowns=_diag_unknowns(2))
     sol = solve_with_rank_check(system)
     assert np.allclose(sol.particular, [1.0, 1.0])
     assert sol.nullspace_basis == ()
@@ -205,8 +233,7 @@ def test_solve_identity_system_unique():
 
 def test_solve_inconsistent_reports_no_solution():
     system = LinearSystem(matrix=np.array([[1.0, 0.0], [1.0, 0.0]]), rhs=np.array([1.0, 2.0]),
-                          unknowns=(("diag", 0), ("diag", 1)),
-                          row_labels=(("diag", 0), ("diag", 1)))
+                          unknowns=_diag_unknowns(2))
     out = solve_with_rank_check(system)
     assert isinstance(out, NoSolution)
     assert out.rank_report.rank == 1
@@ -234,8 +261,7 @@ def test_trace_condition_higher_order_keeps_zero():
 
 def test_trace_condition_remaining_directions_traceless():
     system = LinearSystem(matrix=np.zeros((4, 4)), rhs=np.zeros(4),
-                          unknowns=tuple(("diag", m) for m in range(4)),
-                          row_labels=tuple(("diag", m) for m in range(4)))
+                          unknowns=_diag_unknowns(4))
     sol = apply_trace_condition(solve_with_rank_check(system), 0, system.unknowns)
     assert len(sol.nullspace_basis) == 3
     assert abs(sol.particular.sum() - 1.0) < 1e-14
@@ -249,7 +275,7 @@ def test_trace_condition_remaining_directions_traceless():
 def test_trace_condition_unsatisfiable():
     unique = AffineSolution(particular=np.array([0.3, 0.3]), nullspace_basis=(),
                             rank_report=RankReport(2, 2, np.array([1.0, 1.0])))
-    out = apply_trace_condition(unique, 0, (("diag", 0), ("diag", 1)))
+    out = apply_trace_condition(unique, 0, _diag_unknowns(2))
     assert isinstance(out, NoSolution)
     assert "trace condition" in out.reason
 
@@ -329,8 +355,8 @@ def test_scheme_failure_propagates_order(monkeypatch):
 
 
 def test_scheme_assembles_system_once(monkeypatch):
-    # the system matrix is built once per run; each further order costs one
-    # closed-form and one right-hand-side dissipator call, not one per unknown
+    # the system matrix is built once per run, in closed form; each order costs
+    # one closed-form and one right-hand-side dissipator call, not one per unknown
     import fgkls.perturbation as pert
 
     cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.3, 0.2))
@@ -350,6 +376,8 @@ def test_scheme_assembles_system_once(monkeypatch):
         return calls["n"]
 
     assert calls_for(3) - calls_for(1) == 2 * 2
+    # order zero: the assembly's right-hand side, one closed form, one right-hand side
+    assert calls_for(0) == 3
 
 
 def test_residual_scaling_with_truncation_order():
