@@ -8,8 +8,8 @@ Subcommands
 
 Each run writes `report.json` (machine readable, byte-stable across reruns)
 and `report.txt` (human readable, includes timing and, per lambda, the number
-of Liouvillian blocks and the largest block the exact oracle solved) into the
-output directory, plus `trajectory_<seed>.csv` files when trajectories are
+of real Liouvillian blocks and the largest block the exact oracle solved) into
+the output directory, plus `trajectory_<seed>.csv` files when trajectories are
 integrated.
 
 `report.json` holds exactly the bytes of `json.dumps(report, sort_keys=True,
@@ -216,9 +216,12 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
 
 def load_config(path: str, max_order_override: int | None = None,
                 tol_degen_override: float | None = None) -> RunConfig:
+    # integers beyond the int-string limit read as inf, rejected with a key path
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_int=lambda s: float(s) if 0 < limit < len(s.lstrip("-"))
+                            else int(s))
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -402,7 +405,7 @@ def _exact_for_lambda(config: RunConfig, lam: float) -> SteadyStateSet:
 
 
 def _oracle_blocks(lam: float, steady: SteadyStateSet) -> tuple[float, int, int]:
-    """(lambda, number of Liouvillian blocks, largest block) for report.txt."""
+    """(lambda, number of real Liouvillian blocks, largest block) for report.txt."""
     return lam, len(steady.block_sizes), max(steady.block_sizes)
 
 

@@ -253,6 +253,36 @@ def _hermitian_block(jumps: Sequence[np.ndarray], unknowns: np.ndarray) -> np.nd
     return np.where(kind[:, None] == 2, out.imag, out.real)
 
 
+def _scatter(dim: int, unknowns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian matrices sum_j values[k, j] B_j, one per row k of `values`.
+
+    B_j is the basis element w E_mn + conj(w) E_nm of unknown j (see
+    `_KIND_WEIGHTS`).  The entries are accumulated, not assigned: the real
+    and imaginary part of a pair land on the same entry.
+    """
+    kind, m, n = unknowns.T
+    weighted = _KIND_WEIGHTS[kind] * values
+    out = np.zeros((len(values), dim, dim), dtype=complex)
+    np.add.at(out, (slice(None), m, n), weighted)
+    np.add.at(out, (slice(None), n, m), weighted.conj())
+    return out
+
+
+def _vec_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(unknowns, scale, alpha, mirror) of the orthonormal Hermitian basis B_i.
+
+    Vec index i = m + D n names B_i = E_mm if m = n, (E_mn + E_nm)/sqrt(2) if
+    m < n and i(E_nm - E_mn)/sqrt(2) if m > n: scale[i] times the element of
+    unknowns[i], so coordinates x give `_scatter(dim, unknowns, scale * x)`.
+    vec(B_i) = alpha[i] e_i + conj(alpha[i]) e_mirror[i], mirror[m + D n] = n + D m.
+    """
+    n, m = np.divmod(np.arange(dim * dim), dim)
+    kind = np.select([m < n, m > n], [1, 2])
+    scale = np.where(kind == 0, 1.0, np.sqrt(0.5))
+    alpha = scale * np.where(m > n, _KIND_WEIGHTS[kind].conj(), _KIND_WEIGHTS[kind])
+    return np.stack([kind, np.minimum(m, n), np.maximum(m, n)], 1), scale, alpha, n + dim * m
+
+
 def fgkls_generator(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho) -> np.ndarray:
     """Right-hand side of the FGKLS equation evaluated at `rho`.
 

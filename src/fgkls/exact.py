@@ -3,9 +3,9 @@
 Three independent routes are provided:
 
 * the null space of the vectorized Liouvillian (every exact steady state, as
-  an affine trace-1 slice of the kernel span), taken block by block over the
-  connected components of the superoperator's nonzero pattern, with one
-  kernel cutoff relative to the largest singular value over all blocks;
+  an affine trace-1 slice of the kernel span), in real Hermitian coordinates,
+  block by block over the components of the superoperator's nonzero pattern,
+  with one kernel cutoff relative to the largest singular value of all blocks;
 * fixed-step Runge-Kutta integration of the FGKLS equation in the time
   domain, confirming that pointers are attractors;
 * the closed-form solution of the dissipative two-level (Bloch vector)
@@ -27,8 +27,8 @@ from .core import (
     LiouvillianSuperoperator,
     _orthonormal_span,
     _real_embed,
-    dissipator,
-    unvec,
+    _scatter,
+    _vec_coordinates,
     vec,
 )
 from .models import build_two_level, pauli_to_offdiag
@@ -54,8 +54,8 @@ __all__ = [
 class SteadyStateSet:
     """Hermitian basis of the Liouvillian kernel plus its physical trace-1 slice.
 
-    `block_sizes` are the sizes of the independent blocks the superoperator
-    split into for the kernel search, in the order they were solved.
+    `block_sizes` are the sizes of the independent real blocks (a vec index
+    and its mirror share one) of the kernel search, in the order solved.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -69,16 +69,13 @@ class SteadyStateSet:
         return len(self.basis)
 
 
-def _connected_blocks(mat: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern of `mat`.
+def _connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """Sorted index arrays of the connected components of the boolean `pattern`.
 
-    Indices i and j are linked when mat[i, j] or mat[j, i] is nonzero.  Each
-    component is grown from its smallest unseen index by a boolean
-    frontier search; the components come back as sorted index arrays, in
-    order of their smallest index.
+    i and j are linked when pattern[i, j] or pattern[j, i] holds.  Each
+    component is grown from its smallest unseen index by a frontier search.
     """
-    linked = mat != 0
-    linked = linked | linked.T
+    linked = pattern | pattern.T
     unseen = np.ones(linked.shape[0], dtype=bool)
     blocks = []
     for start in range(unseen.size):
@@ -94,78 +91,60 @@ def _connected_blocks(mat: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _block_svds(mat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """SVDs of the independent blocks of `mat`, blocks of equal size stacked.
-
-    Returns (idx, s, vh) per block size: idx[b] are the indices of block b,
-    s[b] its singular values (descending) and vh[b] its right singular
-    vectors.  A matrix that is one block gets one plain SVD of itself.
-    """
-    blocks = _connected_blocks(mat)
-    if len(blocks) == 1:
-        _, s, vh = np.linalg.svd(mat)
-        return [(blocks[0][None], s[None], vh[None])]
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in blocks:
-        by_size.setdefault(block.size, []).append(block)
-    spectra = []
-    for size in sorted(by_size):
-        idx = np.stack(by_size[size])
-        _, s, vh = np.linalg.svd(mat[idx[:, :, None], idx[:, None, :]])
-        spectra.append((idx, s, vh))
-    return spectra
-
-
 def steady_state_basis(superop: LiouvillianSuperoperator,
                        tol_kernel: float | None = None) -> SteadyStateSet:
-    """Exact steady states from the singular vectors of the superoperator.
+    """Exact steady states from the singular vectors of the superoperator M.
 
-    The superoperator is split into the connected components of its nonzero
-    pattern (for the oscillator-spin models these are the blocks of the
-    model's weak symmetries), and each block is decomposed on its own, blocks
-    of equal size in one stacked SVD; a matrix that is one block gets one
-    dense SVD.  Kernel vectors are the right singular vectors whose singular
-    value falls below tol_kernel times the largest singular value over all
-    blocks (one global cutoff, not one per block), scattered back to full
-    length.  Since the generator preserves Hermiticity, the kernel admits a
-    Hermitian basis: the (anti-)Hermitian symmetrizations of the raw vectors
-    are re-orthonormalized and members the full superoperator does not
-    annihilate are discarded.  The physical slice is the trace-1 affine subset
-    of the kernel span, described by one member and traceless directions.
-    `singular_values` holds all D^2 singular values in descending order.
+    M must preserve Hermiticity.  In the orthonormal Hermitian basis U of
+    `core._vec_coordinates` it is the real matrix Re(U^dag M U), with M's
+    singular values.  That matrix splits into the connected components of
+    M's nonzero pattern, each vec index linked to its mirror (for the
+    oscillator-spin models, the blocks of the model's weak symmetries), and
+    blocks of equal size get one stacked real SVD.  Kernel coordinates are the
+    right singular vectors whose singular value is zero or below tol_kernel
+    times the largest one over all blocks (one global cutoff); they give
+    Hermitian, Frobenius-orthonormal matrices.  Members that M does not
+    annihilate within the same cutoff are dropped, which rejects an M that
+    breaks Hermiticity.  The physical slice is the trace-1 affine subset of
+    the kernel span: one member and traceless directions.  `singular_values`
+    holds all D^2 singular values in descending order.
     """
     if tol_kernel is None:
         tol_kernel = DEFAULT_TOLERANCES.kernel
     d = superop.hilbert_dim
-    spectra = _block_svds(superop.matrix)
+    mat = superop.matrix
+    unknowns, scale, alpha, mirror = _vec_coordinates(d)
+    pattern = mat != 0
+    pattern[np.arange(d * d), mirror] = True
+    blocks = _connected_blocks(pattern)
+    local = np.empty(d * d, dtype=int)
+    spectra = []
+    for size in sorted({block.size for block in blocks}):
+        idx = np.stack([block for block in blocks if block.size == size])
+        local[idx] = np.arange(size)
+        a, mi = alpha[idx][:, None, :], local[mirror[idx]][:, None, :]
+        # column j of M U is alpha_j M[:, j] + conj(alpha_j) M[:, mirror(j)],
+        # row i of U^dag (M U) is conj(alpha_i) row i + alpha_i row mirror(i);
+        # rebinding `sub` frees each complex stage before the next
+        sub = mat[idx[:, :, None], idx[:, None, :]]
+        sub = np.take_along_axis(sub, mi, axis=2) * a.conj() + sub * a
+        a, mi = a.transpose(0, 2, 1), mi.transpose(0, 2, 1)
+        sub = np.ascontiguousarray((np.take_along_axis(sub, mi, axis=1) * a + sub * a.conj()).real)
+        _, s, vh = np.linalg.svd(sub)
+        spectra.append((idx, s, vh))
     s = np.sort(np.concatenate([sv.ravel() for _, sv, _ in spectra]))[::-1]
     smax = s[0]
-    if smax == 0.0:
-        kernel = list(np.eye(d * d, dtype=complex))
-    else:
-        kernel = []
-        for idx, sv, vh in spectra:
-            for b, i in zip(*np.nonzero(sv < tol_kernel * smax)):
-                v = np.zeros(d * d, dtype=complex)
-                v[idx[b]] = vh[b, i].conj()
-                kernel.append(v)
-    if not kernel:
+    # zero singular values are kernel also when the whole matrix is zero
+    candidates = [_scatter(d, unknowns[idx[b]], scale[idx[b]] * vh[b, i, None])[0]
+                  for idx, sv, vh in spectra
+                  for b, i in zip(*np.nonzero((sv < tol_kernel * smax) | (sv == 0.0)))]
+    if not candidates:
         raise RuntimeError("empty Liouvillian kernel: superoperator assembly is inconsistent")
 
-    candidates = []
-    for v in kernel:
-        k = unvec(v)
-        candidates.append(0.5 * (k + k.conj().T))
-        candidates.append((k - k.conj().T) / 2j)
-    # Symmetrizing an arbitrarily-phased kernel vector can leave a tiny spurious
-    # component; keep only unit-norm elements that the superoperator annihilates.
-    # One product for all elements reads the D^2 x D^2 matrix once, not once
-    # per element.
+    # one product for all elements reads the D^2 x D^2 matrix once
     cutoff = tol_kernel * max(smax, 1.0)
-    span = _orthonormal_span(candidates)
-    vecs = np.array([vec(b) for b in span], dtype=complex).reshape(len(span), d * d)
-    residuals = np.linalg.norm(superop.matrix @ vecs.T, axis=0)
-    basis = [b for b, r in zip(span, residuals) if r <= cutoff]
+    residuals = np.linalg.norm(mat @ np.array([vec(b) for b in candidates]).T, axis=0)
+    basis = [b for b, r in zip(candidates, residuals) if r <= cutoff]
     if not basis:
         raise RuntimeError("no Hermitian kernel element below the residual cutoff")
 

@@ -55,9 +55,9 @@ from .core import (
     DEFAULT_TOLERANCES,
     DegeneracyPartition,
     EnergySpectrum,
-    _KIND_WEIGHTS,
     _hermitian_block,
     _orthonormal_span,
+    _scatter,
     classify_pairs,
     dissipator,
 )
@@ -76,20 +76,6 @@ __all__ = [
     "apply_trace_condition",
     "run_pointer_scheme",
 ]
-
-def _scatter(dim: int, unknowns: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Hermitian matrices sum_j values[k, j] B_j, one per row k of `values`.
-
-    B_j is the basis element w E_mn + conj(w) E_nm of unknown j (see
-    `core._KIND_WEIGHTS`).  The entries are accumulated, not assigned: the
-    real and imaginary part of a pair land on the same entry.
-    """
-    kind, m, n = unknowns.T
-    weighted = _KIND_WEIGHTS[kind] * values
-    out = np.zeros((len(values), dim, dim), dtype=complex)
-    np.add.at(out, (slice(None), m, n), weighted)
-    np.add.at(out, (slice(None), n, m), weighted.conj())
-    return out
 
 
 @dataclass(frozen=True)

@@ -214,9 +214,22 @@ def test_compare_kernel_dim_vs_free_parameters(tmp_path):
     assert kernel == free + 1
 
 
+# Three levels with one dense jump: the order-1 family is off the exact
+# steady state by truncation error (about 2.2e-5 at lambda 1), not by rounding.
+TRUNCATED_3LEVEL = {
+    "model": "custom",
+    "custom": {"energies": [0.5, 1.3, 2.4], "jumps": [[
+        [[0.05, 0.0], [0.04, 0.02], [-0.03, 0.05]],
+        [[0.02, -0.04], [0.06, 0.01], [0.05, 0.0]],
+        [[-0.05, 0.03], [0.01, 0.05], [0.04, -0.02]]]]},
+    "max_order": 1,
+    "lambda_values": [1.0, 0.5],
+}
+
+
 def test_compare_threshold_exceeded_exit_code(tmp_path):
-    payload = dict(TWO_LEVEL)
-    payload["thresholds"] = {"family_distance": 1e-30}
+    payload = dict(TRUNCATED_3LEVEL)
+    payload["thresholds"] = {"family_distance": 1e-8}
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     assert main(["compare", cfg, "--out", str(out), "--json-only"]) == EXIT_THRESHOLD
@@ -369,6 +382,22 @@ BAD_TOLERANCES = [
     ({"tol_rank": float("nan")}, "tolerances.tol_rank"),
     ([], "tolerances"),
 ]
+
+
+def test_oversized_integer_literal_reports_path(tmp_path, capsys):
+    # json.dumps cannot write an integer beyond the int-string conversion
+    # limit (4300 digits by default), so the config text is written directly
+    digits = "7" * 5001
+    cases = [
+        (json.dumps(TWO_LEVEL).replace('"eps1": 1.0', f'"eps1": {digits}'), "two_level.eps1"),
+        (json.dumps(TWO_LEVEL).replace('"max_order": 2', f'"max_order": -{digits}'), "max_order"),
+    ]
+    for text, where in cases:
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert digits in text
+        assert main(["pointer", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG, where
+        assert f"config error at {where}:" in capsys.readouterr().err
 
 
 def test_bad_tolerance_rejected(tmp_path, capsys):

@@ -151,19 +151,42 @@ def test_block_kernel_matches_dense_reference(case):
     assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0]
 
 
-def test_one_block_kernel_is_the_dense_svd_bitwise():
-    rng = np.random.default_rng(4)
-    spectrum, jumps = random_nondegenerate_model(rng, dim=6, n_jumps=2, coupling=0.3)
-    superop = vectorize_liouvillian(spectrum, jumps)
+def dense_case():
+    return random_nondegenerate_model(np.random.default_rng(4), dim=6, n_jumps=2, coupling=0.3)
+
+
+def test_one_block_kernel_matches_dense_reference():
+    superop = vectorize_liouvillian(*dense_case())
     steady = steady_state_basis(superop)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
     assert steady.block_sizes == (36,)
-    assert np.array_equal(steady.singular_values, s_ref)
-    assert len(steady.basis) == len(basis_ref)
-    assert all(np.array_equal(b, r) for b, r in zip(steady.basis, basis_ref))
-    assert np.array_equal(steady.physical_member, member_ref)
-    assert len(steady.physical_directions) == len(dirs_ref)
-    assert all(np.array_equal(b, r) for b, r in zip(steady.physical_directions, dirs_ref))
+    assert steady.kernel_dim == len(basis_ref) == 1
+    assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
+                                     member_ref, dirs_ref) < 1e-12
+    assert np.max(np.abs(steady.singular_values - s_ref)) <= 1e-12 * s_ref[0]
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES) + ["dense_D6"])
+def test_kernel_basis_is_hermitian_and_orthonormal(case):
+    spectrum, jumps = dense_case() if case == "dense_D6" else BLOCK_CASES[case][0]()
+    superop = vectorize_liouvillian(spectrum, jumps)
+    steady = steady_state_basis(superop)
+    assert all(np.array_equal(b, b.conj().T) for b in steady.basis)
+    flat = np.array([b.ravel() for b in steady.basis])
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(len(flat)))) < 1e-12
+    assert sum(steady.block_sizes) == superop.dim
+
+
+def test_kernel_zero_superoperator_is_everything():
+    steady = steady_state_basis(vectorize_liouvillian(EnergySpectrum(np.ones(3)), []))
+    assert steady.kernel_dim == 9
+
+
+def test_kernel_rejects_superoperator_that_breaks_hermiticity():
+    # i M has M's kernel, but maps Hermitian matrices to anti-Hermitian ones
+    superop = vectorize_liouvillian(*build_two_level(1.0, 2.0, 1.0, 2.0))
+    with pytest.raises(RuntimeError):
+        steady_state_basis(LiouvillianSuperoperator(hilbert_dim=2, matrix=1j * superop.matrix))
 
 
 def test_kernel_empty_raises_on_invalid_superoperator():
