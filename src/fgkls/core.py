@@ -355,14 +355,57 @@ def vectorize_liouvillian(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray])
     n, m = np.ix_(diag, diag)
     mat = np.zeros((d, d, d, d), dtype=complex)
     mat[n, m, n, m] = -1j * (e[m] - e[n])
+    # one buffer for every jump's term keeps the peak at two D^4 arrays
+    term = np.empty_like(mat)
     for L in jumps:
         L = _as_operator(L, d)
         K = L.conj().T @ L
-        term = L.conj()[:, None, :, None] * L[None, :, None, :]
+        np.multiply(L.conj()[:, None, :, None], L[None, :, None, :], out=term)
         term[diag, :, diag, :] -= 0.5 * K
         term[:, diag, :, diag] -= 0.5 * K.T
         mat += term
     return LiouvillianSuperoperator(hilbert_dim=d, matrix=mat.reshape(d * d, d * d))
+
+
+class InvalidStateError(ValueError):
+    """A member of a stack of candidate states is not a density matrix.
+
+    The message is the one `DensityMatrix` gives for that member alone;
+    `index` is its position in the stack.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _check_states(arr: np.ndarray) -> None:
+    """Validate every member of the (S, D, D) complex stack `arr` at once.
+
+    Each member must be Hermitian, of unit trace and positive semidefinite
+    within `DEFAULT_TOLERANCES`, checked in that order.  The first invalid
+    member in stack order raises `InvalidStateError`; eigenvalues are taken
+    only of members that pass the first two checks.
+    """
+    tol = DEFAULT_TOLERANCES
+    adj = arr.conj().transpose(0, 2, 1)
+    herm_err = np.abs(arr - adj).max(axis=(1, 2))
+    trace_err = np.abs(arr.trace(axis1=1, axis2=2) - 1.0)
+    # comparisons stay in this direction so that NaN passes, as it always has
+    bad = (herm_err > tol.herm) | (trace_err > tol.trace)
+    min_eig = np.zeros(len(arr))
+    min_eig[~bad] = np.linalg.eigvalsh(0.5 * (arr + adj)[~bad]).min(axis=1)
+    bad |= min_eig < -tol.psd
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if herm_err[i] > tol.herm:
+        message = f"not Hermitian: max |rho - rho^dag| = {herm_err[i]:.3e}"
+    elif trace_err[i] > tol.trace:
+        message = f"trace differs from 1 by {trace_err[i]:.3e}"
+    else:
+        message = f"not positive semidefinite: min eigenvalue {min_eig[i]:.3e}"
+    raise InvalidStateError(message, i)
 
 
 @dataclass(frozen=True)
@@ -375,18 +418,24 @@ class DensityMatrix:
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density matrix must be square")
-        tol = DEFAULT_TOLERANCES
-        herm_err = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm_err > tol.herm:
-            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_err:.3e}")
-        trace_err = abs(arr.trace() - 1.0)
-        if trace_err > tol.trace:
-            raise ValueError(f"trace differs from 1 by {trace_err:.3e}")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T)).min())
-        if min_eig < -tol.psd:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        _check_states(arr[None])
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
+
+    @classmethod
+    def _stack(cls, stack) -> tuple[DensityMatrix, ...]:
+        """Read-only states of an (S, D, D) stack, validated by one `_check_states` call.
+
+        The members are views of one read-only copy of `stack`, so they do
+        not pass through `__post_init__` again.
+        """
+        arr = np.array(stack, dtype=complex)
+        _check_states(arr)
+        arr.flags.writeable = False
+        states = tuple(object.__new__(cls) for _ in arr)
+        for state, matrix in zip(states, arr):
+            object.__setattr__(state, "matrix", matrix)
+        return states
 
     @property
     def dim(self) -> int:

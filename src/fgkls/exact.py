@@ -7,7 +7,9 @@ Three independent routes are provided:
   block by block over the components of the superoperator's nonzero pattern,
   with one kernel cutoff relative to the largest singular value of all blocks;
 * fixed-step Runge-Kutta integration of the FGKLS equation in the time
-  domain, confirming that pointers are attractors;
+  domain, confirming that pointers are attractors: the RK4 step is applied
+  as a propagator per real Liouvillian block, raised to the recording
+  stride, and states are checked where they are recorded;
 * the closed-form solution of the dissipative two-level (Bloch vector)
   dynamics, including its exact asymptotics.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,12 +26,14 @@ from .core import (
     DEFAULT_TOLERANCES,
     DensityMatrix,
     EnergySpectrum,
+    InvalidStateError,
     LiouvillianSuperoperator,
     _orthonormal_span,
     _real_embed,
     _scatter,
     _vec_coordinates,
     vec,
+    vectorize_liouvillian,
 )
 from .models import build_two_level, pauli_to_offdiag
 
@@ -91,45 +95,61 @@ def _connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def steady_state_basis(superop: LiouvillianSuperoperator,
-                       tol_kernel: float | None = None) -> SteadyStateSet:
-    """Exact steady states from the singular vectors of the superoperator M.
+def _real_blocks(superop: LiouvillianSuperoperator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The superoperator M in real Hermitian coordinates, one block size at a time.
 
     M must preserve Hermiticity.  In the orthonormal Hermitian basis U of
     `core._vec_coordinates` it is the real matrix Re(U^dag M U), with M's
     singular values.  That matrix splits into the connected components of
     M's nonzero pattern, each vec index linked to its mirror (for the
-    oscillator-spin models, the blocks of the model's weak symmetries), and
-    blocks of equal size get one stacked real SVD.  Kernel coordinates are the
-    right singular vectors whose singular value is zero or below tol_kernel
-    times the largest one over all blocks (one global cutoff); they give
-    Hermitian, Frobenius-orthonormal matrices.  Members that M does not
-    annihilate within the same cutoff are dropped, which rejects an M that
-    breaks Hermiticity.  The physical slice is the trace-1 affine subset of
-    the kernel span: one member and traceless directions.  `singular_values`
-    holds all D^2 singular values in descending order.
+    oscillator-spin models, the blocks of the model's weak symmetries).
+    Yields (idx, sub) for each block size in increasing order: idx (B, size)
+    holds the sorted vec indices of the B blocks of that size and sub
+    (B, size, size) their real sub-blocks.
     """
-    if tol_kernel is None:
-        tol_kernel = DEFAULT_TOLERANCES.kernel
     d = superop.hilbert_dim
     mat = superop.matrix
-    unknowns, scale, alpha, mirror = _vec_coordinates(d)
+    _, _, alpha, mirror = _vec_coordinates(d)
     pattern = mat != 0
     pattern[np.arange(d * d), mirror] = True
     blocks = _connected_blocks(pattern)
     local = np.empty(d * d, dtype=int)
-    spectra = []
     for size in sorted({block.size for block in blocks}):
         idx = np.stack([block for block in blocks if block.size == size])
         local[idx] = np.arange(size)
         a, mi = alpha[idx][:, None, :], local[mirror[idx]][:, None, :]
         # column j of M U is alpha_j M[:, j] + conj(alpha_j) M[:, mirror(j)],
         # row i of U^dag (M U) is conj(alpha_i) row i + alpha_i row mirror(i);
-        # rebinding `sub` frees each complex stage before the next
+        # rebinding `sub` frees each complex stage before the next, and
+        # before the caller works on the yielded block
         sub = mat[idx[:, :, None], idx[:, None, :]]
         sub = np.take_along_axis(sub, mi, axis=2) * a.conj() + sub * a
         a, mi = a.transpose(0, 2, 1), mi.transpose(0, 2, 1)
         sub = np.ascontiguousarray((np.take_along_axis(sub, mi, axis=1) * a + sub * a.conj()).real)
+        yield idx, sub
+
+
+def steady_state_basis(superop: LiouvillianSuperoperator,
+                       tol_kernel: float | None = None) -> SteadyStateSet:
+    """Exact steady states from the singular vectors of the superoperator M.
+
+    M must preserve Hermiticity.  Its real blocks (`_real_blocks`) of equal
+    size get one stacked real SVD.  Kernel coordinates are the right singular
+    vectors whose singular value is zero or below tol_kernel times the
+    largest one over all blocks (one global cutoff); they give Hermitian,
+    Frobenius-orthonormal matrices.  Members that M does not annihilate
+    within the same cutoff are dropped, which rejects an M that breaks
+    Hermiticity.  The physical slice is the trace-1 affine subset of the
+    kernel span: one member and traceless directions.  `singular_values`
+    holds all D^2 singular values in descending order.
+    """
+    if tol_kernel is None:
+        tol_kernel = DEFAULT_TOLERANCES.kernel
+    d = superop.hilbert_dim
+    mat = superop.matrix
+    unknowns, scale, _, _ = _vec_coordinates(d)
+    spectra = []
+    for idx, sub in _real_blocks(superop):
         _, s, vh = np.linalg.svd(sub)
         spectra.append((idx, s, vh))
     s = np.sort(np.concatenate([sv.ravel() for _, sv, _ in spectra]))[::-1]
@@ -218,15 +238,22 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     `rho0` is one state (a `DensityMatrix` or a square array), which returns
     one `Trajectory`, or a sequence of states, which returns a tuple of
     `Trajectory`, one per state in input order, sharing one read-only `times`
-    array.  All states advance together as one (S, D, D) stack; each one
-    follows the same arithmetic as a run of its own, so its record is
-    bit-identical to a single-state call.
+    array.
+
+    For the linear generator A, one RK4 step of size h is exactly the map
+    P = I + hA (I + hA/2 (I + hA/3 (I + hA/4))).  It is built once per real
+    block of the Liouvillian (`_real_blocks`) and raised to the recording
+    stride, so states advance in real Hermitian coordinates by one
+    matrix-vector product per block and record; intermediate steps are
+    never formed.  Each member's product is independent of the batch, so
+    its record is bit-identical to a single-state call.
 
     When `n_steps` is omitted it is derived from `default_step`.  States are
-    recorded every `record_every` steps (the final state always included) and
-    validated; intermediate steps are checked for trace drift only.  A drift
-    or an invalid recorded state in any member raises `StepSizeError`
-    carrying a suggested step size.
+    recorded every `record_every` steps, the final state always included.
+    Each recorded state is checked for finiteness and a trace drift above
+    1e-8, then all members of the record are validated together as density
+    matrices.  A failure in any member raises `StepSizeError` naming the
+    first failing member and carrying a suggested step size.
     """
     initial, single = _initial_states(rho0)
     for i, state in enumerate(initial):
@@ -244,20 +271,6 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
         raise ValueError("record_every must be at least 1")
     h = t_end / n_steps
 
-    e = spectrum.energies
-    gap = (-1j * (e[:, None] - e[None, :]))[None]  # (1, D, D) broadcasts faster than (D, D)
-    jump_list = [np.asarray(L, dtype=complex) for L in jumps]
-    jump_pairs = [(L, L.conj().T) for L in jump_list]
-    k_total = sum((Ld @ L for L, Ld in jump_pairs),
-                  np.zeros((spectrum.dim, spectrum.dim), dtype=complex))
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = gap * r
-        for L, Ld in jump_pairs:
-            out += L @ r @ Ld
-        out -= 0.5 * (k_total @ r + r @ k_total)
-        return out
-
     def too_large(detail: str, member: int) -> StepSizeError:
         where = "" if single else f" in initial state {member}"
         return StepSizeError(
@@ -266,27 +279,54 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
             suggested_step=h_default,
         )
 
-    rho = np.stack([state.matrix for state in initial])
+    d = spectrum.dim
+    unknowns, scale, alpha, mirror = _vec_coordinates(d)
+    steps = []
+    for idx, sub in _real_blocks(vectorize_liouvillian(spectrum, jumps)):
+        eye = np.eye(idx.shape[1])
+        step = eye
+        for k in (4, 3, 2, 1):
+            step = eye + (h / k * sub) @ step
+        steps.append((idx, step))
+    v = np.stack([state.matrix for state in initial]).transpose(0, 2, 1).reshape(len(initial), -1)
+    x = (alpha.conj() * v + alpha * v[:, mirror]).real
+    diagonal = np.arange(d) * (d + 1)
+
     times = [0.0]
     records = [[state] for state in initial]
-    for step in range(1, n_steps + 1):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = np.abs(rho.trace(axis1=1, axis2=2) - 1.0)
-        if not (drift.max() <= 1e-8 and np.isfinite(rho).all()):
-            ok = (drift <= 1e-8) & np.isfinite(rho).all(axis=(1, 2))
-            bad = int(np.argmin(ok))
-            raise too_large(f"trace drift {drift[bad]:.3e} at t = {step * h:.4g}", bad)
-        if step % record_every == 0 or step == n_steps:
-            for i, record in enumerate(records):
-                try:
-                    record.append(DensityMatrix(rho[i]))
-                except ValueError as err:
-                    raise too_large(str(err), i) from err
-            times.append(step * h)
+    done = 0
+    full, rest = divmod(n_steps, record_every)
+    strides = [record_every] * full + [rest] * (rest > 0)
+    # an unstable step overflows to a non-finite state, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        propagators = {power: [(idx, np.linalg.matrix_power(step, power)) for idx, step in steps]
+                       for power in set(strides)}
+        for power in strides:
+            advanced = np.empty_like(x)
+            for idx, prop in propagators[power]:
+                part = x[:, idx]
+                block = np.matmul(prop, part[..., None])[..., 0]
+                # blocks are invariant, so a member without weight in one
+                # keeps none, also where an overflowed P^r makes 0 * inf
+                block[~part.any(axis=-1)] = 0.0
+                advanced[:, idx] = block
+            x = advanced
+            done += power
+            finite = np.isfinite(x).all(axis=1)
+            drift = np.abs(x[:, diagonal].sum(axis=1) - 1.0)
+            ok = finite & (drift <= 1e-8)
+            if not ok.all():
+                bad = int(np.argmin(ok))
+                detail = ("non-finite state" if not finite[bad]
+                          else f"trace drift {drift[bad]:.3e}")
+                raise too_large(f"{detail} at t = {done * h:.4g}", bad)
+            try:
+                states = DensityMatrix._stack(_scatter(d, unknowns, scale * x))
+            except InvalidStateError as err:
+                raise too_large(str(err), err.index) from err
+            for record, state in zip(records, states):
+                record.append(state)
+            times.append(done * h)
     times_arr = np.array(times)
     times_arr.flags.writeable = False
     trajectories = tuple(Trajectory(times=times_arr, states=tuple(record), step_size=h)

@@ -70,3 +70,39 @@ def dissipator_columns(jumps, unknowns):
         image = dissipator(jumps, basis)
         out[:, j] = [image[m, n].imag if k == 2 else image[m, n].real for k, m, n in unknowns]
     return out
+
+
+def rk4_reference(spectrum, jumps, rho0s, t_end, n_steps, record_every):
+    """Matrix-form classical RK4, one right-hand-side evaluation per stage.
+
+    Advances the (S, D, D) stack `rho0s` step by step and returns the record
+    times and the recorded stacks, (R, S, D, D): the initial stack, every
+    `record_every`-th step and the final step.  Reference for the
+    propagator form of `integrate_trajectory`.
+    """
+    e = spectrum.energies
+    gap = (-1j * (e[:, None] - e[None, :]))[None]
+    jump_pairs = [(L, L.conj().T) for L in (np.asarray(L, dtype=complex) for L in jumps)]
+    k_total = sum((Ld @ L for L, Ld in jump_pairs),
+                  np.zeros((spectrum.dim, spectrum.dim), dtype=complex))
+
+    def rhs(r):
+        out = gap * r
+        for L, Ld in jump_pairs:
+            out += L @ r @ Ld
+        out -= 0.5 * (k_total @ r + r @ k_total)
+        return out
+
+    h = t_end / n_steps
+    rho = np.array(rho0s, dtype=complex)
+    times, states = [0.0], [rho]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % record_every == 0 or step == n_steps:
+            times.append(step * h)
+            states.append(rho)
+    return np.array(times), np.array(states)

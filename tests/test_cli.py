@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from fgkls.cli import (
     main,
 )
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, name, payload):
@@ -427,6 +431,27 @@ def test_step_size_error_exit_code(tmp_path, capsys):
     assert err.startswith("error: step size")
     assert "suggested step" in err
     assert "Traceback" not in err
+
+
+def test_unstable_step_exits_without_float_warnings(tmp_path):
+    # a fresh interpreter keeps Python's default warning filters, which print
+    # any RuntimeWarning to stderr
+    payload = {
+        "model": "custom",
+        "custom": {"energies": [0.0, 1e6],
+                   "jumps": [[[[0.0, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.0, 0.0]]]]},
+        "evolve": {"t_end": 100.0, "n_steps": 100000, "seeds": [0, 1]},
+    }
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run([sys.executable, "-m", "fgkls.cli", "evolve", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_STEP_SIZE
+    assert "non-finite state at t = " in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_scheme_failure_exit_code(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fgkls import (
     vectorize_liouvillian,
     weak_coupling_ratio,
 )
+from fgkls.core import InvalidStateError
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import component_generator, random_hermitian, random_nondegenerate_model
@@ -228,6 +231,20 @@ def test_vectorize_equals_kron_form():
         assert np.array_equal(superop.matrix, kron_liouvillian(spectrum, jumps)), spectrum.dim
 
 
+def test_vectorize_peak_memory_is_two_superoperators():
+    # one reused per-jump buffer besides the matrix itself
+    rng = np.random.default_rng(4)
+    spectrum = EnergySpectrum(np.linspace(0.5, 3.0, 16))
+    jumps = [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        superop = vectorize_liouvillian(spectrum, jumps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * superop.matrix.nbytes
+
+
 def test_vectorize_zero_jumps_commutator_form():
     spectrum = EnergySpectrum(np.array([0.3, 1.1, 2.0]))
     superop = vectorize_liouvillian(spectrum, [])
@@ -279,6 +296,27 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.6, 0.6]).astype(complex))
     with pytest.raises(ValueError, match="positive"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_density_matrix_stack_validation_names_first_invalid_member():
+    valid = np.diag([0.5, 0.5]).astype(complex)
+    non_hermitian = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+    trace_off = np.diag([0.6, 0.6]).astype(complex)
+    non_psd = np.diag([1.5, -0.5]).astype(complex)
+    stack = [valid, non_hermitian, trace_off, non_psd]
+    # dropping the first bad member each time, the next one is named
+    for bad in (1, 2, 3):
+        members = [stack[0]] + stack[bad:]
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(stack[bad])
+        with pytest.raises(InvalidStateError) as batch:
+            DensityMatrix._stack(np.array(members))
+        assert str(batch.value) == str(single.value)
+        assert batch.value.index == 1
+    states = DensityMatrix._stack(np.array([valid, random_density_matrix(2, np.random.default_rng(1)).matrix]))
+    assert len(states) == 2 and all(isinstance(state, DensityMatrix) for state in states)
+    assert np.array_equal(states[0].matrix, valid)
+    assert not any(state.matrix.flags.writeable for state in states)
 
 
 def test_random_density_matrix_reproducible_and_valid():

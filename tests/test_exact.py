@@ -32,7 +32,7 @@ from fgkls.exact import (
 )
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
-from helpers import random_nondegenerate_model
+from helpers import random_nondegenerate_model, rk4_reference
 
 
 # --- null-space oracle -------------------------------------------------------
@@ -343,6 +343,43 @@ def test_trajectory_batch_step_too_large_raises():
     assert err.value.suggested_step < 10.0 / 3
     assert "suggested step" in str(err.value)
     assert "initial state 1" in str(err.value)
+
+
+def test_trajectory_matches_rk4_reference_loop():
+    cfg = OscillatorSpinConfig(n_levels=3, omega=1.0, delta=0.5, jump_variant=SigmaXY(0.5, 0.4))
+    models = [build_two_level(1.0, 2.0, 0.6, 0.4), build_oscillator_spin(cfg),
+              random_nondegenerate_model(np.random.default_rng(2), dim=5, n_jumps=2)]
+    n_steps, t_end = 300, 3.0
+    for spectrum, jumps in models:
+        rng = np.random.default_rng(9)
+        rho0s = [random_density_matrix(spectrum.dim, rng) for _ in range(3)]
+        for record_every in (1, 7, n_steps, n_steps + 5):
+            times, states = rk4_reference(spectrum, jumps, [r.matrix for r in rho0s],
+                                          t_end, n_steps, record_every)
+            batch = integrate_trajectory(spectrum, jumps, rho0s, t_end=t_end,
+                                         n_steps=n_steps, record_every=record_every)
+            for i, traj in enumerate(batch):
+                assert np.array_equal(traj.times, times)
+                got = np.array([state.matrix for state in traj.states])
+                assert np.max(np.abs(got - states[:, i])) < 1e-12
+
+
+def test_trajectory_unstable_step_reports_non_finite_state():
+    # the stride power overflows on the coherence block; no floating-point
+    # warning may escape, and a member without coherences is not blamed
+    spectrum = EnergySpectrum(np.array([0.0, 1e6]))
+    jumps = [np.array([[0.0, 0.0], [0.1, 0.0]], dtype=complex)]
+    diagonal = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
+    coherent = random_density_matrix(2, np.random.default_rng(0))
+    with pytest.raises(StepSizeError, match="non-finite state at t = ") as err:
+        integrate_trajectory(spectrum, jumps, [diagonal, coherent], t_end=100.0,
+                             n_steps=100000, record_every=100)
+    assert "initial state 1" in str(err.value)
+    # the coherence block is invariant, so without coherences the run is stable
+    traj = integrate_trajectory(spectrum, jumps, diagonal, t_end=100.0, n_steps=100000,
+                                record_every=100)
+    assert traj.final_state.matrix[0, 0] == pytest.approx(0.3 * np.exp(-1.0), abs=1e-9)
+    assert traj.final_state.matrix[0, 1] == 0.0
 
 
 def test_trajectory_batch_rejects_wrongly_sized_member():
