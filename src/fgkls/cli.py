@@ -8,9 +8,10 @@ Subcommands
 
 Each run writes `report.json` (machine readable, byte-stable across reruns)
 and `report.txt` (human readable, includes timing and, per lambda, the number
-of real Liouvillian blocks and the largest block the exact oracle solved) into
-the output directory, plus `trajectory_<seed>.csv` files when trajectories are
-integrated.
+of real Liouvillian blocks and the largest block the exact oracle solved, and
+the kernel margin: the largest kept and smallest rejected singular value over
+the largest one, next to the cutoff) into the output directory, plus
+`trajectory_<seed>.csv` files when trajectories are integrated.
 
 `report.json` holds exactly the bytes of `json.dumps(report, sort_keys=True,
 indent=2) + "\n"`: sorted keys, 2-space indent, floats as `repr`, NaN and
@@ -41,6 +42,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .core import (
+    DEFAULT_TOLERANCES,
     DegeneracyPartition,
     EnergySpectrum,
     classify_pairs,
@@ -52,6 +54,7 @@ from .core import (
 from .exact import (
     StepSizeError,
     SteadyStateSet,
+    _is_kernel,
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
@@ -404,15 +407,29 @@ def _exact_for_lambda(config: RunConfig, lam: float) -> SteadyStateSet:
     return steady_state_basis(superop, tol_kernel=config.tol_kernel)
 
 
-def _oracle_blocks(lam: float, steady: SteadyStateSet) -> tuple[float, int, int]:
-    """(lambda, number of real Liouvillian blocks, largest block) for report.txt."""
-    return lam, len(steady.block_sizes), max(steady.block_sizes)
+OracleRow = tuple[float, int, int, float, float, float | None]
+
+
+def _oracle_blocks(lam: float, steady: SteadyStateSet, tol_kernel: float | None) -> OracleRow:
+    """The oracle's decisions at `lam`, for report.txt.
+
+    (lambda, number of real Liouvillian blocks, largest block, kernel cutoff,
+    largest kept and smallest rejected singular value over the largest one),
+    kept meaning counted as kernel by `steady_state_basis`; the smallest
+    rejected value is None when every value is kept.
+    """
+    tol = DEFAULT_TOLERANCES.kernel if tol_kernel is None else tol_kernel
+    s = steady.singular_values
+    kept = _is_kernel(s, s[0], tol)
+    rel = s / s[0] if s[0] > 0 else s
+    rejected = float(rel[~kept][-1]) if not kept.all() else None
+    return lam, len(steady.block_sizes), max(steady.block_sizes), tol, float(rel[kept][0]), rejected
 
 
 def cmd_exact(config: RunConfig) -> tuple[int, dict]:
     report = _base_report("exact", config)
     steady = _exact_for_lambda(config, 1.0)
-    report["_oracle_blocks"] = [_oracle_blocks(1.0, steady)]
+    report["_oracle_blocks"] = [_oracle_blocks(1.0, steady, config.tol_kernel)]
     residual = stationarity_residual(config.spectrum, config.jumps, steady.physical_member)
     report["exact"] = {
         "kernel_dim": steady.kernel_dim,
@@ -497,7 +514,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         member = family.evaluate(lam)
         if lam == 1.0:
             steady_full, member_full = steady, member
-        blocks.append(_oracle_blocks(lam, steady))
+        blocks.append(_oracle_blocks(lam, steady, config.tol_kernel))
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
                                          list(steady.physical_directions))
@@ -646,8 +663,7 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _text_report(report: dict, elapsed: float,
-                 oracle_blocks: list[tuple[float, int, int]]) -> str:
+def _text_report(report: dict, elapsed: float, oracle_blocks: list[OracleRow]) -> str:
     lines = [f"fgkls {report['command']} report", "=" * 40]
     lines.append(f"dimension: {report['dimension']}")
     lines.append(f"energies: {report['energies']}")
@@ -676,8 +692,17 @@ def _text_report(report: dict, elapsed: float,
                          f"{row['family_vs_exact_distance']:.3e}")
     if oracle_blocks:
         lines.append("lambda | Liouvillian blocks | largest block")
-        for lam, count, largest in oracle_blocks:
+        for lam, count, largest, *_ in oracle_blocks:
             lines.append(f"{lam:<6g} | {count:18d} | {largest:13d}")
+        lines.append("lambda | kernel cutoff | largest kept / s_max | smallest rejected / s_max")
+        for lam, _, _, cutoff, kept, rejected in oracle_blocks:
+            shown = "-" if rejected is None else f"{rejected:.3e}"
+            lines.append(f"{lam:<6g} | {cutoff:13.3e} | {kept:20.3e} | {shown:>25}")
+        for lam, _, _, cutoff, _, rejected in oracle_blocks:
+            if rejected is not None and rejected < 1e3 * cutoff:
+                lines.append(f"note: at lambda {lam:g} the smallest rejected singular value is "
+                             f"within 1e3 of the kernel cutoff; the kernel dimension depends on "
+                             f"tol_kernel there")
     if "residual_scaling" in report:
         lines.append("lambda | truncated-member residual")
         for row in report["residual_scaling"]:

@@ -382,24 +382,27 @@ class InvalidStateError(ValueError):
 def _check_states(arr: np.ndarray) -> None:
     """Validate every member of the (S, D, D) complex stack `arr` at once.
 
-    Each member must be Hermitian, of unit trace and positive semidefinite
-    within `DEFAULT_TOLERANCES`, checked in that order.  The first invalid
-    member in stack order raises `InvalidStateError`; eigenvalues are taken
-    only of members that pass the first two checks.
+    Each member must be finite, Hermitian, of unit trace and positive
+    semidefinite within `DEFAULT_TOLERANCES`, checked in that order.  The
+    first invalid member in stack order raises `InvalidStateError`;
+    eigenvalues are taken only of members that pass the first three checks.
     """
     tol = DEFAULT_TOLERANCES
+    finite = np.isfinite(arr).all(axis=(1, 2))
     adj = arr.conj().transpose(0, 2, 1)
-    herm_err = np.abs(arr - adj).max(axis=(1, 2))
-    trace_err = np.abs(arr.trace(axis1=1, axis2=2) - 1.0)
-    # comparisons stay in this direction so that NaN passes, as it always has
-    bad = (herm_err > tol.herm) | (trace_err > tol.trace)
+    with np.errstate(invalid="ignore"):
+        herm_err = np.abs(arr - adj).max(axis=(1, 2))
+        trace_err = np.abs(arr.trace(axis1=1, axis2=2) - 1.0)
+    bad = ~finite | (herm_err > tol.herm) | (trace_err > tol.trace)
     min_eig = np.zeros(len(arr))
     min_eig[~bad] = np.linalg.eigvalsh(0.5 * (arr + adj)[~bad]).min(axis=1)
     bad |= min_eig < -tol.psd
     if not bad.any():
         return
     i = int(np.argmax(bad))
-    if herm_err[i] > tol.herm:
+    if not finite[i]:
+        message = "non-finite entries"
+    elif herm_err[i] > tol.herm:
         message = f"not Hermitian: max |rho - rho^dag| = {herm_err[i]:.3e}"
     elif trace_err[i] > tol.trace:
         message = f"trace differs from 1 by {trace_err[i]:.3e}"

@@ -4,8 +4,11 @@ Three independent routes are provided:
 
 * the null space of the vectorized Liouvillian (every exact steady state, as
   an affine trace-1 slice of the kernel span), in real Hermitian coordinates,
-  block by block over the components of the superoperator's nonzero pattern,
-  with one kernel cutoff relative to the largest singular value of all blocks;
+  block by block over the components of the superoperator's nonzero pattern:
+  values-only SVDs and one kernel cutoff relative to the largest singular
+  value of all blocks decide each block's kernel dimension, a solve bordered
+  by the trace row gives a block's single kernel vector, and only other
+  kernel blocks take a full SVD;
 * fixed-step Runge-Kutta integration of the FGKLS equation in the time
   domain, confirming that pointers are attractors: the RK4 step is applied
   as a propagator per real Liouvillian block, raised to the recording
@@ -129,35 +132,86 @@ def _real_blocks(superop: LiouvillianSuperoperator) -> Iterator[tuple[np.ndarray
         yield idx, sub
 
 
+def _is_kernel(s: np.ndarray, smax: float, tol_kernel: float) -> np.ndarray:
+    """Which singular values `s` are kernel: below tol_kernel * smax, or zero.
+
+    Zero values are kernel also when smax is zero (a zero superoperator).
+    """
+    return (s < tol_kernel * smax) | (s == 0.0)
+
+
+def _kernel_coordinates(sub: np.ndarray, trace: np.ndarray, counts: np.ndarray,
+                        cutoff: float) -> dict[int, np.ndarray]:
+    """Kernel coordinates of the real blocks `sub` (B, n, n), keyed by block.
+
+    counts[b] is block b's number of kernel singular values; the result maps
+    each b with counts[b] > 0 to a (counts[b], n) array of orthonormal rows.
+    trace (B, n) is 1 on the blocks' E_mm coordinates and 0 elsewhere.
+    Trace preservation makes trace[b] a left null vector of sub[b], so the
+    bordered matrix [[R, t], [t^T, 0]] is nonsingular exactly when R's kernel
+    is one vector x of nonzero trace, and [R, t; t^T, 0] [x; mu] = [0; 1]
+    gives it.  Blocks with one kernel value and a trace coordinate get x from
+    one stacked solve; x is kept when it is finite and |R x| <= cutoff after
+    normalisation.  Every other block with a kernel (none of those, a failed
+    solve or check) takes the right singular vectors of its full SVD.
+    """
+    n = sub.shape[1]
+    coords = {}
+    single = np.flatnonzero((counts == 1) & trace.any(axis=1))
+    if single.size:
+        bordered = np.zeros((single.size, n + 1, n + 1))
+        bordered[:, :n, :n] = sub[single]
+        bordered[:, :n, n] = bordered[:, n, :n] = trace[single]
+        rhs = np.zeros((single.size, n + 1, 1))
+        rhs[:, n] = 1.0
+        try:
+            x = np.linalg.solve(bordered, rhs)[:, :n, 0]
+        except np.linalg.LinAlgError:
+            x = np.full((single.size, n), np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            residual = np.linalg.norm(np.matmul(sub[single], x[..., None])[..., 0], axis=1)
+        ok = np.isfinite(x).all(axis=1) & (residual <= cutoff)
+        coords.update((b, x[i, None]) for i, b in enumerate(single.tolist()) if ok[i])
+    rest = [b for b in np.flatnonzero(counts).tolist() if b not in coords]
+    if rest:
+        _, _, vh = np.linalg.svd(sub[rest])
+        coords.update((b, v[n - counts[b]:]) for b, v in zip(rest, vh))
+    return coords
+
+
 def steady_state_basis(superop: LiouvillianSuperoperator,
                        tol_kernel: float | None = None) -> SteadyStateSet:
-    """Exact steady states from the singular vectors of the superoperator M.
+    """Exact steady states: the kernel of the superoperator M.
 
     M must preserve Hermiticity.  Its real blocks (`_real_blocks`) of equal
-    size get one stacked real SVD.  Kernel coordinates are the right singular
-    vectors whose singular value is zero or below tol_kernel times the
-    largest one over all blocks (one global cutoff); they give Hermitian,
-    Frobenius-orthonormal matrices.  Members that M does not annihilate
-    within the same cutoff are dropped, which rejects an M that breaks
-    Hermiticity.  The physical slice is the trace-1 affine subset of the
-    kernel span: one member and traceless directions.  `singular_values`
-    holds all D^2 singular values in descending order.
+    size get one stacked values-only SVD.  A singular value is kernel when it
+    is zero or below tol_kernel times the largest one over all blocks (one
+    global cutoff), which fixes each block's kernel dimension.  The kernel
+    coordinates come from `_kernel_coordinates`: a bordered solve with the
+    trace row for a block with one kernel value, the block's full SVD
+    otherwise.  They give Hermitian, Frobenius-orthonormal matrices.  Members
+    that M does not annihilate within the same cutoff are dropped, which
+    rejects an M that breaks Hermiticity.  The physical slice is the trace-1
+    affine subset of the kernel span: one member and traceless directions.
+    `singular_values` holds all D^2 singular values in descending order.
     """
     if tol_kernel is None:
         tol_kernel = DEFAULT_TOLERANCES.kernel
     d = superop.hilbert_dim
     mat = superop.matrix
     unknowns, scale, _, _ = _vec_coordinates(d)
-    spectra = []
-    for idx, sub in _real_blocks(superop):
-        _, s, vh = np.linalg.svd(sub)
-        spectra.append((idx, s, vh))
-    s = np.sort(np.concatenate([sv.ravel() for _, sv, _ in spectra]))[::-1]
+    spectra = [(idx, sub, np.linalg.svd(sub, compute_uv=False))
+               for idx, sub in _real_blocks(superop)]
+    s = np.sort(np.concatenate([sv.ravel() for _, _, sv in spectra]))[::-1]
     smax = s[0]
-    # zero singular values are kernel also when the whole matrix is zero
-    candidates = [_scatter(d, unknowns[idx[b]], scale[idx[b]] * vh[b, i, None])[0]
-                  for idx, sv, vh in spectra
-                  for b, i in zip(*np.nonzero((sv < tol_kernel * smax) | (sv == 0.0)))]
+    candidates = []
+    for idx, sub, sv in spectra:
+        counts = _is_kernel(sv, smax, tol_kernel).sum(axis=1)
+        trace = (unknowns[idx, 0] == 0).astype(float)
+        coords = _kernel_coordinates(sub, trace, counts, tol_kernel * smax)
+        for b in sorted(coords):
+            candidates += list(_scatter(d, unknowns[idx[b]], scale[idx[b]] * coords[b]))
     if not candidates:
         raise RuntimeError("empty Liouvillian kernel: superoperator assembly is inconsistent")
 

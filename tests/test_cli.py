@@ -16,6 +16,9 @@ from fgkls.cli import (
     load_config,
     main,
 )
+from fgkls.core import vectorize_liouvillian
+from fgkls.exact import steady_state_basis
+from fgkls.models import build_two_level
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -196,11 +199,54 @@ def test_text_report_lists_oracle_blocks(tmp_path):
     rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
     assert rows == [["1", "2", "2"], ["0.5", "2", "2"]]
     assert "_oracle_blocks" not in (out / "report.json").read_text()
+    # the kernel margin: largest kept and smallest rejected value over s_max
+    start = lines.index(MARGIN_HEADER)
+    rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
+    expected = []
+    for lam in (1.0, 0.5):
+        s = steady_state_basis(vectorize_liouvillian(*build_two_level(1.0, 2.0, lam, 2.0 * lam)))
+        rel = s.singular_values / s.singular_values[0]
+        expected.append([f"{lam:g}", "1.000e-10", f"{rel[rel < 1e-10].max():.3e}",
+                         f"{rel[rel >= 1e-10].min():.3e}"])
+    assert rows == expected
+    assert not any("within 1e3 of the kernel cutoff" in line for line in lines)
+    assert "kernel cutoff" not in (out / "report.json").read_text()
 
     assert main(["exact", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "report.txt").read_text().splitlines()
     start = lines.index("lambda | Liouvillian blocks | largest block")
     assert [field.strip() for field in lines[start + 1].split("|")] == ["1", "2", "2"]
+    start = lines.index(MARGIN_HEADER)
+    assert [field.strip() for field in lines[start + 1].split("|")] == expected[0]
+
+
+MARGIN_HEADER = "lambda | kernel cutoff | largest kept / s_max | smallest rejected / s_max"
+
+
+def test_text_report_notes_kernel_margin_near_cutoff(tmp_path):
+    # the worked case of a lam^6 leak: at lambda 0.1 its singular value is
+    # 3.6e-8 of the largest, rejected, but within 1e3 of the 1e-10 cutoff
+    l1 = [[[0.0, 0.0]] * 4 for _ in range(4)]
+    l1[0][2], l1[1][1], l1[1][2] = [0.8, 0.3], [0.5, -0.2], [-0.6, 0.4]
+    l2 = [[[0.0, 0.0]] * 4 for _ in range(4)]
+    l2[1][3] = [0.9, 0.1]
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "custom",
+        "custom": {"energies": [0.7, 1.5, 2.2, 3.0], "jumps": [l1, l2]},
+        "max_order": 1,
+        "lambda_values": [1.0, 0.1],
+    })
+    out = tmp_path / "out"
+    assert main(["compare", cfg, "--out", str(out)]) == EXIT_THRESHOLD
+    lines = (out / "report.txt").read_text().splitlines()
+    start = lines.index(MARGIN_HEADER)
+    rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
+    assert [row[0] for row in rows] == ["1", "0.1"]
+    assert 1e-10 < float(rows[1][3]) < 1e-7 < 1e-3 < float(rows[0][3])
+    notes = [line for line in lines if "within 1e3 of the kernel cutoff" in line]
+    assert notes == ["note: at lambda 0.1 the smallest rejected singular value is within 1e3 "
+                     "of the kernel cutoff; the kernel dimension depends on tol_kernel there"]
+    assert "within 1e3" not in (out / "report.json").read_text()
 
 
 def test_compare_kernel_dim_vs_free_parameters(tmp_path):

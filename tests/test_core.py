@@ -319,6 +319,23 @@ def test_density_matrix_stack_validation_names_first_invalid_member():
     assert not any(state.matrix.flags.writeable for state in states)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_density_matrix_rejects_non_finite_entries(entry):
+    # every tolerance comparison with NaN is False, so finiteness is its own check
+    bad = np.diag([0.5, 0.5]).astype(complex)
+    bad[0, 1] = bad[1, 0] = entry
+    with pytest.raises(InvalidStateError, match="non-finite") as single:
+        DensityMatrix(bad)
+    assert single.value.index == 0
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        DensityMatrix(np.full((2, 2), np.nan))
+    valid = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(InvalidStateError) as batch:
+        DensityMatrix._stack(np.array([valid, valid, bad, np.full((2, 2), np.nan)]))
+    assert str(batch.value) == str(single.value)
+    assert batch.value.index == 2
+
+
 def test_random_density_matrix_reproducible_and_valid():
     a = random_density_matrix(4, np.random.default_rng(42))
     b = random_density_matrix(4, np.random.default_rng(42))

@@ -166,6 +166,90 @@ def test_one_block_kernel_matches_dense_reference():
     assert np.max(np.abs(steady.singular_values - s_ref)) <= 1e-12 * s_ref[0]
 
 
+def test_one_block_dense_D12_kernel_matches_dense_reference():
+    superop = vectorize_liouvillian(*random_nondegenerate_model(
+        np.random.default_rng(12), dim=12, n_jumps=2, coupling=0.3))
+    steady = steady_state_basis(superop)
+    s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
+    assert steady.block_sizes == (144,)
+    assert steady.kernel_dim == len(basis_ref) == 1
+    assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
+                                     member_ref, dirs_ref) < 1e-12
+    assert np.max(np.abs(steady.singular_values - s_ref)) <= 1e-12 * s_ref[0]
+
+
+def _record_vector_svds(monkeypatch):
+    """Shapes of the SVDs that compute singular vectors, recorded while patched."""
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+def test_one_block_kernel_takes_no_svd_with_vectors(monkeypatch):
+    # one kernel value with a trace coordinate: the bordered solve gives the vector
+    superop = vectorize_liouvillian(*dense_case())
+    shapes = _record_vector_svds(monkeypatch)
+    assert steady_state_basis(superop).kernel_dim == 1
+    assert shapes == []
+
+
+def protected_coherence_case():
+    """Levels 0 and 1 degenerate, sigma_x dephasing between them, decay 2 -> 0.
+
+    The real part of rho_01 is stationary: its block has one kernel value
+    and no diagonal coordinate.
+    """
+    sx = np.zeros((3, 3), dtype=complex)
+    sx[0, 1] = sx[1, 0] = 0.3
+    decay = np.zeros((3, 3), dtype=complex)
+    decay[0, 2] = 0.2
+    return EnergySpectrum(np.array([1.0, 1.0, 2.0])), [sx, decay]
+
+
+def _assert_matches_dense_reference(superop, steady):
+    _, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
+    assert steady.kernel_dim == len(basis_ref)
+    assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
+                                     member_ref, dirs_ref) < 1e-12
+
+
+def test_kernel_block_without_trace_coordinate_takes_full_svd(monkeypatch):
+    superop = vectorize_liouvillian(*protected_coherence_case())
+    shapes = _record_vector_svds(monkeypatch)
+    steady = steady_state_basis(superop)
+    assert steady.kernel_dim == 2 and steady.block_sizes == (2, 2, 2, 3)
+    # the coherence block's full SVD, then the 1 x 2 trace row of the directions
+    assert shapes == [(1, 2, 2), (1, 2)]
+    _assert_matches_dense_reference(superop, steady)
+
+
+@pytest.mark.parametrize("failure", ["residual", "singular"])
+@pytest.mark.parametrize("case", ["dense_D6", "worked_4x4_lam_1"])
+def test_kernel_failed_bordered_solve_falls_back_to_full_svd(monkeypatch, failure, case):
+    spectrum, jumps = dense_case() if case == "dense_D6" else worked_case(1.0)
+    superop = vectorize_liouvillian(spectrum, jumps)
+    real_solve = np.linalg.solve
+
+    def failing(a, b):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b) + 1e-3
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    shapes = _record_vector_svds(monkeypatch)
+    steady = steady_state_basis(superop)
+    assert steady.kernel_dim == 1
+    assert len(shapes) == 1 and shapes[0][0] == 1
+    _assert_matches_dense_reference(superop, steady)
+
+
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES) + ["dense_D6"])
 def test_kernel_basis_is_hermitian_and_orthonormal(case):
     spectrum, jumps = dense_case() if case == "dense_D6" else BLOCK_CASES[case][0]()
