@@ -30,7 +30,6 @@ from fgkls import (
     run_pointer_scheme,
     stationarity_residual,
     steady_state_basis,
-    vectorize_liouvillian,
 )
 from fgkls.exact import TwoLevelParams, two_level_bloch_exact, verify_identity_72
 from fgkls.models import build_two_level, offdiag_to_pauli
@@ -60,7 +59,7 @@ def main():
     print()
 
     # route 2: Liouvillian null space
-    steady = steady_state_basis(vectorize_liouvillian(spectrum, jumps))
+    steady = steady_state_basis(spectrum, jumps)
     d_exact = np.max(np.abs(steady.physical_member - pointer))
     print(f"null-space kernel dimension: {steady.kernel_dim}")
     print(f"exact vs perturbative pointer: {d_exact:.2e}")
@@ -68,8 +67,8 @@ def main():
 
     # route 3: time evolution from an arbitrary state
     rho0 = DensityMatrix(bloch_to_matrix(0.3, -0.1, 0.2))
-    traj = integrate_trajectory(spectrum, jumps, rho0, t_end=30.0, n_steps=8000,
-                                record_every=100)
+    (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=30.0, n_steps=8000,
+                                   record_every=100)
     d_evolved = np.max(np.abs(traj.final_state.matrix - pointer))
     print(f"RK4 endpoint vs pointer after t = {traj.times[-1]:g}: {d_evolved:.2e}")
     print(f"endpoint stationarity residual: "

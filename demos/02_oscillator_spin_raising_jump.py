@@ -27,7 +27,7 @@ free directions by one (the trace slice).
 
 import numpy as np
 
-from fgkls import classify_pairs, run_pointer_scheme, steady_state_basis, vectorize_liouvillian
+from fgkls import classify_pairs, run_pointer_scheme, steady_state_basis
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, build_oscillator_spin
 from fgkls.perturbation import assemble_internal_system_deg
 
@@ -64,7 +64,7 @@ def run_case(delta):
     free = [family.free_direction_count(s) for s in range(4)]
     print(f"  free directions per order: {free} (populations f_mm00 free, trace fixed)")
 
-    steady = steady_state_basis(vectorize_liouvillian(spectrum, jumps))
+    steady = steady_state_basis(spectrum, jumps)
     print(f"  exact kernel dimension: {steady.kernel_dim} "
           f"= free directions + 1 ({free[0]} + 1)")
     ok = (spin_down < 1e-12 and np.max(np.abs(off)) < 1e-12 and tail < 1e-12

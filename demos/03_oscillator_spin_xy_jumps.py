@@ -58,8 +58,8 @@ def main():
                                jump_variant=SigmaXY(0.5, 0.4))
     spectrum, jumps = build_oscillator_spin(cfg)
     rho0 = random_density_matrix(6, rng)
-    traj = integrate_trajectory(spectrum, jumps, rho0, t_end=45.0, n_steps=6000,
-                                record_every=1000)
+    (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=45.0, n_steps=6000,
+                                   record_every=1000)
     print("population evolution (spin up vs down per level, random start):")
     for t, state in zip(traj.times, traj.states):
         ups = [state.matrix[2 * m, 2 * m].real for m in range(3)]

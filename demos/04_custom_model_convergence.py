@@ -21,7 +21,6 @@ from fgkls import (
     run_pointer_scheme,
     stationarity_residual,
     steady_state_basis,
-    vectorize_liouvillian,
 )
 
 
@@ -67,8 +66,7 @@ def main():
     for order in range(3):
         dists = []
         for lam in lams:
-            steady = steady_state_basis(vectorize_liouvillian(spectrum,
-                                                              [lam * L for L in jumps]))
+            steady = steady_state_basis(spectrum, [lam * L for L in jumps])
             dists.append(float(np.linalg.norm(family.evaluate(lam, max_order=order)
                                               - steady.physical_member)))
         ratio = dists[1] / dists[2] if dists[2] > 1e-13 else float("nan")

@@ -48,13 +48,11 @@ from .core import (
     classify_pairs,
     random_density_matrix,
     stationarity_residual,
-    vectorize_liouvillian,
     weak_coupling_ratio,
 )
 from .exact import (
     StepSizeError,
     SteadyStateSet,
-    _is_kernel,
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
@@ -93,8 +91,8 @@ class RunConfig:
     max_order: int
     lambda_values: list[float]
     partition: DegeneracyPartition
-    tol_rank: float | None
-    tol_kernel: float | None
+    tol_rank: float
+    tol_kernel: float
     evolve: EvolveConfig | None
     family_distance_max: float
     endpoint_distance_max: float
@@ -280,6 +278,8 @@ def load_config(path: str, max_order_override: int | None = None,
         if not isinstance(seeds, list) or not all(
                 isinstance(s, int) and not isinstance(s, bool) for s in seeds):
             raise ConfigError("config error at evolve.seeds: expected a list of integers")
+        if any(seed < 0 for seed in seeds):
+            raise ConfigError("config error at evolve.seeds: seeds must be nonnegative")
         repeated = [seed for k, seed in enumerate(seeds) if seed in seeds[:k]]
         if repeated:
             raise ConfigError(f"config error at evolve.seeds: seed {repeated[0]} is repeated "
@@ -291,19 +291,25 @@ def load_config(path: str, max_order_override: int | None = None,
                 seeds = [int(env_seed)]
             except ValueError as err:
                 raise ConfigError(f"LP_SEED: not an integer ({env_seed!r})") from err
+            if seeds[0] < 0:
+                raise ConfigError(f"LP_SEED: must be nonnegative ({env_seed!r})")
             seed_source = "env:LP_SEED"
         evolve = EvolveConfig(t_end=t_end, n_steps=n_steps, seeds=seeds, seed_source=seed_source)
 
     thresholds = _object(cfg, "thresholds", required=False)
     for key, val in thresholds.items():
-        _real(val, f"thresholds.{key}")
+        if key not in ("family_distance", "endpoint_distance"):
+            raise ConfigError(f"config error at thresholds.{key}: unknown threshold")
+        if _real(val, f"thresholds.{key}") < 0:
+            raise ConfigError(f"config error at thresholds.{key}: must be nonnegative")
     family_max = float(thresholds.get("family_distance", DEFAULT_FAMILY_DISTANCE_MAX))
     endpoint_max = float(thresholds.get("endpoint_distance", DEFAULT_ENDPOINT_DISTANCE_MAX))
 
     return RunConfig(
         model=model, spectrum=spectrum, jumps=jumps, max_order=max_order,
         lambda_values=lambda_values, partition=partition,
-        tol_rank=tols.get("tol_rank"), tol_kernel=tols.get("tol_kernel"),
+        tol_rank=tols.get("tol_rank", DEFAULT_TOLERANCES.rank),
+        tol_kernel=tols.get("tol_kernel", DEFAULT_TOLERANCES.kernel),
         evolve=evolve, family_distance_max=family_max,
         endpoint_distance_max=endpoint_max, oscillator=osc, echo=cfg,
     )
@@ -403,33 +409,27 @@ def cmd_pointer(config: RunConfig) -> tuple[int, dict]:
 
 def _exact_for_lambda(config: RunConfig, lam: float) -> SteadyStateSet:
     jumps = [lam * L for L in config.jumps]
-    superop = vectorize_liouvillian(config.spectrum, jumps)
-    return steady_state_basis(superop, tol_kernel=config.tol_kernel)
+    return steady_state_basis(config.spectrum, jumps, tol_kernel=config.tol_kernel)
 
 
 OracleRow = tuple[float, int, int, float, float, float | None]
 
 
-def _oracle_blocks(lam: float, steady: SteadyStateSet, tol_kernel: float | None) -> OracleRow:
+def _oracle_blocks(lam: float, steady: SteadyStateSet) -> OracleRow:
     """The oracle's decisions at `lam`, for report.txt.
 
     (lambda, number of real Liouvillian blocks, largest block, kernel cutoff,
-    largest kept and smallest rejected singular value over the largest one),
-    kept meaning counted as kernel by `steady_state_basis`; the smallest
-    rejected value is None when every value is kept.
+    then `SteadyStateSet.kernel_margin`: the largest kept and smallest
+    rejected singular value over the largest one, None when none is rejected.)
     """
-    tol = DEFAULT_TOLERANCES.kernel if tol_kernel is None else tol_kernel
-    s = steady.singular_values
-    kept = _is_kernel(s, s[0], tol)
-    rel = s / s[0] if s[0] > 0 else s
-    rejected = float(rel[~kept][-1]) if not kept.all() else None
-    return lam, len(steady.block_sizes), max(steady.block_sizes), tol, float(rel[kept][0]), rejected
+    return (lam, len(steady.block_sizes), max(steady.block_sizes), steady.tol_kernel,
+            *steady.kernel_margin)
 
 
 def cmd_exact(config: RunConfig) -> tuple[int, dict]:
     report = _base_report("exact", config)
     steady = _exact_for_lambda(config, 1.0)
-    report["_oracle_blocks"] = [_oracle_blocks(1.0, steady, config.tol_kernel)]
+    report["_oracle_blocks"] = [_oracle_blocks(1.0, steady)]
     residual = stationarity_residual(config.spectrum, config.jumps, steady.physical_member)
     report["exact"] = {
         "kernel_dim": steady.kernel_dim,
@@ -514,7 +514,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         member = family.evaluate(lam)
         if lam == 1.0:
             steady_full, member_full = steady, member
-        blocks.append(_oracle_blocks(lam, steady, config.tol_kernel))
+        blocks.append(_oracle_blocks(lam, steady))
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
                                          list(steady.physical_directions))

@@ -45,7 +45,6 @@ class Tolerances:
 
     herm / trace    validity of density matrices (Hermiticity, unit trace)
     psd             allowed negative eigenvalue magnitude of a state
-    assembly        superoperator vs direct generator agreement
     rank            relative singular-value cutoff for rank decisions
     kernel          relative cutoff for Liouvillian null-space extraction
     """
@@ -53,7 +52,6 @@ class Tolerances:
     herm: float = 1e-10
     trace: float = 1e-10
     psd: float = 1e-8
-    assembly: float = 1e-12
     rank: float = 1e-10
     kernel: float = 1e-10
 
@@ -455,8 +453,8 @@ def _embed_to_matrix(row: np.ndarray, dim: int) -> np.ndarray:
     return re.reshape(dim, dim) + 1j * im.reshape(dim, dim)
 
 
-def _orthonormal_span(mats: Sequence[np.ndarray], rel_tol: float = 1e-12) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the real span of the given matrices."""
+def _orthonormal_span(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal (Frobenius) basis of the real span of `mats`, cut at 1e-12 relative."""
     if not mats:
         return []
     dim = mats[0].shape[0]
@@ -464,7 +462,7 @@ def _orthonormal_span(mats: Sequence[np.ndarray], rel_tol: float = 1e-12) -> lis
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
-    return [_embed_to_matrix(vt[i], dim) for i in range(s.size) if s[i] > rel_tol * s[0]]
+    return [_embed_to_matrix(vt[i], dim) for i in range(s.size) if s[i] > 1e-12 * s[0]]
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -1,14 +1,16 @@
 """Exact references the perturbative pointer construction is validated against.
 
-Three independent routes are provided:
+Three independent routes are provided; the first two take the model
+(spectrum and jumps) and share its Liouvillian's real blocks (`_real_blocks`):
 
 * the null space of the vectorized Liouvillian (every exact steady state, as
   an affine trace-1 slice of the kernel span), in real Hermitian coordinates,
   block by block over the components of the superoperator's nonzero pattern:
   values-only SVDs and one kernel cutoff relative to the largest singular
   value of all blocks decide each block's kernel dimension, a solve bordered
-  by the trace row gives a block's single kernel vector, and only other
-  kernel blocks take a full SVD;
+  by the trace row gives a block's single kernel vector, only other kernel
+  blocks take a full SVD, and each kernel element is checked against the
+  direct generator; the result records the cutoff and its margin;
 * fixed-step Runge-Kutta integration of the FGKLS equation in the time
   domain, confirming that pointers are attractors: the RK4 step is applied
   as a propagator per real Liouvillian block, raised to the recording
@@ -30,12 +32,11 @@ from .core import (
     DensityMatrix,
     EnergySpectrum,
     InvalidStateError,
-    LiouvillianSuperoperator,
     _orthonormal_span,
     _real_embed,
     _scatter,
     _vec_coordinates,
-    vec,
+    stationarity_residual,
     vectorize_liouvillian,
 )
 from .models import build_two_level, pauli_to_offdiag
@@ -63,6 +64,7 @@ class SteadyStateSet:
 
     `block_sizes` are the sizes of the independent real blocks (a vec index
     and its mirror share one) of the kernel search, in the order solved.
+    `tol_kernel` is the relative cutoff that decided the kernel dimension.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -70,10 +72,23 @@ class SteadyStateSet:
     physical_directions: tuple[np.ndarray, ...]
     singular_values: np.ndarray
     block_sizes: tuple[int, ...]
+    tol_kernel: float
 
     @property
     def kernel_dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def kernel_margin(self) -> tuple[float, float | None]:
+        """(largest kept, smallest rejected) singular value over the largest one.
+
+        Kept means counted as kernel under `tol_kernel`; the rejected value is
+        None when every value is kept.
+        """
+        s = self.singular_values
+        kept = _is_kernel(s, s[0], self.tol_kernel)
+        rel = s / s[0] if s[0] > 0 else s
+        return float(rel[kept][0]), None if kept.all() else float(rel[~kept][-1])
 
 
 def _connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -98,10 +113,12 @@ def _connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _real_blocks(superop: LiouvillianSuperoperator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The superoperator M in real Hermitian coordinates, one block size at a time.
+def _real_blocks(spectrum: EnergySpectrum,
+                 jumps: Sequence[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The model's Liouvillian M in real Hermitian coordinates, one block size at a time.
 
-    M must preserve Hermiticity.  In the orthonormal Hermitian basis U of
+    M is the superoperator of `vectorize_liouvillian`, which preserves
+    Hermiticity.  In the orthonormal Hermitian basis U of
     `core._vec_coordinates` it is the real matrix Re(U^dag M U), with M's
     singular values.  That matrix splits into the connected components of
     M's nonzero pattern, each vec index linked to its mirror (for the
@@ -110,8 +127,8 @@ def _real_blocks(superop: LiouvillianSuperoperator) -> Iterator[tuple[np.ndarray
     holds the sorted vec indices of the B blocks of that size and sub
     (B, size, size) their real sub-blocks.
     """
-    d = superop.hilbert_dim
-    mat = superop.matrix
+    d = spectrum.dim
+    mat = vectorize_liouvillian(spectrum, jumps).matrix
     _, _, alpha, mirror = _vec_coordinates(d)
     pattern = mat != 0
     pattern[np.arange(d * d), mirror] = True
@@ -180,29 +197,27 @@ def _kernel_coordinates(sub: np.ndarray, trace: np.ndarray, counts: np.ndarray,
     return coords
 
 
-def steady_state_basis(superop: LiouvillianSuperoperator,
-                       tol_kernel: float | None = None) -> SteadyStateSet:
-    """Exact steady states: the kernel of the superoperator M.
+def steady_state_basis(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
+                       tol_kernel: float = DEFAULT_TOLERANCES.kernel) -> SteadyStateSet:
+    """Exact steady states of the model: the kernel of its Liouvillian M.
 
-    M must preserve Hermiticity.  Its real blocks (`_real_blocks`) of equal
-    size get one stacked values-only SVD.  A singular value is kernel when it
-    is zero or below tol_kernel times the largest one over all blocks (one
-    global cutoff), which fixes each block's kernel dimension.  The kernel
-    coordinates come from `_kernel_coordinates`: a bordered solve with the
-    trace row for a block with one kernel value, the block's full SVD
-    otherwise.  They give Hermitian, Frobenius-orthonormal matrices.  Members
-    that M does not annihilate within the same cutoff are dropped, which
-    rejects an M that breaks Hermiticity.  The physical slice is the trace-1
-    affine subset of the kernel span: one member and traceless directions.
-    `singular_values` holds all D^2 singular values in descending order.
+    M's real blocks (`_real_blocks`) of equal size get one stacked
+    values-only SVD.  A singular value is kernel when it is zero or below
+    tol_kernel times the largest one over all blocks (one global cutoff),
+    which fixes each block's kernel dimension.  The kernel coordinates come
+    from `_kernel_coordinates`: a bordered solve with the trace row for a
+    block with one kernel value, the block's full SVD otherwise.  They give
+    Hermitian, Frobenius-orthonormal matrices.  Members whose direct
+    generator residual (`stationarity_residual`) exceeds tol_kernel times
+    max(s_max, 1) are dropped.  The physical slice is the trace-1 affine
+    subset of the kernel span: one member and traceless directions.
+    `singular_values` holds all D^2 singular values in descending order, and
+    `kernel_margin` the values on either side of the cutoff.
     """
-    if tol_kernel is None:
-        tol_kernel = DEFAULT_TOLERANCES.kernel
-    d = superop.hilbert_dim
-    mat = superop.matrix
+    d = spectrum.dim
     unknowns, scale, _, _ = _vec_coordinates(d)
     spectra = [(idx, sub, np.linalg.svd(sub, compute_uv=False))
-               for idx, sub in _real_blocks(superop)]
+               for idx, sub in _real_blocks(spectrum, jumps)]
     s = np.sort(np.concatenate([sv.ravel() for _, _, sv in spectra]))[::-1]
     smax = s[0]
     candidates = []
@@ -215,10 +230,8 @@ def steady_state_basis(superop: LiouvillianSuperoperator,
     if not candidates:
         raise RuntimeError("empty Liouvillian kernel: superoperator assembly is inconsistent")
 
-    # one product for all elements reads the D^2 x D^2 matrix once
     cutoff = tol_kernel * max(smax, 1.0)
-    residuals = np.linalg.norm(mat @ np.array([vec(b) for b in candidates]).T, axis=0)
-    basis = [b for b, r in zip(candidates, residuals) if r <= cutoff]
+    basis = [b for b in candidates if stationarity_residual(spectrum, jumps, b) <= cutoff]
     if not basis:
         raise RuntimeError("no Hermitian kernel element below the residual cutoff")
 
@@ -235,7 +248,7 @@ def steady_state_basis(superop: LiouvillianSuperoperator,
     block_sizes = tuple(idx.shape[1] for idx, _, _ in spectra for _block in idx)
     return SteadyStateSet(basis=tuple(basis), physical_member=member,
                           physical_directions=tuple(directions), singular_values=s,
-                          block_sizes=block_sizes)
+                          block_sizes=block_sizes, tol_kernel=tol_kernel)
 
 
 class StepSizeError(RuntimeError):
@@ -268,31 +281,14 @@ def default_step(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]) -> float
     return 0.01 / scale if scale > 0 else math.inf
 
 
-def _initial_states(rho0) -> tuple[list[DensityMatrix], bool]:
-    """The initial states of `rho0` as a list, and whether `rho0` was one state.
-
-    One state is a `DensityMatrix` or a square array (nested rows of numbers);
-    anything else is a sequence of states.
-    """
-    if isinstance(rho0, DensityMatrix):
-        return [rho0], True
-    if len(rho0) == 0:
-        raise ValueError("no initial states")
-    single = not isinstance(rho0[0], DensityMatrix) and np.ndim(rho0[0]) == 1
-    members = [rho0] if single else list(rho0)
-    return [r if isinstance(r, DensityMatrix) else DensityMatrix(np.asarray(r, dtype=complex))
-            for r in members], single
-
-
-def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho0,
+def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho0s: Sequence,
                          t_end: float, n_steps: int | None = None,
-                         record_every: int = 1) -> Trajectory | tuple[Trajectory, ...]:
-    """Classical RK4 integration of the FGKLS equation from `rho0`.
+                         record_every: int = 1) -> tuple[Trajectory, ...]:
+    """Classical RK4 integration of the FGKLS equation from each state of `rho0s`.
 
-    `rho0` is one state (a `DensityMatrix` or a square array), which returns
-    one `Trajectory`, or a sequence of states, which returns a tuple of
-    `Trajectory`, one per state in input order, sharing one read-only `times`
-    array.
+    `rho0s` is a sequence of states (each a `DensityMatrix` or a square
+    array).  Returns a tuple of `Trajectory`, one per state in input order,
+    sharing one read-only `times` array.
 
     For the linear generator A, one RK4 step of size h is exactly the map
     P = I + hA (I + hA/2 (I + hA/3 (I + hA/4))).  It is built once per real
@@ -300,7 +296,7 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     stride, so states advance in real Hermitian coordinates by one
     matrix-vector product per block and record; intermediate steps are
     never formed.  Each member's product is independent of the batch, so
-    its record is bit-identical to a single-state call.
+    its record is bit-identical to a batch of that state alone.
 
     When `n_steps` is omitted it is derived from `default_step`.  States are
     recorded every `record_every` steps, the final state always included.
@@ -309,11 +305,13 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     matrices.  A failure in any member raises `StepSizeError` naming the
     first failing member and carrying a suggested step size.
     """
-    initial, single = _initial_states(rho0)
+    if len(rho0s) == 0:
+        raise ValueError("no initial states")
+    initial = [r if isinstance(r, DensityMatrix) else DensityMatrix(np.asarray(r, dtype=complex))
+               for r in rho0s]
     for i, state in enumerate(initial):
         if state.dim != spectrum.dim:
-            which = "" if single else f" {i}"
-            raise ValueError(f"initial state{which} dimension does not match the spectrum")
+            raise ValueError(f"initial state {i} dimension does not match the spectrum")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     h_default = default_step(spectrum, jumps)
@@ -326,9 +324,9 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     h = t_end / n_steps
 
     def too_large(detail: str, member: int) -> StepSizeError:
-        where = "" if single else f" in initial state {member}"
         return StepSizeError(
-            f"step size {h:.3e} too large: {detail}{where}; suggested step {h_default:.3e} "
+            f"step size {h:.3e} too large: {detail} in initial state {member}; "
+            f"suggested step {h_default:.3e} "
             f"({max(1, int(math.ceil(t_end / h_default)))} steps for t_end {t_end:g})",
             suggested_step=h_default,
         )
@@ -336,7 +334,7 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     d = spectrum.dim
     unknowns, scale, alpha, mirror = _vec_coordinates(d)
     steps = []
-    for idx, sub in _real_blocks(vectorize_liouvillian(spectrum, jumps)):
+    for idx, sub in _real_blocks(spectrum, jumps):
         eye = np.eye(idx.shape[1])
         step = eye
         for k in (4, 3, 2, 1):
@@ -383,9 +381,8 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
             times.append(done * h)
     times_arr = np.array(times)
     times_arr.flags.writeable = False
-    trajectories = tuple(Trajectory(times=times_arr, states=tuple(record), step_size=h)
-                         for record in records)
-    return trajectories[0] if single else trajectories
+    return tuple(Trajectory(times=times_arr, states=tuple(record), step_size=h)
+                 for record in records)
 
 
 @dataclass(frozen=True)

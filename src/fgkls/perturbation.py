@@ -206,7 +206,7 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
                         rhs=_rhs(jumps, known, unknowns), unknowns=unknowns)
 
 
-def solve_with_rank_check(system: LinearSystem, tol_rank: float | None = None):
+def solve_with_rank_check(system: LinearSystem, tol_rank: float = DEFAULT_TOLERANCES.rank):
     """Solve a (possibly singular) real system, reporting ranks.
 
     Rank is the number of singular values above tol_rank times the largest
@@ -215,8 +215,6 @@ def solve_with_rank_check(system: LinearSystem, tol_rank: float | None = None):
     the minimum-norm particular solution and an orthonormal null-space basis
     are produced.
     """
-    if tol_rank is None:
-        tol_rank = DEFAULT_TOLERANCES.rank
     a = np.asarray(system.matrix, dtype=float)
     b = np.asarray(system.rhs, dtype=float)
     n = a.shape[1]
@@ -241,8 +239,7 @@ def solve_with_rank_check(system: LinearSystem, tol_rank: float | None = None):
     return AffineSolution(particular=particular, nullspace_basis=basis, rank_report=report)
 
 
-def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray,
-                          tol_trace: float | None = None):
+def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray):
     """Impose the per-order trace target, eliminating one free parameter.
 
     The target is 1 at order zero and 0 above.  The free direction with the
@@ -251,8 +248,6 @@ def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray,
     can move the trace and the particular solution misses the target, the
     scheme has failed.
     """
-    if tol_trace is None:
-        tol_trace = DEFAULT_TOLERANCES.trace
     t = (np.asarray(unknowns)[:, 0] == 0).astype(float)
     target = 1.0 if order == 0 else 0.0
     components = np.array([float(t @ v) for v in sol.nullspace_basis])
@@ -260,7 +255,7 @@ def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray,
 
     dir_tol = 1e-12 * max(1.0, float(np.linalg.norm(t)))
     if components.size == 0 or np.max(np.abs(components)) <= dir_tol:
-        if abs(current - target) <= tol_trace:
+        if abs(current - target) <= DEFAULT_TOLERANCES.trace:
             return sol
         return NoSolution(
             rank_report=sol.rank_report,
@@ -300,7 +295,6 @@ class PointerFamily:
     orders: tuple[OrderCoefficients, ...]
     free_directions: tuple[tuple[np.ndarray, ...], ...]
     rank_reports: tuple[RankReport, ...]
-    lambda_scale: float = 1.0
 
     @property
     def branch(self) -> str:
@@ -314,7 +308,7 @@ class PointerFamily:
     def free_direction_count(self, order: int) -> int:
         return len(self.free_directions[order])
 
-    def evaluate(self, lam: float | None = None, max_order: int | None = None,
+    def evaluate(self, lam: float = 1.0, max_order: int | None = None,
                  direction_coefficients=None) -> np.ndarray:
         """Member sum_s lam^(2s) (f^(s) + sum_i c_si V_si) truncated at max_order.
 
@@ -322,8 +316,6 @@ class PointerFamily:
         coefficients for that order's free directions; omitted orders use the
         particular member.
         """
-        if lam is None:
-            lam = self.lambda_scale
         if max_order is None:
             max_order = self.max_order
         if not 0 <= max_order <= self.max_order:
@@ -351,7 +343,7 @@ class PointerFamily:
 
 def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
                        partition: DegeneracyPartition | None = None,
-                       max_order: int = 3, tol_rank: float | None = None):
+                       max_order: int = 3, tol_rank: float = DEFAULT_TOLERANCES.rank):
     """Alternate the closed form and the linear solve up to `max_order`.
 
     Every spectrum takes the same path: a spectrum without degeneracy is the

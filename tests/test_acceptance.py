@@ -14,7 +14,6 @@ from fgkls import (
     run_pointer_scheme,
     stationarity_residual,
     steady_state_basis,
-    vectorize_liouvillian,
 )
 from fgkls.exact import (
     TwoLevelParams,
@@ -83,8 +82,8 @@ def test_criterion_3_two_level_asymptotics_and_rate():
         spectrum, jumps = two_level_system(params)
         rho0 = DensityMatrix(bloch_to_matrix(0.25, -0.15, 0.35))
         t_end = 14.0 / params.decay_sum
-        traj = integrate_trajectory(spectrum, jumps, rho0, t_end=t_end,
-                                    n_steps=int(t_end / 0.01), record_every=10)
+        (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=t_end,
+                                       n_steps=int(t_end / 0.01), record_every=10)
         r1, r2, r3 = matrix_to_bloch(traj.final_state)
         worst_r3 = max(worst_r3, abs(r3 - r3inf))
         worst_offdiag = max(worst_offdiag, abs(r1), abs(r2))
@@ -159,8 +158,7 @@ def test_criterion_6_oracle_equivalence():
         family = run_pointer_scheme(spectrum, jumps, max_order=2)
         dirs = family.affine_directions()
         for lam in (0.1, 0.05):
-            steady = steady_state_basis(vectorize_liouvillian(spectrum,
-                                                              [lam * L for L in jumps]))
+            steady = steady_state_basis(spectrum, [lam * L for L in jumps])
             dist = hermitian_affine_distance(family.evaluate(lam), dirs,
                                              steady.physical_member,
                                              list(steady.physical_directions))
@@ -175,8 +173,7 @@ def test_criterion_6_oracle_equivalence():
         family = run_pointer_scheme(spectrum, jumps, max_order=0)
         constants = []
         for lam in (0.1, 0.05):
-            steady = steady_state_basis(vectorize_liouvillian(spectrum,
-                                                              [lam * L for L in jumps]))
+            steady = steady_state_basis(spectrum, [lam * L for L in jumps])
             dist = hermitian_affine_distance(family.evaluate(lam), family.affine_directions(),
                                              steady.physical_member,
                                              list(steady.physical_directions))

@@ -16,7 +16,6 @@ from fgkls.cli import (
     load_config,
     main,
 )
-from fgkls.core import vectorize_liouvillian
 from fgkls.exact import steady_state_basis
 from fgkls.models import build_two_level
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
@@ -166,7 +165,7 @@ def test_compare_two_level_three_way_agreement(tmp_path, monkeypatch):
         solved.append(lam)
         return real_exact(config, lam)
 
-    def recording_evaluate(family, lam=None, *args, **kwargs):
+    def recording_evaluate(family, lam=1.0, *args, **kwargs):
         evaluated.append(lam)
         return real_evaluate(family, lam, *args, **kwargs)
 
@@ -204,7 +203,7 @@ def test_text_report_lists_oracle_blocks(tmp_path):
     rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
     expected = []
     for lam in (1.0, 0.5):
-        s = steady_state_basis(vectorize_liouvillian(*build_two_level(1.0, 2.0, lam, 2.0 * lam)))
+        s = steady_state_basis(*build_two_level(1.0, 2.0, lam, 2.0 * lam))
         rel = s.singular_values / s.singular_values[0]
         expected.append([f"{lam:g}", "1.000e-10", f"{rel[rel < 1e-10].max():.3e}",
                          f"{rel[rel >= 1e-10].min():.3e}"])
@@ -380,6 +379,9 @@ MALFORMED_CONFIGS = [
     (dict(TWO_LEVEL, lambda_values=[float("inf")]), "lambda_values"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": [True]}), "evolve.seeds"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": [3, 4, 3]}), "evolve.seeds"),
+    (dict(TWO_LEVEL, thresholds={"family_distanse": 1e-30}), "thresholds.family_distanse"),
+    (dict(TWO_LEVEL, thresholds={"family_distance": -1}), "thresholds.family_distance"),
+    (dict(TWO_LEVEL, thresholds={"endpoint_distance": -1e-9}), "thresholds.endpoint_distance"),
     (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps1="x")), "two_level.eps1"),
     (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps2=[2.0])), "two_level.eps2"),
     (dict(TWO_LEVEL, max_order=True), "max_order"),
@@ -432,6 +434,24 @@ BAD_TOLERANCES = [
     ({"tol_rank": float("nan")}, "tolerances.tol_rank"),
     ([], "tolerances"),
 ]
+
+
+def test_negative_config_seed_rejected(tmp_path, capsys):
+    # np.random.default_rng raises on a negative seed, with a traceback
+    payload = dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 10, "seeds": [2, -1]})
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    for command in ("evolve", "compare"):
+        assert main([command, cfg, "--out", str(tmp_path)]) == EXIT_CONFIG, command
+        assert "config error at evolve.seeds:" in capsys.readouterr().err
+
+
+def test_negative_env_seed_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LP_SEED", "-3")
+    payload = dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 10, "seeds": [1]})
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    for command in ("evolve", "compare"):
+        assert main([command, cfg, "--out", str(tmp_path)]) == EXIT_CONFIG, command
+        assert "error: LP_SEED:" in capsys.readouterr().err
 
 
 def test_oversized_integer_literal_reports_path(tmp_path, capsys):

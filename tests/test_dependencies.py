@@ -22,3 +22,14 @@ def test_package_imports_only_stdlib_and_numpy():
     for path in SOURCES:
         roots = set(_imported_roots(ast.parse(path.read_text(), filename=str(path))))
         assert roots <= allowed, f"{path.name} imports {sorted(roots - allowed)}"
+
+
+def test_private_names_come_only_from_core():
+    # `core` holds the shared coordinate helpers; every other module's
+    # underscore names stay private to it
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module != "core":
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from .{node.module or ''}"

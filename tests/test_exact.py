@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import fgkls.exact
 from fgkls import (
     DEFAULT_TOLERANCES,
     DensityMatrix,
     EnergySpectrum,
-    LiouvillianSuperoperator,
     bloch_to_matrix,
     matrix_to_bloch,
     random_density_matrix,
@@ -39,7 +39,7 @@ from helpers import random_nondegenerate_model, rk4_reference
 
 def test_kernel_two_level_unique_pointer():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    steady = steady_state_basis(vectorize_liouvillian(spectrum, jumps))
+    steady = steady_state_basis(spectrum, jumps)
     assert steady.kernel_dim == 1
     assert steady.physical_directions == ()
     assert np.max(np.abs(steady.physical_member - np.diag([0.2, 0.8]))) < 1e-12
@@ -49,7 +49,7 @@ def test_kernel_sigma_plus_spans_spin_up_diagonal():
     cfg = OscillatorSpinConfig(n_levels=6, omega=1.0, delta=0.3, jump_variant=SigmaPlus(0.3))
     spectrum, jumps = build_oscillator_spin(cfg)
     superop = vectorize_liouvillian(spectrum, jumps)
-    steady = steady_state_basis(superop)
+    steady = steady_state_basis(spectrum, jumps)
     assert steady.kernel_dim == 6
     # projector comparison against the expected span {|m,0><m,0|}
     def embed(mat):
@@ -72,7 +72,7 @@ def test_kernel_sigma_plus_spans_spin_up_diagonal():
 
 def test_kernel_zero_jumps_all_diagonals():
     spectrum = EnergySpectrum(np.array([0.4, 1.1, 2.3]))
-    steady = steady_state_basis(vectorize_liouvillian(spectrum, []))
+    steady = steady_state_basis(spectrum, [])
     assert steady.kernel_dim == 3
     for b in steady.basis:
         off = b.copy()
@@ -139,7 +139,7 @@ def test_block_kernel_matches_dense_reference(case):
     build, expected_dim = BLOCK_CASES[case]
     spectrum, jumps = build()
     superop = vectorize_liouvillian(spectrum, jumps)
-    steady = steady_state_basis(superop)
+    steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
     assert len(steady.block_sizes) > 1 and sum(steady.block_sizes) == superop.dim
     assert steady.kernel_dim == len(basis_ref) == expected_dim
@@ -156,8 +156,9 @@ def dense_case():
 
 
 def test_one_block_kernel_matches_dense_reference():
-    superop = vectorize_liouvillian(*dense_case())
-    steady = steady_state_basis(superop)
+    spectrum, jumps = dense_case()
+    superop = vectorize_liouvillian(spectrum, jumps)
+    steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
     assert steady.block_sizes == (36,)
     assert steady.kernel_dim == len(basis_ref) == 1
@@ -167,9 +168,10 @@ def test_one_block_kernel_matches_dense_reference():
 
 
 def test_one_block_dense_D12_kernel_matches_dense_reference():
-    superop = vectorize_liouvillian(*random_nondegenerate_model(
-        np.random.default_rng(12), dim=12, n_jumps=2, coupling=0.3))
-    steady = steady_state_basis(superop)
+    spectrum, jumps = random_nondegenerate_model(np.random.default_rng(12), dim=12, n_jumps=2,
+                                                 coupling=0.3)
+    superop = vectorize_liouvillian(spectrum, jumps)
+    steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
     assert steady.block_sizes == (144,)
     assert steady.kernel_dim == len(basis_ref) == 1
@@ -194,9 +196,9 @@ def _record_vector_svds(monkeypatch):
 
 def test_one_block_kernel_takes_no_svd_with_vectors(monkeypatch):
     # one kernel value with a trace coordinate: the bordered solve gives the vector
-    superop = vectorize_liouvillian(*dense_case())
+    spectrum, jumps = dense_case()
     shapes = _record_vector_svds(monkeypatch)
-    assert steady_state_basis(superop).kernel_dim == 1
+    assert steady_state_basis(spectrum, jumps).kernel_dim == 1
     assert shapes == []
 
 
@@ -213,28 +215,28 @@ def protected_coherence_case():
     return EnergySpectrum(np.array([1.0, 1.0, 2.0])), [sx, decay]
 
 
-def _assert_matches_dense_reference(superop, steady):
-    _, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
+def _assert_matches_dense_reference(spectrum, jumps, steady):
+    _, basis_ref, member_ref, dirs_ref = dense_steady_reference(
+        vectorize_liouvillian(spectrum, jumps))
     assert steady.kernel_dim == len(basis_ref)
     assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
                                      member_ref, dirs_ref) < 1e-12
 
 
 def test_kernel_block_without_trace_coordinate_takes_full_svd(monkeypatch):
-    superop = vectorize_liouvillian(*protected_coherence_case())
+    spectrum, jumps = protected_coherence_case()
     shapes = _record_vector_svds(monkeypatch)
-    steady = steady_state_basis(superop)
+    steady = steady_state_basis(spectrum, jumps)
     assert steady.kernel_dim == 2 and steady.block_sizes == (2, 2, 2, 3)
     # the coherence block's full SVD, then the 1 x 2 trace row of the directions
     assert shapes == [(1, 2, 2), (1, 2)]
-    _assert_matches_dense_reference(superop, steady)
+    _assert_matches_dense_reference(spectrum, jumps, steady)
 
 
 @pytest.mark.parametrize("failure", ["residual", "singular"])
 @pytest.mark.parametrize("case", ["dense_D6", "worked_4x4_lam_1"])
 def test_kernel_failed_bordered_solve_falls_back_to_full_svd(monkeypatch, failure, case):
     spectrum, jumps = dense_case() if case == "dense_D6" else worked_case(1.0)
-    superop = vectorize_liouvillian(spectrum, jumps)
     real_solve = np.linalg.solve
 
     def failing(a, b):
@@ -244,48 +246,41 @@ def test_kernel_failed_bordered_solve_falls_back_to_full_svd(monkeypatch, failur
 
     monkeypatch.setattr(np.linalg, "solve", failing)
     shapes = _record_vector_svds(monkeypatch)
-    steady = steady_state_basis(superop)
+    steady = steady_state_basis(spectrum, jumps)
     assert steady.kernel_dim == 1
     assert len(shapes) == 1 and shapes[0][0] == 1
-    _assert_matches_dense_reference(superop, steady)
+    _assert_matches_dense_reference(spectrum, jumps, steady)
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES) + ["dense_D6"])
 def test_kernel_basis_is_hermitian_and_orthonormal(case):
     spectrum, jumps = dense_case() if case == "dense_D6" else BLOCK_CASES[case][0]()
-    superop = vectorize_liouvillian(spectrum, jumps)
-    steady = steady_state_basis(superop)
+    steady = steady_state_basis(spectrum, jumps)
     assert all(np.array_equal(b, b.conj().T) for b in steady.basis)
     flat = np.array([b.ravel() for b in steady.basis])
     assert np.max(np.abs(flat.conj() @ flat.T - np.eye(len(flat)))) < 1e-12
-    assert sum(steady.block_sizes) == superop.dim
+    assert sum(steady.block_sizes) == spectrum.dim ** 2
 
 
 def test_kernel_zero_superoperator_is_everything():
-    steady = steady_state_basis(vectorize_liouvillian(EnergySpectrum(np.ones(3)), []))
+    steady = steady_state_basis(EnergySpectrum(np.ones(3)), [])
     assert steady.kernel_dim == 9
 
 
-def test_kernel_rejects_superoperator_that_breaks_hermiticity():
-    # i M has M's kernel, but maps Hermitian matrices to anti-Hermitian ones
-    superop = vectorize_liouvillian(*build_two_level(1.0, 2.0, 1.0, 2.0))
-    with pytest.raises(RuntimeError):
-        steady_state_basis(LiouvillianSuperoperator(hilbert_dim=2, matrix=1j * superop.matrix))
-
-
-def test_kernel_empty_raises_on_invalid_superoperator():
-    bogus = LiouvillianSuperoperator(hilbert_dim=2, matrix=np.eye(4, dtype=complex))
-    with pytest.raises(RuntimeError, match="kernel"):
-        steady_state_basis(bogus)
+def test_kernel_drops_candidates_the_direct_generator_rejects(monkeypatch):
+    # every candidate fails the direct-generator check, so none is kept
+    monkeypatch.setattr(fgkls.exact, "stationarity_residual", lambda *args: np.inf)
+    with pytest.raises(RuntimeError, match="residual cutoff"):
+        steady_state_basis(*build_two_level(1.0, 2.0, 1.0, 2.0))
 
 
 # --- time-domain oracle ---------------------------------------------------------
 
 def test_trajectory_steady_state_is_fixed_point():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    steady = steady_state_basis(vectorize_liouvillian(spectrum, jumps))
-    traj = integrate_trajectory(spectrum, jumps, DensityMatrix(steady.physical_member),
-                                t_end=8.0, n_steps=2000)
+    steady = steady_state_basis(spectrum, jumps)
+    (traj,) = integrate_trajectory(spectrum, jumps, [DensityMatrix(steady.physical_member)],
+                                   t_end=8.0, n_steps=2000)
     drift = max(np.max(np.abs(s.matrix - steady.physical_member)) for s in traj.states)
     assert drift < 1e-10
 
@@ -295,8 +290,8 @@ def test_trajectory_two_level_asymptotics():
     spectrum, jumps = two_level_system(params)
     rho0 = DensityMatrix(bloch_to_matrix(0.25, -0.15, 0.35))
     t_end = 14.0 / params.decay_sum
-    traj = integrate_trajectory(spectrum, jumps, rho0, t_end=t_end,
-                                n_steps=int(t_end / 0.01), record_every=10)
+    (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=t_end,
+                                   n_steps=int(t_end / 0.01), record_every=10)
     r1, r2, r3 = matrix_to_bloch(traj.final_state)
     assert abs(r3 - params.asymmetry / params.decay_sum) < 1e-6
     assert abs(r1) < 1e-6 and abs(r2) < 1e-6
@@ -306,8 +301,8 @@ def test_trajectory_sigma_xy_population_equalization():
     cfg = OscillatorSpinConfig(n_levels=3, omega=1.0, delta=0.5, jump_variant=SigmaXY(0.5, 0.4))
     spectrum, jumps = build_oscillator_spin(cfg)
     rho0 = random_density_matrix(6, np.random.default_rng(8))
-    traj = integrate_trajectory(spectrum, jumps, rho0, t_end=45.0, n_steps=6000,
-                                record_every=50)
+    (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=45.0, n_steps=6000,
+                                   record_every=50)
     final = traj.final_state.matrix
     for m in range(3):
         assert abs(final[2 * m, 2 * m] - final[2 * m + 1, 2 * m + 1]) < 1e-6
@@ -346,8 +341,8 @@ def test_trajectory_residual_decreases_late():
     cases.append((spectrum, jumps, rho0, 40.0, 5000))
 
     for spectrum, jumps, rho0, t_end, n_steps in cases:
-        traj = integrate_trajectory(spectrum, jumps, rho0, t_end=t_end, n_steps=n_steps,
-                                    record_every=100)
+        (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=t_end, n_steps=n_steps,
+                                       record_every=100)
         quarter = [k for k, t in enumerate(traj.times) if t >= 0.75 * traj.times[-1]]
         residuals = [stationarity_residual(spectrum, jumps, traj.states[k].matrix)
                      for k in quarter]
@@ -359,7 +354,7 @@ def test_trajectory_trace_preserved_and_default_step():
     spectrum, jumps = build_two_level(1.0, 2.0, 0.5, 0.3)
     step = default_step(spectrum, jumps)
     assert step == pytest.approx(0.01 / 2.0)
-    traj = integrate_trajectory(spectrum, jumps, DensityMatrix(0.5 * np.eye(2)), t_end=5.0)
+    (traj,) = integrate_trajectory(spectrum, jumps, [DensityMatrix(0.5 * np.eye(2))], t_end=5.0)
     assert traj.step_size <= step
     drifts = [abs(s.matrix.trace() - 1.0) for s in traj.states]
     assert max(drifts) < 1e-8
@@ -370,7 +365,7 @@ def test_trajectory_step_too_large_reports_suggestion():
     jumps = [np.array([[0.0, 0.1], [0.0, 0.0]], dtype=complex)]
     rho0 = DensityMatrix(bloch_to_matrix(0.3, 0.2, 0.1))
     with pytest.raises(StepSizeError) as err:
-        integrate_trajectory(spectrum, jumps, rho0, t_end=10.0, n_steps=3)
+        integrate_trajectory(spectrum, jumps, [rho0], t_end=10.0, n_steps=3)
     assert err.value.suggested_step < 10.0 / 3
     assert "suggested step" in str(err.value)
 
@@ -389,8 +384,8 @@ def test_trajectory_batch_matches_single_calls_bitwise():
                                      n_steps=n_steps, record_every=7)
         assert len(batch) == 3
         for rho0, traj in zip(rho0s, batch):
-            single = integrate_trajectory(spectrum, jumps, rho0, t_end=t_end,
-                                          n_steps=n_steps, record_every=7)
+            (single,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=t_end,
+                                             n_steps=n_steps, record_every=7)
             assert np.array_equal(single.times, traj.times)
             assert single.step_size == traj.step_size
             assert len(single.states) == len(traj.states) == n_steps // 7 + 2
@@ -409,8 +404,8 @@ def test_trajectory_batch_returns_tuple_with_shared_times():
     for traj in batch[1:]:
         assert np.array_equal(traj.times, batch[0].times)
     assert not batch[0].times.flags.writeable
-    single = integrate_trajectory(spectrum, jumps, rho0s[0], t_end=1.0, n_steps=100)
-    assert isinstance(single, Trajectory)
+    single = integrate_trajectory(spectrum, jumps, rho0s[:1], t_end=1.0, n_steps=100)
+    assert isinstance(single, tuple) and len(single) == 1
     # a 3-D array is a batch too
     stacked = integrate_trajectory(spectrum, jumps, np.stack(rho0s), t_end=1.0, n_steps=100,
                                    record_every=10)
@@ -460,8 +455,8 @@ def test_trajectory_unstable_step_reports_non_finite_state():
                              n_steps=100000, record_every=100)
     assert "initial state 1" in str(err.value)
     # the coherence block is invariant, so without coherences the run is stable
-    traj = integrate_trajectory(spectrum, jumps, diagonal, t_end=100.0, n_steps=100000,
-                                record_every=100)
+    (traj,) = integrate_trajectory(spectrum, jumps, [diagonal], t_end=100.0, n_steps=100000,
+                                   record_every=100)
     assert traj.final_state.matrix[0, 0] == pytest.approx(0.3 * np.exp(-1.0), abs=1e-9)
     assert traj.final_state.matrix[0, 1] == 0.0
 
@@ -491,7 +486,7 @@ def test_trajectory_endpoints_land_on_steady_slice():
 
     rng = np.random.default_rng(123)
     for spectrum, jumps, t_end, n_steps, pinch in cases:
-        steady = steady_state_basis(vectorize_liouvillian(spectrum, jumps))
+        steady = steady_state_basis(spectrum, jumps)
         rho0s = []
         for _ in range(20):
             rho0 = random_density_matrix(spectrum.dim, rng)
@@ -531,8 +526,8 @@ def test_bloch_exact_repeated_root_branch():
     assert params.decay_sum ** 2 == pytest.approx(4 * (params.asymmetry ** 2 + 1.0))
     spectrum, jumps = two_level_system(params)
     b0 = (0.3, -0.2, 0.1)
-    traj = integrate_trajectory(spectrum, jumps, DensityMatrix(bloch_to_matrix(*b0)),
-                                t_end=2.0, n_steps=4000, record_every=400)
+    (traj,) = integrate_trajectory(spectrum, jumps, [DensityMatrix(bloch_to_matrix(*b0))],
+                                   t_end=2.0, n_steps=4000, record_every=400)
     for t, state in zip(traj.times, traj.states):
         exact = two_level_bloch_exact(params, b0, t)
         assert np.max(np.abs(np.array(matrix_to_bloch(state)) - exact)) < 1e-9
@@ -548,8 +543,8 @@ def test_bloch_exact_matches_trajectory_randomized():
                                 a1=coeffs[0], b1=coeffs[1], a2=coeffs[2], b2=coeffs[3])
         spectrum, jumps = two_level_system(params)
         b0 = tuple(rng.uniform(-0.28, 0.28, 3))  # keep |r| < 1/2 so the state is physical
-        traj = integrate_trajectory(spectrum, jumps, DensityMatrix(bloch_to_matrix(*b0)),
-                                    t_end=4.0, n_steps=800, record_every=200)
+        (traj,) = integrate_trajectory(spectrum, jumps, [DensityMatrix(bloch_to_matrix(*b0))],
+                                       t_end=4.0, n_steps=800, record_every=200)
         exact = two_level_bloch_exact(params, b0, traj.times)
         numeric = np.array([matrix_to_bloch(s) for s in traj.states]).T
         assert np.max(np.abs(exact - numeric)) < 1e-6
@@ -568,8 +563,8 @@ def test_decay_rate_fit():
     spectrum, jumps = two_level_system(params)
     rho0 = DensityMatrix(bloch_to_matrix(0.1, 0.1, -0.3))
     t_end = 10.0 / params.decay_sum
-    traj = integrate_trajectory(spectrum, jumps, rho0, t_end=t_end,
-                                n_steps=int(t_end / 0.005), record_every=20)
+    (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=t_end,
+                                   n_steps=int(t_end / 0.005), record_every=20)
     r3 = np.array([matrix_to_bloch(s)[2] for s in traj.states])
     rate = fit_exponential_rate(traj.times, r3, params.asymmetry / params.decay_sum,
                                 window=(0.0, 0.4), floor=1e-9)
@@ -630,11 +625,11 @@ def test_three_way_agreement_random_model():
     rng = np.random.default_rng(55)
     spectrum, jumps = random_nondegenerate_model(rng, dim=3, coupling=0.1)
     family = run_pointer_scheme(spectrum, jumps, max_order=2)
-    steady = steady_state_basis(vectorize_liouvillian(spectrum, jumps))
+    steady = steady_state_basis(spectrum, jumps)
     rho0 = random_density_matrix(3, rng)
     # slow relaxation ~ coupling^2 demands a long horizon
-    traj = integrate_trajectory(spectrum, jumps, rho0, t_end=1000.0, n_steps=50000,
-                                record_every=50000)
+    (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=1000.0, n_steps=50000,
+                                   record_every=50000)
     end = traj.final_state.matrix
     assert point_to_affine_distance(end, steady.physical_member,
                                     list(steady.physical_directions)) < 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fgkls import run_pointer_scheme, steady_state_basis, vectorize_liouvillian
+from fgkls import run_pointer_scheme, steady_state_basis
 from fgkls.exact import point_to_affine_distance
 from fgkls.models import (
     CompositeIndex,
@@ -107,7 +107,7 @@ def test_two_level_model_and_exact_pointers():
     spectrum, jumps = build_two_level(1.0, 2.0, 0.4, 0.0)
     fam = run_pointer_scheme(spectrum, jumps, max_order=1)
     assert np.allclose(fam.evaluate(1.0), np.diag([1.0, 0.0]), atol=1e-14)
-    steady = steady_state_basis(vectorize_liouvillian(spectrum, jumps))
+    steady = steady_state_basis(spectrum, jumps)
     assert steady.kernel_dim == 1
     assert np.max(np.abs(steady.physical_member - np.diag([1.0, 0.0]))) < 1e-12
 

@@ -7,7 +7,6 @@ from fgkls import (
     classify_pairs,
     stationarity_residual,
     steady_state_basis,
-    vectorize_liouvillian,
 )
 from fgkls.core import _hermitian_block
 from fgkls.exact import hermitian_affine_distance
@@ -405,7 +404,7 @@ def test_oracle_equivalence_random_models():
         family = run_pointer_scheme(spectrum, jumps, max_order=0)
         constants = []
         for lam in (0.1, 0.05):
-            steady = steady_state_basis(vectorize_liouvillian(spectrum, [lam * L for L in jumps]))
+            steady = steady_state_basis(spectrum, [lam * L for L in jumps])
             dist = hermitian_affine_distance(family.evaluate(lam), family.affine_directions(),
                                              steady.physical_member,
                                              list(steady.physical_directions))
