@@ -28,6 +28,7 @@ from .core import (
     weak_coupling_ratio,
 )
 from .exact import (
+    EmptyKernelError,
     StepSizeError,
     SteadyStateSet,
     Trajectory,
@@ -38,6 +39,7 @@ from .exact import (
     integrate_trajectory,
     point_to_affine_distance,
     steady_state_basis,
+    steady_state_basis_svd,
     two_level_bloch_exact,
     two_level_system,
     verify_identity_72,

@@ -10,8 +10,10 @@ Each run writes `report.json` (machine readable, byte-stable across reruns)
 and `report.txt` (human readable, includes timing and, per lambda, the number
 of real Liouvillian blocks and the largest block the exact oracle solved, and
 the kernel margin: the largest kept and smallest rejected singular value over
-the largest one, next to the cutoff) into the output directory, plus
-`trajectory_<seed>.csv` files when trajectories are integrated.
+the largest one, next to the cutoff, or "<=" and ">=" bounds on the two where
+the oracle certified a one-block kernel without singular values) into the
+output directory, plus `trajectory_<seed>.csv` files when trajectories are
+integrated.
 
 `report.json` holds exactly the bytes of `json.dumps(report, sort_keys=True,
 indent=2) + "\n"`: sorted keys, 2-space indent, floats as `repr`, NaN and
@@ -51,12 +53,15 @@ from .core import (
     weak_coupling_ratio,
 )
 from .exact import (
+    KERNEL_MARGIN,
+    EmptyKernelError,
     StepSizeError,
     SteadyStateSet,
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
     steady_state_basis,
+    steady_state_basis_svd,
 )
 from .models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 from .perturbation import PointerFamily, SchemeFailure, run_pointer_scheme
@@ -72,7 +77,10 @@ DEFAULT_ENDPOINT_DISTANCE_MAX = 1e-6
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; the message is anchored to the offending location."""
+    """Invalid configuration, or a run it cannot carry out; exits 1.
+
+    The message is anchored to the offending location where there is one.
+    """
 
 
 @dataclass
@@ -407,12 +415,23 @@ def cmd_pointer(config: RunConfig) -> tuple[int, dict]:
     return code, report
 
 
-def _exact_for_lambda(config: RunConfig, lam: float) -> SteadyStateSet:
+def _exact_for_lambda(config: RunConfig, lam: float,
+                      oracle=steady_state_basis) -> SteadyStateSet:
+    """The exact `oracle` at `lam`; its failed checks exit 1.
+
+    An empty kernel is a tol_kernel error; the other checks name no key.
+    """
     jumps = [lam * L for L in config.jumps]
-    return steady_state_basis(config.spectrum, jumps, tol_kernel=config.tol_kernel)
+    try:
+        return oracle(config.spectrum, jumps, tol_kernel=config.tol_kernel)
+    except EmptyKernelError as err:
+        raise ConfigError(f"config error at tolerances.tol_kernel: at lambda {lam:g}, "
+                          f"{err}") from err
+    except RuntimeError as err:
+        raise ConfigError(f"exact oracle at lambda {lam:g}: {err}") from err
 
 
-OracleRow = tuple[float, int, int, float, float, float | None]
+OracleRow = tuple[float, int, int, float, float, float | None, bool]
 
 
 def _oracle_blocks(lam: float, steady: SteadyStateSet) -> OracleRow:
@@ -420,15 +439,16 @@ def _oracle_blocks(lam: float, steady: SteadyStateSet) -> OracleRow:
 
     (lambda, number of real Liouvillian blocks, largest block, kernel cutoff,
     then `SteadyStateSet.kernel_margin`: the largest kept and smallest
-    rejected singular value over the largest one, None when none is rejected.)
+    rejected singular value over the largest one, None when none is rejected,
+    and `margin_is_bound`: whether the two are bounds from the certificate.)
     """
     return (lam, len(steady.block_sizes), max(steady.block_sizes), steady.tol_kernel,
-            *steady.kernel_margin)
+            *steady.kernel_margin, steady.margin_is_bound)
 
 
 def cmd_exact(config: RunConfig) -> tuple[int, dict]:
     report = _base_report("exact", config)
-    steady = _exact_for_lambda(config, 1.0)
+    steady = _exact_for_lambda(config, 1.0, steady_state_basis_svd)
     report["_oracle_blocks"] = [_oracle_blocks(1.0, steady)]
     residual = stationarity_residual(config.spectrum, config.jumps, steady.physical_member)
     report["exact"] = {
@@ -695,11 +715,12 @@ def _text_report(report: dict, elapsed: float, oracle_blocks: list[OracleRow]) -
         for lam, count, largest, *_ in oracle_blocks:
             lines.append(f"{lam:<6g} | {count:18d} | {largest:13d}")
         lines.append("lambda | kernel cutoff | largest kept / s_max | smallest rejected / s_max")
-        for lam, _, _, cutoff, kept, rejected in oracle_blocks:
-            shown = "-" if rejected is None else f"{rejected:.3e}"
-            lines.append(f"{lam:<6g} | {cutoff:13.3e} | {kept:20.3e} | {shown:>25}")
-        for lam, _, _, cutoff, _, rejected in oracle_blocks:
-            if rejected is not None and rejected < 1e3 * cutoff:
+        for lam, _, _, cutoff, kept, rejected, bound in oracle_blocks:
+            kept_shown = f"<= {kept:.3e}" if bound else f"{kept:.3e}"
+            shown = "-" if rejected is None else f"{'>= ' if bound else ''}{rejected:.3e}"
+            lines.append(f"{lam:<6g} | {cutoff:13.3e} | {kept_shown:>20} | {shown:>25}")
+        for lam, _, _, cutoff, _, rejected, _ in oracle_blocks:
+            if rejected is not None and rejected < KERNEL_MARGIN * cutoff:
                 lines.append(f"note: at lambda {lam:g} the smallest rejected singular value is "
                              f"within 1e3 of the kernel cutoff; the kernel dimension depends on "
                              f"tol_kernel there")

@@ -6,11 +6,15 @@ Three independent routes are provided; the first two take the model
 * the null space of the vectorized Liouvillian (every exact steady state, as
   an affine trace-1 slice of the kernel span), in real Hermitian coordinates,
   block by block over the components of the superoperator's nonzero pattern:
+  a single block is first certified to have a one-vector kernel from the
+  inverse of its matrix bordered by the trace row (`steady_state_basis`;
+  `steady_state_basis_svd` keeps every singular value instead); otherwise
   values-only SVDs and one kernel cutoff relative to the largest singular
-  value of all blocks decide each block's kernel dimension, a solve bordered
-  by the trace row gives a block's single kernel vector, only other kernel
-  blocks take a full SVD, and each kernel element is checked against the
-  direct generator; the result records the cutoff and its margin;
+  value of all blocks decide each block's kernel dimension, a solve
+  bordered by the trace row gives a block's single kernel vector, and only
+  other kernel blocks take a full SVD; each kernel element is checked
+  against the direct generator, and the result records the cutoff and its
+  margin;
 * fixed-step Runge-Kutta integration of the FGKLS equation in the time
   domain, confirming that pointers are attractors: the RK4 step is applied
   as a propagator per real Liouvillian block, raised to the recording
@@ -45,8 +49,10 @@ __all__ = [
     "SteadyStateSet",
     "Trajectory",
     "TwoLevelParams",
+    "EmptyKernelError",
     "StepSizeError",
     "steady_state_basis",
+    "steady_state_basis_svd",
     "integrate_trajectory",
     "default_step",
     "two_level_bloch_exact",
@@ -58,6 +64,12 @@ __all__ = [
 ]
 
 
+# the certificate demands this headroom between a rejected singular value and
+# the kernel cutoff; report.txt notes a smaller one, where the kernel
+# dimension depends on tol_kernel
+KERNEL_MARGIN = 1e3
+
+
 @dataclass(frozen=True)
 class SteadyStateSet:
     """Hermitian basis of the Liouvillian kernel plus its physical trace-1 slice.
@@ -65,30 +77,30 @@ class SteadyStateSet:
     `block_sizes` are the sizes of the independent real blocks (a vec index
     and its mirror share one) of the kernel search, in the order solved.
     `tol_kernel` is the relative cutoff that decided the kernel dimension.
+    `singular_values` holds all D^2 singular values of the Liouvillian in
+    descending order, or None when the kernel was certified without them.
+    `kernel_margin` is (largest kept, smallest rejected) singular value over
+    the largest one, kept meaning counted as kernel under `tol_kernel`; the
+    rejected value is None when every value is kept.  Without singular
+    values (`margin_is_bound`) the pair is the certificate's bounds on the
+    true values: kept from above, rejected from below.
     """
 
     basis: tuple[np.ndarray, ...]
     physical_member: np.ndarray
     physical_directions: tuple[np.ndarray, ...]
-    singular_values: np.ndarray
+    singular_values: np.ndarray | None
     block_sizes: tuple[int, ...]
     tol_kernel: float
+    kernel_margin: tuple[float, float | None]
 
     @property
     def kernel_dim(self) -> int:
         return len(self.basis)
 
     @property
-    def kernel_margin(self) -> tuple[float, float | None]:
-        """(largest kept, smallest rejected) singular value over the largest one.
-
-        Kept means counted as kernel under `tol_kernel`; the rejected value is
-        None when every value is kept.
-        """
-        s = self.singular_values
-        kept = _is_kernel(s, s[0], self.tol_kernel)
-        rel = s / s[0] if s[0] > 0 else s
-        return float(rel[kept][0]), None if kept.all() else float(rel[~kept][-1])
+    def margin_is_bound(self) -> bool:
+        return self.singular_values is None
 
 
 def _connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -157,8 +169,57 @@ def _is_kernel(s: np.ndarray, smax: float, tol_kernel: float) -> np.ndarray:
     return (s < tol_kernel * smax) | (s == 0.0)
 
 
+class EmptyKernelError(RuntimeError):
+    """No singular value of the Liouvillian lies below the kernel cutoff."""
+
+
+def _bordered(sub: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """The bordered matrices [[R, t], [t^T, 0]] of blocks R (B, n, n) and rows t (B, n)."""
+    count, n, _ = sub.shape
+    bordered = np.zeros((count, n + 1, n + 1))
+    bordered[:, :n, :n] = sub
+    bordered[:, :n, n] = bordered[:, n, :n] = trace
+    return bordered
+
+
+def _certified_kernel(sub: np.ndarray, trace: np.ndarray, tol_kernel: float
+                      ) -> tuple[np.ndarray, tuple[float, tuple[float, float]] | None]:
+    """Try to certify the kernel of one real block R (n, n) without its SVD.
+
+    With t the trace row, B = [[R, t], [t^T, 0]] and x = B^-1[:n, n]
+    normalised, low = 1 / ||B^-1||_F <= sigma_min(B) <= sigma_2(R), since a
+    unit x' in the span of R's two smallest right singular vectors has
+    t^T x' = 0.  s_max lies between lo, R's largest column norm, and
+    hi = sqrt(||R||_1 ||R||_inf) (Higham, Accuracy and Stability of Numerical
+    Algorithms, chs. 6 and 15).  R's kernel under tol_kernel * s_max is
+    span(x) when low > KERNEL_MARGIN * tol_kernel * hi and
+    ||R x|| <= tol_kernel * lo.  Returns (B^-1[:n, n], certificate), the
+    first NaN when B is singular; the certificate is
+    (lo, (||R x|| / lo, low / hi)), the pair bounding the kept value from
+    above and the rejected one from below, over s_max, or None when x is not
+    finite or a bound misses.
+    """
+    n = sub.shape[0]
+    try:
+        inverse = np.linalg.inv(_bordered(sub[None], trace[None])[0])
+    except np.linalg.LinAlgError:
+        return np.full(n, np.nan), None
+    solved = inverse[:n, n]
+    if not np.isfinite(solved).all():
+        return solved, None
+    x = solved / np.linalg.norm(solved)
+    low = 1.0 / float(np.linalg.norm(inverse))
+    hi = math.sqrt(float(np.linalg.norm(sub, 1)) * float(np.linalg.norm(sub, np.inf)))
+    lo = float(np.linalg.norm(sub, axis=0).max())
+    residual = float(np.linalg.norm(sub @ x))
+    # lo = 0 only for the zero 1 x 1 block of a one-level model, left to the SVD
+    if lo > 0 and low > KERNEL_MARGIN * tol_kernel * hi and residual <= tol_kernel * lo:
+        return solved, (lo, (residual / lo, low / hi))
+    return solved, None
+
+
 def _kernel_coordinates(sub: np.ndarray, trace: np.ndarray, counts: np.ndarray,
-                        cutoff: float) -> dict[int, np.ndarray]:
+                        cutoff: float, solved: np.ndarray | None) -> dict[int, np.ndarray]:
     """Kernel coordinates of the real blocks `sub` (B, n, n), keyed by block.
 
     counts[b] is block b's number of kernel singular values; the result maps
@@ -168,23 +229,24 @@ def _kernel_coordinates(sub: np.ndarray, trace: np.ndarray, counts: np.ndarray,
     bordered matrix [[R, t], [t^T, 0]] is nonsingular exactly when R's kernel
     is one vector x of nonzero trace, and [R, t; t^T, 0] [x; mu] = [0; 1]
     gives it.  Blocks with one kernel value and a trace coordinate get x from
-    one stacked solve; x is kept when it is finite and |R x| <= cutoff after
-    normalisation.  Every other block with a kernel (none of those, a failed
-    solve or check) takes the right singular vectors of its full SVD.
+    one stacked solve, or from `solved` (B, n) when the caller has it; x is
+    kept when it is finite and |R x| <= cutoff after normalisation.  Every
+    other block with a kernel (none of those, a failed solve or check) takes
+    the right singular vectors of its full SVD.
     """
     n = sub.shape[1]
     coords = {}
     single = np.flatnonzero((counts == 1) & trace.any(axis=1))
     if single.size:
-        bordered = np.zeros((single.size, n + 1, n + 1))
-        bordered[:, :n, :n] = sub[single]
-        bordered[:, :n, n] = bordered[:, n, :n] = trace[single]
-        rhs = np.zeros((single.size, n + 1, 1))
-        rhs[:, n] = 1.0
-        try:
-            x = np.linalg.solve(bordered, rhs)[:, :n, 0]
-        except np.linalg.LinAlgError:
-            x = np.full((single.size, n), np.nan)
+        if solved is not None:
+            x = solved[single]
+        else:
+            rhs = np.zeros((single.size, n + 1, 1))
+            rhs[:, n] = 1.0
+            try:
+                x = np.linalg.solve(_bordered(sub[single], trace[single]), rhs)[:, :n, 0]
+            except np.linalg.LinAlgError:
+                x = np.full((single.size, n), np.nan)
         with np.errstate(over="ignore", invalid="ignore"):
             x /= np.linalg.norm(x, axis=1, keepdims=True)
             residual = np.linalg.norm(np.matmul(sub[single], x[..., None])[..., 0], axis=1)
@@ -201,34 +263,72 @@ def steady_state_basis(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
                        tol_kernel: float = DEFAULT_TOLERANCES.kernel) -> SteadyStateSet:
     """Exact steady states of the model: the kernel of its Liouvillian M.
 
+    When M has a single real block (`_real_blocks`), `_certified_kernel`
+    first tries to certify that its kernel is one vector; a certified block
+    takes no SVD, `singular_values` is None, `kernel_margin` holds the
+    certificate's bounds, and its lower bound on s_max stands for s_max
+    below.  Otherwise the kernel is decided as in `steady_state_basis_svd`,
+    and a single block's bordered solution comes from the inverse already
+    taken.  Members whose direct generator residual (`stationarity_residual`)
+    exceeds tol_kernel times max(s_max, 1) are dropped.  The physical slice
+    is the trace-1 affine subset of the kernel span: one member and
+    traceless directions.
+    """
+    return _steady_states(spectrum, jumps, tol_kernel, certify=True)
+
+
+def steady_state_basis_svd(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
+                           tol_kernel: float = DEFAULT_TOLERANCES.kernel) -> SteadyStateSet:
+    """`steady_state_basis` decided from all D^2 singular values, with no certificate.
+
     M's real blocks (`_real_blocks`) of equal size get one stacked
     values-only SVD.  A singular value is kernel when it is zero or below
     tol_kernel times the largest one over all blocks (one global cutoff),
     which fixes each block's kernel dimension.  The kernel coordinates come
     from `_kernel_coordinates`: a bordered solve with the trace row for a
     block with one kernel value, the block's full SVD otherwise.  They give
-    Hermitian, Frobenius-orthonormal matrices.  Members whose direct
-    generator residual (`stationarity_residual`) exceeds tol_kernel times
-    max(s_max, 1) are dropped.  The physical slice is the trace-1 affine
-    subset of the kernel span: one member and traceless directions.
-    `singular_values` holds all D^2 singular values in descending order, and
-    `kernel_margin` the values on either side of the cutoff.
+    Hermitian, Frobenius-orthonormal matrices.  `singular_values` holds the
+    D^2 values in descending order and `kernel_margin` the values on either
+    side of the cutoff.  `fgkls exact` prints the smallest values, so it
+    takes this route, which costs what the SVD route costs and no inverse.
     """
+    return _steady_states(spectrum, jumps, tol_kernel, certify=False)
+
+
+def _steady_states(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], tol_kernel: float,
+                   certify: bool) -> SteadyStateSet:
+    """The body of `steady_state_basis` (certify) and `steady_state_basis_svd`."""
     d = spectrum.dim
     unknowns, scale, _, _ = _vec_coordinates(d)
-    spectra = [(idx, sub, np.linalg.svd(sub, compute_uv=False))
-               for idx, sub in _real_blocks(spectrum, jumps)]
-    s = np.sort(np.concatenate([sv.ravel() for _, _, sv in spectra]))[::-1]
-    smax = s[0]
-    candidates = []
-    for idx, sub, sv in spectra:
-        counts = _is_kernel(sv, smax, tol_kernel).sum(axis=1)
-        trace = (unknowns[idx, 0] == 0).astype(float)
-        coords = _kernel_coordinates(sub, trace, counts, tol_kernel * smax)
-        for b in sorted(coords):
-            candidates += list(_scatter(d, unknowns[idx[b]], scale[idx[b]] * coords[b]))
-    if not candidates:
-        raise RuntimeError("empty Liouvillian kernel: superoperator assembly is inconsistent")
+    blocks = list(_real_blocks(spectrum, jumps))
+    solved = certificate = s = None
+    if certify and len(blocks) == 1 and blocks[0][0].shape[0] == 1:
+        (idx,), (sub,) = blocks[0]
+        solved, certificate = _certified_kernel(sub, (unknowns[idx, 0] == 0).astype(float),
+                                                tol_kernel)
+    if certificate is not None:
+        smax, margin = certificate
+        x = solved / np.linalg.norm(solved)
+        candidates = list(_scatter(d, unknowns[idx], scale[idx] * x[None]))
+    else:
+        spectra = [np.linalg.svd(sub, compute_uv=False) for _, sub in blocks]
+        s = np.sort(np.concatenate([sv.ravel() for sv in spectra]))[::-1]
+        smax = s[0]
+        candidates = []
+        for (idx, sub), sv in zip(blocks, spectra):
+            counts = _is_kernel(sv, smax, tol_kernel).sum(axis=1)
+            trace = (unknowns[idx, 0] == 0).astype(float)
+            coords = _kernel_coordinates(sub, trace, counts, tol_kernel * smax,
+                                         None if solved is None else solved[None])
+            for b in sorted(coords):
+                candidates += list(_scatter(d, unknowns[idx[b]], scale[idx[b]] * coords[b]))
+        if not candidates:
+            raise EmptyKernelError(f"empty Liouvillian kernel: no singular value is below "
+                                   f"tol_kernel {tol_kernel:g} times s_max; the smallest is "
+                                   f"{s[-1] / smax:.3e} of s_max")
+        kept = _is_kernel(s, smax, tol_kernel)
+        rel = s / smax if smax > 0 else s
+        margin = float(rel[kept][0]), None if kept.all() else float(rel[~kept][-1])
 
     cutoff = tol_kernel * max(smax, 1.0)
     basis = [b for b in candidates if stationarity_residual(spectrum, jumps, b) <= cutoff]
@@ -245,10 +345,10 @@ def steady_state_basis(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
         _, _, vt = np.linalg.svd(traces[None, :], full_matrices=True)
         for row in vt[1:]:
             directions.append(sum(c * b for c, b in zip(row, basis)))
-    block_sizes = tuple(idx.shape[1] for idx, _, _ in spectra for _block in idx)
+    block_sizes = tuple(idx.shape[1] for idx, _ in blocks for _block in idx)
     return SteadyStateSet(basis=tuple(basis), physical_member=member,
                           physical_directions=tuple(directions), singular_values=s,
-                          block_sizes=block_sizes, tol_kernel=tol_kernel)
+                          block_sizes=block_sizes, tol_kernel=tol_kernel, kernel_margin=margin)
 
 
 class StepSizeError(RuntimeError):

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import fgkls.exact
 from fgkls.cli import (
     EXIT_CONFIG,
     EXIT_NO_SOLUTION,
@@ -16,7 +17,7 @@ from fgkls.cli import (
     load_config,
     main,
 )
-from fgkls.exact import steady_state_basis
+from fgkls.exact import steady_state_basis, steady_state_basis_svd
 from fgkls.models import build_two_level
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
 
@@ -217,6 +218,50 @@ def test_text_report_lists_oracle_blocks(tmp_path):
     assert [field.strip() for field in lines[start + 1].split("|")] == ["1", "2", "2"]
     start = lines.index(MARGIN_HEADER)
     assert [field.strip() for field in lines[start + 1].split("|")] == expected[0]
+
+    # a dense model's Liouvillian is one block, certified without singular
+    # values: its rows are bounds on the kept and rejected values
+    cfg = write_config(tmp_path, "dense.json", DENSE_3)
+    assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
+    lines = (out / "report.txt").read_text().splitlines()
+    start = lines.index(MARGIN_HEADER)
+    rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
+    expected = []
+    model = load_config(cfg)
+    for lam in (1.0, 0.5):
+        jumps = [lam * L for L in model.jumps]
+        s = steady_state_basis(model.spectrum, jumps)
+        kept, rejected = s.kernel_margin
+        assert s.margin_is_bound and s.block_sizes == (9,)
+        values = steady_state_basis_svd(model.spectrum, jumps).singular_values
+        assert kept < 1e-10 <= rejected <= values[-2] / values[0]
+        expected.append([f"{lam:g}", "1.000e-10", f"<= {kept:.3e}", f">= {rejected:.3e}"])
+    assert rows == expected
+    assert not any("within 1e3 of the kernel cutoff" in line for line in lines)
+    report = (out / "report.json").read_text()
+    assert "<=" not in report and ">=" not in report and "margin" not in report
+    # `exact` prints the smallest singular values, so it takes them all and
+    # its row holds the values themselves
+    assert main(["exact", cfg, "--out", str(out)]) == EXIT_OK
+    lines = (out / "report.txt").read_text().splitlines()
+    start = lines.index(MARGIN_HEADER)
+    values = steady_state_basis_svd(model.spectrum, model.jumps).singular_values
+    rel = values / values[0]
+    assert [field.strip() for field in lines[start + 1].split("|")] == [
+        "1", "1.000e-10", f"{rel[-1]:.3e}", f"{rel[-2]:.3e}"]
+
+
+# a three-level model with one dense jump: its Liouvillian is one real block
+DENSE_3 = {
+    "model": "custom",
+    "custom": {"energies": [0.5, 1.3, 2.4],
+               "jumps": [[[[0.41, -0.51], [0.08, -0.11], [-0.09, -0.04]],
+                          [[-0.4, -0.05], [-0.17, 0.66], [0.05, -0.07]],
+                          [[-0.06, -0.13], [-0.21, -0.08], [0.1, -0.05]]]]},
+    "max_order": 2,
+    "lambda_values": [1.0, 0.5],
+    "thresholds": {"family_distance": 1.0},
+}
 
 
 MARGIN_HEADER = "lambda | kernel cutoff | largest kept / s_max | smallest rejected / s_max"
@@ -443,6 +488,30 @@ def test_negative_config_seed_rejected(tmp_path, capsys):
     for command in ("evolve", "compare"):
         assert main([command, cfg, "--out", str(tmp_path)]) == EXIT_CONFIG, command
         assert "config error at evolve.seeds:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exact", "compare"])
+@pytest.mark.parametrize("payload", [TWO_LEVEL, DENSE_3], ids=["two_level", "dense_3"])
+def test_tiny_tol_kernel_is_a_config_error(tmp_path, capsys, command, payload):
+    # no singular value lies below 1e-300 of s_max, so the oracle finds no
+    # kernel; that used to end in a RuntimeError traceback
+    cfg = write_config(tmp_path, "cfg.json", dict(payload, tolerances={"tol_kernel": 1e-300}))
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config error at tolerances.tol_kernel: at lambda 1, ")
+    assert "tol_kernel 1e-300 times s_max; the smallest is " in err and err.endswith(" of s_max\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_oracle_check_exits_without_key_path(tmp_path, capsys, monkeypatch):
+    # the direct-generator check rejects every kernel element; that is not
+    # the fault of tol_kernel, so the message names no config key
+    monkeypatch.setattr(fgkls.exact, "stationarity_residual", lambda *args: np.inf)
+    cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
+    assert main(["exact", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: exact oracle at lambda 1: no Hermitian kernel element below the residual cutoff\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_env_seed_rejected(tmp_path, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from fgkls import (
 )
 from fgkls.core import _orthonormal_span
 from fgkls.exact import (
+    EmptyKernelError,
     StepSizeError,
     Trajectory,
     TwoLevelParams,
@@ -26,10 +27,12 @@ from fgkls.exact import (
     integrate_trajectory,
     point_to_affine_distance,
     steady_state_basis,
+    steady_state_basis_svd,
     two_level_bloch_exact,
     two_level_system,
     verify_identity_72,
 )
+from fgkls.exact import _certified_kernel
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import random_nondegenerate_model, rk4_reference
@@ -142,6 +145,7 @@ def test_block_kernel_matches_dense_reference(case):
     steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
     assert len(steady.block_sizes) > 1 and sum(steady.block_sizes) == superop.dim
+    assert not steady.margin_is_bound
     assert steady.kernel_dim == len(basis_ref) == expected_dim
     assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
                                      member_ref, dirs_ref) < 1e-12
@@ -162,31 +166,46 @@ def test_one_block_kernel_matches_dense_reference():
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
     assert steady.block_sizes == (36,)
     assert steady.kernel_dim == len(basis_ref) == 1
+    assert steady.margin_is_bound and steady.singular_values is None
     assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
                                      member_ref, dirs_ref) < 1e-12
-    assert np.max(np.abs(steady.singular_values - s_ref)) <= 1e-12 * s_ref[0]
+    _assert_svd_route_matches(spectrum, jumps, steady, s_ref)
 
 
 def test_one_block_dense_D12_kernel_matches_dense_reference():
-    spectrum, jumps = random_nondegenerate_model(np.random.default_rng(12), dim=12, n_jumps=2,
-                                                 coupling=0.3)
+    spectrum, jumps = dense_D12_case()
     superop = vectorize_liouvillian(spectrum, jumps)
     steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
     assert steady.block_sizes == (144,)
     assert steady.kernel_dim == len(basis_ref) == 1
+    assert steady.margin_is_bound and steady.singular_values is None
     assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
                                      member_ref, dirs_ref) < 1e-12
-    assert np.max(np.abs(steady.singular_values - s_ref)) <= 1e-12 * s_ref[0]
+    _assert_svd_route_matches(spectrum, jumps, steady, s_ref)
 
 
-def _record_vector_svds(monkeypatch):
-    """Shapes of the SVDs that compute singular vectors, recorded while patched."""
+def _assert_svd_route_matches(spectrum, jumps, steady, s_ref):
+    """`steady_state_basis_svd` keeps every singular value and finds the same kernel."""
+    full = steady_state_basis_svd(spectrum, jumps)
+    assert not full.margin_is_bound and full.block_sizes == steady.block_sizes
+    assert full.singular_values.shape == s_ref.shape
+    assert np.max(np.abs(full.singular_values - s_ref)) <= 1e-12 * s_ref[0]
+    assert full.kernel_dim == steady.kernel_dim
+    assert hermitian_affine_distance(full.physical_member, full.physical_directions,
+                                     steady.physical_member, steady.physical_directions) < 1e-12
+
+
+def _record_svds(monkeypatch, values_only=False):
+    """Shapes of the SVDs called while patched.
+
+    Those that compute singular vectors, or with `values_only` those that do not.
+    """
     shapes = []
     real_svd = np.linalg.svd
 
     def recording(a, *args, **kwargs):
-        if kwargs.get("compute_uv", True):
+        if kwargs.get("compute_uv", True) != values_only:
             shapes.append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
@@ -197,9 +216,115 @@ def _record_vector_svds(monkeypatch):
 def test_one_block_kernel_takes_no_svd_with_vectors(monkeypatch):
     # one kernel value with a trace coordinate: the bordered solve gives the vector
     spectrum, jumps = dense_case()
-    shapes = _record_vector_svds(monkeypatch)
+    shapes = _record_svds(monkeypatch)
     assert steady_state_basis(spectrum, jumps).kernel_dim == 1
     assert shapes == []
+
+
+def dense_D12_case():
+    return random_nondegenerate_model(np.random.default_rng(12), dim=12, n_jumps=2, coupling=0.3)
+
+
+def dense_D8_case(seed):
+    return random_nondegenerate_model(np.random.default_rng(seed), dim=8, n_jumps=1, coupling=0.5)
+
+
+def weak_dense_case():
+    """A weakly coupled one-block model that the certificate cannot decide.
+
+    Its smallest rejected singular value, 1.6e-9 of s_max, lies within
+    KERNEL_MARGIN of the 1e-10 cutoff.
+    """
+    return random_nondegenerate_model(np.random.default_rng(0), dim=6, n_jumps=2, coupling=3e-5)
+
+
+@pytest.mark.parametrize("build", [dense_case, lambda: dense_D8_case(0)], ids=["D6", "D8"])
+def test_one_block_kernel_is_certified_without_svd(monkeypatch, build):
+    spectrum, jumps = build()
+    shapes = _record_svds(monkeypatch)
+    values = _record_svds(monkeypatch, values_only=True)
+    steady = steady_state_basis(spectrum, jumps)
+    assert shapes == values == [] and steady.margin_is_bound
+    assert steady.singular_values is None
+    monkeypatch.undo()
+    _assert_matches_dense_reference(spectrum, jumps, steady)
+
+
+@pytest.mark.parametrize("build", [dense_case, lambda: dense_D8_case(0), lambda: dense_D8_case(1),
+                                   lambda: worked_case(1.0)],
+                         ids=["D6", "D8_0", "D8_1", "worked_4x4_lam_1"])
+def test_certified_margin_bounds_the_singular_values(build):
+    spectrum, jumps = build()
+    steady = steady_state_basis(spectrum, jumps)
+    s = np.linalg.svd(vectorize_liouvillian(spectrum, jumps).matrix, compute_uv=False)
+    rel = s / s[0]
+    kept, rejected = steady.kernel_margin
+    if not steady.margin_is_bound:
+        # several blocks: the margin is read off the singular values
+        assert len(steady.block_sizes) > 1
+        assert kept == pytest.approx(rel[-1], abs=1e-15) and rejected == pytest.approx(rel[-2])
+        return
+    assert steady.kernel_dim == 1
+    assert rejected <= rel[-2]
+    # the SVD finds the smallest value only to about n eps of s_max
+    assert kept >= rel[-1] - s.size * np.finfo(float).eps
+
+
+def test_certificate_bounds_are_sharp_on_known_singular_values():
+    # R = U diag(s) V^T with u_n = v_n: the bordered inverse gives x = v_n
+    # exactly, so ||R x|| = s_n and the bounds can be checked against s
+    rng = np.random.default_rng(0)
+    n = 8
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+    v = u.copy()
+    v[:, :-1] = u[:, :-1] @ w
+    s = np.array([3.0, 2.0, 1.5, 1.2, 1.0, 0.8, 1e-4, 1e-12])
+    sub = (u * s) @ v.T
+    solved, (lo, (kept, rejected)) = _certified_kernel(sub, u[:, -1], 1e-10)
+    assert abs(solved @ v[:, -1]) / np.linalg.norm(solved) == pytest.approx(1.0, abs=1e-12)
+    assert lo <= s[0]
+    assert s[-1] / s[0] <= kept <= 1e-10
+    assert 1e3 * 1e-10 < rejected <= s[-2] / s[0]
+
+
+def test_one_block_kernel_near_cutoff_falls_back_to_svd(monkeypatch):
+    spectrum, jumps = weak_dense_case()
+    values = _record_svds(monkeypatch, values_only=True)
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+    steady = steady_state_basis(spectrum, jumps)
+    assert values == [(1, 36, 36)] and not steady.margin_is_bound
+    # the kernel vector is the one the certificate's inverse already gave
+    assert solves == []
+    monkeypatch.undo()
+    s_ref, basis_ref, member_ref, _ = dense_steady_reference(
+        vectorize_liouvillian(spectrum, jumps))
+    assert 1e-10 < s_ref[-2] / s_ref[0] < 1e-7
+    assert steady.kernel_margin[1] == pytest.approx(s_ref[-2] / s_ref[0], rel=1e-6)
+    assert steady.kernel_dim == len(basis_ref) == 1
+    # the kernel vector is only as well conditioned as the gap s_2 / s_max
+    assert hermitian_affine_distance(steady.physical_member, (), member_ref, []) < 1e-6
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_failed_certificate_inverse_falls_back_to_svd(monkeypatch, failure):
+    spectrum, jumps = dense_case()
+    real_inv = np.linalg.inv
+
+    def failing(a):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        inverse = real_inv(a)
+        inverse[0, -1] = np.inf
+        return inverse
+
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    values = _record_svds(monkeypatch, values_only=True)
+    steady = steady_state_basis(spectrum, jumps)
+    assert values == [(1, 36, 36)] and not steady.margin_is_bound
+    monkeypatch.undo()
+    _assert_matches_dense_reference(spectrum, jumps, steady)
 
 
 def protected_coherence_case():
@@ -225,7 +350,7 @@ def _assert_matches_dense_reference(spectrum, jumps, steady):
 
 def test_kernel_block_without_trace_coordinate_takes_full_svd(monkeypatch):
     spectrum, jumps = protected_coherence_case()
-    shapes = _record_vector_svds(monkeypatch)
+    shapes = _record_svds(monkeypatch)
     steady = steady_state_basis(spectrum, jumps)
     assert steady.kernel_dim == 2 and steady.block_sizes == (2, 2, 2, 3)
     # the coherence block's full SVD, then the 1 x 2 trace row of the directions
@@ -236,16 +361,20 @@ def test_kernel_block_without_trace_coordinate_takes_full_svd(monkeypatch):
 @pytest.mark.parametrize("failure", ["residual", "singular"])
 @pytest.mark.parametrize("case", ["dense_D6", "worked_4x4_lam_1"])
 def test_kernel_failed_bordered_solve_falls_back_to_full_svd(monkeypatch, failure, case):
+    # the one-block dense case takes its bordered solution from the
+    # certificate's inverse, which fails the same way
     spectrum, jumps = dense_case() if case == "dense_D6" else worked_case(1.0)
-    real_solve = np.linalg.solve
 
-    def failing(a, b):
-        if failure == "singular":
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real_solve(a, b) + 1e-3
+    def failing(real):
+        def call(*args):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(*args) + 1e-3
+        return call
 
-    monkeypatch.setattr(np.linalg, "solve", failing)
-    shapes = _record_vector_svds(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", failing(np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", failing(np.linalg.inv))
+    shapes = _record_svds(monkeypatch)
     steady = steady_state_basis(spectrum, jumps)
     assert steady.kernel_dim == 1
     assert len(shapes) == 1 and shapes[0][0] == 1
@@ -265,6 +394,34 @@ def test_kernel_basis_is_hermitian_and_orthonormal(case):
 def test_kernel_zero_superoperator_is_everything():
     steady = steady_state_basis(EnergySpectrum(np.ones(3)), [])
     assert steady.kernel_dim == 9
+
+
+def test_kernel_one_level_model_is_not_certified():
+    # its one real block is the zero 1 x 1 matrix: no bound on s_max exists
+    steady = steady_state_basis(EnergySpectrum(np.array([1.0])), [])
+    assert steady.kernel_dim == 1 and not steady.margin_is_bound
+    assert steady.kernel_margin == (0.0, None)
+
+
+def test_svd_route_takes_no_inverse(monkeypatch):
+    # `steady_state_basis_svd` keeps every singular value: one values-only
+    # SVD of the one block and one bordered solve, and no certificate
+    spectrum, jumps = dense_case()
+    monkeypatch.setattr(np.linalg, "inv", None)
+    values = _record_svds(monkeypatch, values_only=True)
+    steady = steady_state_basis_svd(spectrum, jumps)
+    assert values == [(1, 36, 36)] and not steady.margin_is_bound
+    assert steady.singular_values.shape == (36,)
+    monkeypatch.undo()
+    _assert_matches_dense_reference(spectrum, jumps, steady)
+
+
+@pytest.mark.parametrize("oracle", [steady_state_basis, steady_state_basis_svd])
+@pytest.mark.parametrize("build", [dense_case, lambda: build_two_level(1.0, 2.0, 1.0, 2.0)],
+                         ids=["dense_D6", "two_level"])
+def test_kernel_cutoff_below_every_value_is_an_empty_kernel(oracle, build):
+    with pytest.raises(EmptyKernelError, match="tol_kernel 1e-300 times s_max"):
+        oracle(*build(), tol_kernel=1e-300)
 
 
 def test_kernel_drops_candidates_the_direct_generator_rejects(monkeypatch):
