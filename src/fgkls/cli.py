@@ -323,11 +323,6 @@ def load_config(path: str, max_order_override: int | None = None,
     )
 
 
-def _encode_matrix(mat: np.ndarray) -> np.ndarray:
-    """The complex matrix that `_json_chunks` writes as rows of [re, im] pairs."""
-    return np.asarray(mat, dtype=complex)
-
-
 def _jumps_all_zero(jumps) -> bool:
     return all(np.max(np.abs(L)) < 1e-15 for L in jumps) if jumps else True
 
@@ -337,10 +332,10 @@ def _family_report(family: PointerFamily) -> dict:
     for oc, dirs, rep in zip(family.orders, family.free_directions, family.rank_reports):
         orders.append({
             "order": oc.order,
-            "coefficients": _encode_matrix(oc.coeff),
+            "coefficients": oc.coeff,
             "trace": float(oc.coeff.trace().real),
             "free_direction_count": len(dirs),
-            "free_directions": [_encode_matrix(v) for v in dirs],
+            "free_directions": list(dirs),
             "rank": rep.rank,
             "rank_augmented": rep.rank_augmented,
             "singular_values": [float(s) for s in rep.singular_values],
@@ -453,7 +448,7 @@ def cmd_exact(config: RunConfig) -> tuple[int, dict]:
     residual = stationarity_residual(config.spectrum, config.jumps, steady.physical_member)
     report["exact"] = {
         "kernel_dim": steady.kernel_dim,
-        "physical_member": _encode_matrix(steady.physical_member),
+        "physical_member": steady.physical_member,
         "physical_direction_count": len(steady.physical_directions),
         "physical_member_residual": residual,
         "smallest_singular_values": [float(s) for s in steady.singular_values[-min(8, steady.singular_values.size):]],
@@ -504,7 +499,7 @@ def cmd_evolve(config: RunConfig) -> tuple[int, dict]:
             "seed": run["seed"],
             "t_end": float(traj.times[-1]),
             "step_size": traj.step_size,
-            "final_state": _encode_matrix(final),
+            "final_state": final,
             "final_residual": stationarity_residual(config.spectrum, config.jumps, final),
             "trace_drift": abs(float(final.trace().real) - 1.0),
         })

@@ -6,8 +6,9 @@ a dense complex matrix.  The module provides the FGKLS generator
 
     rho_dot = -i[H, rho] + sum_a L_a rho L_a^dag - 1/2 {sum_a L_a^dag L_a, rho},
 
-its stationarity residual, the vectorized superoperator form, degeneracy
-classification of the spectrum, and small-dimension Bloch helpers.
+its stationarity residual, its closed form on Hermitian basis elements, the
+dense superoperator as a reference, degeneracy classification of the
+spectrum, and small-dimension Bloch helpers.
 """
 
 from __future__ import annotations
@@ -223,32 +224,36 @@ def dissipator(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
 # Weight w of the Hermitian basis element w E_mn + conj(w) E_nm of each kind:
 # E_mm (kind 0, n = m), E_mn + E_nm (kind 1) and i (E_mn - E_nm) (kind 2).
 _KIND_WEIGHTS = np.array([0.5, 1.0, 1.0j])
+# Weights of the elements whose Frobenius product with Hermitian X is X_mm, Re X_mn, Im X_mn.
+_KIND_READS = np.array([0.5, 0.5, 0.5j])
 
 
-def _hermitian_block(jumps: Sequence[np.ndarray], unknowns: np.ndarray) -> np.ndarray:
-    """Real matrix of the dissipator on Hermitian basis elements, in closed form.
+def _hermitian_block(jumps: Sequence[np.ndarray], g: np.ndarray, rows, cols) -> np.ndarray:
+    """Real matrix of the generator between Hermitian elements, in closed form.
 
-    Row and column i stand for the (kind, m, n) row `unknowns[i]`.  Column j is
-    Diss(B_j) for the basis element B_j of kind 0, 1 or 2 on (m_j, n_j), read
-    at row i as the real part of entry (m_i, n_i) for kinds 0 and 1 and as
-    its imaginary part for kind 2.  Entry (m, n) of Diss(E_pq) is
-    sum_a L[m, p] conj(L[n, q]) - 1/2 K[m, p] delta_nq - 1/2 delta_mp K[q, n].
+    `rows` (m, n, v) and `cols` (p, q, w) are triples of broadcastable index
+    and weight arrays naming the elements v E_mn + conj(v) E_nm and
+    w E_pq + conj(w) E_qp.  Entry [row, col] is the Frobenius product of the
+    row's element with the column's image X, 2 Re(conj(v) X[m, n]).  Entry
+    (m, n) of the image of E_pq is sum_a L[m, p] conj(L[n, q]) +
+    G[m, p] delta_nq + delta_mp conj(G[n, q]), with `g` = G = -iH - K/2 and
+    K = sum_a L^dag L; G = -K/2 gives the dissipator.
     """
-    kind, m, n = np.asarray(unknowns, dtype=int).T
-    w = _KIND_WEIGHTS[kind][None, :]
-    p, q = m[None, :], n[None, :]
-    m, n = m[:, None], n[:, None]
-    out = np.zeros((kind.size, kind.size), dtype=complex)
-    for L in jumps:
-        L = np.asarray(L, dtype=complex)
-        K = L.conj().T @ L
+    m, n, v = rows
+    p, q, w = cols
 
-        def unit(p, q):
-            """Entry (m, n) of this jump's Diss(E_pq)."""
-            return L[m, p] * L[n, q].conj() - 0.5 * (K[m, p] * (n == q) + (m == p) * K[q, n])
+    def image(p, q):
+        """Entry (m, n) of the image of E_pq."""
+        out = g[m, p] * (n == q)
+        out += (m == p) * g[n, q].conj()
+        for L in jumps:
+            out += L[m, p] * L[n, q].conj()
+        return out
 
-        out += w * unit(p, q) + w.conj() * unit(q, p)
-    return np.where(kind[:, None] == 2, out.imag, out.real)
+    z = image(p, q) * w
+    z += image(q, p) * w.conj()
+    z *= v.conj()
+    return 2 * z.real
 
 
 def _scatter(dim: int, unknowns: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -337,15 +342,12 @@ class LiouvillianSuperoperator:
 
 
 def vectorize_liouvillian(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]) -> LiouvillianSuperoperator:
-    """Assemble the superoperator matrix of the FGKLS generator.
+    """The dense superoperator of the FGKLS generator, a reference for the closed form.
 
-    With column stacking, left multiplication by A maps to (I kron A) and
-    right multiplication by A maps to (A^T kron I).  The matrix is filled as a
-    (D, D, D, D) array t[n, m, q, p] = matrix[m + D n, p + D q], without the
-    kron products against the identity: the Hamiltonian sits on the n = q,
-    m = p diagonal, and each jump adds conj(L)[n, q] L[m, p] minus K / 2 on
-    the n = q slice and K^T / 2 on the m = p slice.  Every entry is summed in
-    the same order as in the kron form, so the two matrices are equal.
+    Filled as a (D, D, D, D) array t[n, m, q, p] = matrix[m + D n, p + D q]:
+    the Hamiltonian on the n = q, m = p diagonal, and per jump
+    conj(L)[n, q] L[m, p] minus K / 2 on the n = q slice and K^T / 2 on the
+    m = p slice, summed in the order of the kron form I kron A, A^T kron I.
     """
     d = spectrum.dim
     e = spectrum.energies

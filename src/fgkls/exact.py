@@ -1,24 +1,14 @@
 """Exact references the perturbative pointer construction is validated against.
 
 Three independent routes are provided; the first two take the model
-(spectrum and jumps) and share its Liouvillian's real blocks (`_real_blocks`):
+(spectrum and jumps) and share its Liouvillian's real blocks (`_real_blocks`),
+built in closed form in real Hermitian coordinates:
 
-* the null space of the vectorized Liouvillian (every exact steady state, as
-  an affine trace-1 slice of the kernel span), in real Hermitian coordinates,
-  block by block over the components of the superoperator's nonzero pattern:
-  a single block is first certified to have a one-vector kernel from the
-  inverse of its matrix bordered by the trace row (`steady_state_basis`;
-  `steady_state_basis_svd` keeps every singular value instead); otherwise
-  values-only SVDs and one kernel cutoff relative to the largest singular
-  value of all blocks decide each block's kernel dimension, a solve
-  bordered by the trace row gives a block's single kernel vector, and only
-  other kernel blocks take a full SVD; each kernel element is checked
-  against the direct generator, and the result records the cutoff and its
-  margin;
-* fixed-step Runge-Kutta integration of the FGKLS equation in the time
-  domain, confirming that pointers are attractors: the RK4 step is applied
-  as a propagator per real Liouvillian block, raised to the recording
-  stride, and states are checked where they are recorded;
+* the Liouvillian's kernel, every exact steady state as an affine trace-1
+  slice of the kernel span, decided per block with its cutoff and margin
+  recorded (`steady_state_basis`, `steady_state_basis_svd`);
+* fixed-step RK4 integration of the FGKLS equation, confirming that pointers
+  are attractors, with one propagator per real block (`integrate_trajectory`);
 * the closed-form solution of the dissipative two-level (Bloch vector)
   dynamics, including its exact asymptotics.
 """
@@ -36,12 +26,12 @@ from .core import (
     DensityMatrix,
     EnergySpectrum,
     InvalidStateError,
+    _hermitian_block,
     _orthonormal_span,
     _real_embed,
     _scatter,
     _vec_coordinates,
     stationarity_residual,
-    vectorize_liouvillian,
 )
 from .models import build_two_level, pauli_to_offdiag
 
@@ -103,68 +93,74 @@ class SteadyStateSet:
         return self.singular_values is None
 
 
-def _connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
-    """Sorted index arrays of the connected components of the boolean `pattern`.
+def _block_labels(jumps: Sequence[np.ndarray], k: np.ndarray) -> np.ndarray:
+    """The smallest vec index of each vec index's real Liouvillian block, in vec order.
 
-    i and j are linked when pattern[i, j] or pattern[j, i] holds.  Each
-    component is grown from its smallest unseen index by a frontier search.
+    Vec index m + D n is linked to its mirror n + D m, to p + D q where one
+    jump has L[m, p] and L[n, q] nonzero, and to p + D n where K[m, p] != 0:
+    the closed form's structural pattern, the weak symmetries' blocks for
+    the oscillator-spin models (Buca & Prosen, New J. Phys. 14, 073007
+    (2012)).  Min-label propagation over a (D, D) label array, O(D^3) per
+    sweep; each sweep ends by replacing every label with its own label.
     """
-    linked = pattern | pattern.T
-    unseen = np.ones(linked.shape[0], dtype=bool)
-    blocks = []
-    for start in range(unseen.size):
-        if not unseen[start]:
-            continue
-        frontier = np.array([start])
-        members = []
-        while frontier.size:
-            unseen[frontier] = False
-            members.append(frontier)
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
-        blocks.append(np.sort(np.concatenate(members)))
-    return blocks
+    d = k.shape[0]
+    patterns = [nonzero for L in jumps for nonzero in (L != 0, (L != 0).T)]
+    decay = (k != 0) | (k != 0).T
+    label = np.arange(d * d).reshape(d, d).T
+    while True:
+        new = np.minimum(label, label.T)
+        for pattern in patterns:
+            # half[p, n] is the least label[p, q] with pattern[n, q], or d * d
+            half = np.where(pattern[None], new[:, None, :], d * d).min(axis=2)
+            new = np.minimum(new, np.where(pattern[:, :, None], half[None], d * d).min(axis=1))
+        # the mirror link carries this to (m, n) ~ (m, q) where K[n, q] != 0
+        new = np.minimum(new, np.where(decay[:, :, None], new[None], d * d).min(axis=1))
+        new = new.T.ravel()[new]
+        if np.array_equal(new, label):
+            return label.T.ravel()
+        label = new
 
 
 def _real_blocks(spectrum: EnergySpectrum,
                  jumps: Sequence[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The model's Liouvillian M in real Hermitian coordinates, one block size at a time.
+    """The model's Liouvillian in real Hermitian coordinates, one block size at a time.
 
-    M is the superoperator of `vectorize_liouvillian`, which preserves
-    Hermiticity.  In the orthonormal Hermitian basis U of
-    `core._vec_coordinates` it is the real matrix Re(U^dag M U), with M's
-    singular values.  That matrix splits into the connected components of
-    M's nonzero pattern, each vec index linked to its mirror (for the
-    oscillator-spin models, the blocks of the model's weak symmetries).
-    Yields (idx, sub) for each block size in increasing order: idx (B, size)
-    holds the sorted vec indices of the B blocks of that size and sub
-    (B, size, size) their real sub-blocks.
+    R[i, j] = <B_i, L(B_j)> in the orthonormal Hermitian basis B_i of
+    `core._vec_coordinates` (`core._hermitian_block`, G = -iH - K/2, weights
+    alpha) has the superoperator's singular values.  Yields (idx, sub) per
+    block size of `_block_labels`, increasing: idx (B, size) holds the sorted
+    vec indices of the B blocks, by smallest index, and sub (B, size, size)
+    their real sub-blocks.  A block of every pair of a set of levels is
+    evaluated on their product grid, any other block on its index arrays.
     """
     d = spectrum.dim
-    mat = vectorize_liouvillian(spectrum, jumps).matrix
-    _, _, alpha, mirror = _vec_coordinates(d)
-    pattern = mat != 0
-    pattern[np.arange(d * d), mirror] = True
-    blocks = _connected_blocks(pattern)
-    local = np.empty(d * d, dtype=int)
-    for size in sorted({block.size for block in blocks}):
-        idx = np.stack([block for block in blocks if block.size == size])
-        local[idx] = np.arange(size)
-        a, mi = alpha[idx][:, None, :], local[mirror[idx]][:, None, :]
-        # column j of M U is alpha_j M[:, j] + conj(alpha_j) M[:, mirror(j)],
-        # row i of U^dag (M U) is conj(alpha_i) row i + alpha_i row mirror(i);
-        # rebinding `sub` frees each complex stage before the next, and
-        # before the caller works on the yielded block
-        sub = mat[idx[:, :, None], idx[:, None, :]]
-        sub = np.take_along_axis(sub, mi, axis=2) * a.conj() + sub * a
-        a, mi = a.transpose(0, 2, 1), mi.transpose(0, 2, 1)
-        sub = np.ascontiguousarray((np.take_along_axis(sub, mi, axis=1) * a + sub * a.conj()).real)
-        yield idx, sub
+    jumps = [np.asarray(L, dtype=complex) for L in jumps]
+    k = sum((L.conj().T @ L for L in jumps), np.zeros((d, d), dtype=complex))
+    g = -0.5 * k - 1j * np.diag(spectrum.energies)
+    _, _, alpha, _ = _vec_coordinates(d)
+    _, block, sizes = np.unique(_block_labels(jumps, k), return_inverse=True, return_counts=True)
+    members = np.argsort(block, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    for size in sorted(set(sizes.tolist())):
+        idx = members[starts[sizes == size][:, None] + np.arange(size)]
+        side = math.isqrt(size)
+        levels = idx[:, :side] % d
+        if side * side == size and np.array_equal(
+                idx, (levels[:, None, :] + d * levels[:, :, None]).reshape(-1, size)):
+            # block of every pair (m, n) of `levels`, in vec order: n major
+            rows = levels[:, None, :, None, None], levels[:, :, None, None, None]
+            cols = levels[:, None, None, None, :], levels[:, None, None, :, None]
+        else:
+            rows = idx[:, :, None] % d, idx[:, :, None] // d
+            cols = idx[:, None, :] % d, idx[:, None, :] // d
+        rows, cols = [(m, n, alpha[m + d * n]) for m, n in (rows, cols)]
+        yield idx, _hermitian_block(jumps, g, rows, cols).reshape(len(idx), size, size)
 
 
 def _is_kernel(s: np.ndarray, smax: float, tol_kernel: float) -> np.ndarray:
     """Which singular values `s` are kernel: below tol_kernel * smax, or zero.
 
-    Zero values are kernel also when smax is zero (a zero superoperator).
+    Zero values are kernel also when smax is zero (a zero Liouvillian).
     """
     return (s < tol_kernel * smax) | (s == 0.0)
 

@@ -55,6 +55,8 @@ from .core import (
     DEFAULT_TOLERANCES,
     DegeneracyPartition,
     EnergySpectrum,
+    _KIND_READS,
+    _KIND_WEIGHTS,
     _hermitian_block,
     _orthonormal_span,
     _scatter,
@@ -202,8 +204,13 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
     ])
     ids = partition.class_ids
     known = np.where(ids[:, None] != ids[None, :], external, 0.0)
-    return LinearSystem(matrix=_hermitian_block(jumps, unknowns),
-                        rhs=_rhs(jumps, known, unknowns), unknowns=unknowns)
+    jumps = [np.asarray(L, dtype=complex) for L in jumps]
+    # internal pairs drop the commutator, so G holds no energies
+    g = -0.5 * sum((L.conj().T @ L for L in jumps), np.zeros((dim, dim), dtype=complex))
+    kind, m, n = unknowns.T
+    matrix = _hermitian_block(jumps, g, (m[:, None], n[:, None], _KIND_READS[kind][:, None]),
+                              (m, n, _KIND_WEIGHTS[kind]))
+    return LinearSystem(matrix=matrix, rhs=_rhs(jumps, known, unknowns), unknowns=unknowns)
 
 
 def solve_with_rank_check(system: LinearSystem, tol_rank: float = DEFAULT_TOLERANCES.rank):

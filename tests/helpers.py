@@ -12,12 +12,27 @@ def random_nondegenerate_model(rng, dim=None, n_jumps=1, coupling=0.1, min_gap=0
     e = np.sort(rng.uniform(0.5, 3.0, dim))
     while np.min(np.diff(e)) < min_gap:
         e = np.sort(rng.uniform(0.5, 3.0, dim))
-    spectrum = EnergySpectrum(e)
-    scale = coupling * float(np.max(np.abs(e)))
+    return EnergySpectrum(e), random_jumps(rng, dim, n_jumps, coupling * float(np.max(np.abs(e))))
+
+
+def random_jumps(rng, dim, n_jumps, scale):
+    """`n_jumps` complex Gaussian jump operators of spectral norm `scale`."""
     jumps = []
     for _ in range(n_jumps):
         L = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         jumps.append(L * (scale / np.linalg.norm(L, 2)))
+    return jumps
+
+
+def decoupled_level_model(spectrum, jumps):
+    """The model with its last level decoupled: the jumps' last row and column zeroed.
+
+    Its real Liouvillian blocks are the pairs of the other levels, the pairs
+    between them and the last level, and the last level's population.
+    """
+    jumps = [np.array(L, dtype=complex) for L in jumps]
+    for L in jumps:
+        L[-1, :] = L[:, -1] = 0.0
     return spectrum, jumps
 
 
@@ -106,3 +121,77 @@ def rk4_reference(spectrum, jumps, rho0s, t_end, n_steps, record_every):
             times.append(step * h)
             states.append(rho)
     return np.array(times), np.array(states)
+
+
+def kron_liouvillian(spectrum, jumps):
+    """Reference assembly through kron products against the identity."""
+    d = spectrum.dim
+    ident = np.eye(d)
+    h = spectrum.hamiltonian()
+    mat = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+    for L in jumps:
+        L = np.asarray(L, dtype=complex)
+        K = L.conj().T @ L
+        mat += np.kron(L.conj(), L) - 0.5 * np.kron(ident, K) - 0.5 * np.kron(K.T, ident)
+    return mat
+
+
+def orthonormal_hermitian_basis(dim):
+    """Columns vec(B_i) of the orthonormal Hermitian basis, i = m + D n.
+
+    B_i is E_mm for m = n, (E_mn + E_nm)/sqrt(2) for m < n and
+    i (E_nm - E_mn)/sqrt(2) for m > n, vectorized by column stacking.
+    """
+    basis = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for n in range(dim):
+        for m in range(dim):
+            b = np.zeros((dim, dim), dtype=complex)
+            if m == n:
+                b[m, m] = 1.0
+            elif m < n:
+                b[m, n] = b[n, m] = np.sqrt(0.5)
+            else:
+                b[n, m], b[m, n] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+            basis[:, m + dim * n] = b.reshape(-1, order="F")
+    return basis
+
+
+def structural_pattern(spectrum, jumps):
+    """Boolean D^2 x D^2 pattern of the Liouvillian's closed form, with each vec index's mirror.
+
+    Entry (m + D n, p + D q) holds when one jump has L[m, p] and L[n, q]
+    nonzero, when n = q and K[m, p] != 0, when m = p and K[q, n] != 0, and
+    when (p, q) = (n, m); entries that happen to cancel still count.
+    """
+    d = spectrum.dim
+    eye = np.eye(d, dtype=bool)
+    k = sum((np.asarray(L).conj().T @ np.asarray(L) for L in jumps), np.zeros((d, d)))
+    pattern = np.kron(eye, k != 0) | np.kron((k != 0).T, eye)
+    for L in jumps:
+        nz = np.asarray(L) != 0
+        pattern |= np.kron(nz, nz)
+    n, m = np.divmod(np.arange(d * d), d)
+    pattern[np.arange(d * d), n + d * m] = True
+    return pattern
+
+
+def connected_blocks(pattern):
+    """Sorted index arrays of the connected components of the boolean `pattern`.
+
+    i and j are linked when pattern[i, j] or pattern[j, i] holds.  Each
+    component is grown from its smallest unseen index by a frontier search.
+    """
+    linked = pattern | pattern.T
+    unseen = np.ones(linked.shape[0], dtype=bool)
+    blocks = []
+    for start in range(unseen.size):
+        if not unseen[start]:
+            continue
+        frontier = np.array([start])
+        members = []
+        while frontier.size:
+            unseen[frontier] = False
+            members.append(frontier)
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
+        blocks.append(np.sort(np.concatenate(members)))
+    return blocks

@@ -20,7 +20,8 @@ from fgkls import (
 from fgkls.core import InvalidStateError
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
-from helpers import component_generator, random_hermitian, random_nondegenerate_model
+from helpers import (component_generator, kron_liouvillian, random_hermitian,
+                     random_nondegenerate_model)
 
 
 # --- generator -------------------------------------------------------------
@@ -200,19 +201,6 @@ def test_vectorize_matches_direct_generator():
         direct = fgkls_generator(spectrum, jumps, rho)
         via_matrix = unvec(superop.matrix @ vec(rho))
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
-
-
-def kron_liouvillian(spectrum, jumps):
-    """Reference assembly through kron products against the identity."""
-    d = spectrum.dim
-    ident = np.eye(d)
-    h = spectrum.hamiltonian()
-    mat = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
-    for L in jumps:
-        L = np.asarray(L, dtype=complex)
-        K = L.conj().T @ L
-        mat += np.kron(L.conj(), L) - 0.5 * np.kron(ident, K) - 0.5 * np.kron(K.T, ident)
-    return mat
 
 
 def test_vectorize_equals_kron_form():

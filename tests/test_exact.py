@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,9 @@ from fgkls.exact import (
 from fgkls.exact import _certified_kernel
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
-from helpers import random_nondegenerate_model, rk4_reference
+from helpers import (connected_blocks, decoupled_level_model, kron_liouvillian,
+                     orthonormal_hermitian_basis, random_jumps, random_nondegenerate_model,
+                     rk4_reference, structural_pattern)
 
 
 # --- null-space oracle -------------------------------------------------------
@@ -222,7 +226,10 @@ def test_one_block_kernel_takes_no_svd_with_vectors(monkeypatch):
 
 
 def dense_D12_case():
-    return random_nondegenerate_model(np.random.default_rng(12), dim=12, n_jumps=2, coupling=0.3)
+    """A dense D = 12 model whose level gaps are at least 0.15 by construction, without redraws."""
+    rng = np.random.default_rng(12)
+    energies = np.sort(rng.uniform(0.5, 3.0 - 11 * 0.15, 12)) + 0.15 * np.arange(12)
+    return EnergySpectrum(energies), random_jumps(rng, 12, 2, 0.3 * energies.max())
 
 
 def dense_D8_case(seed):
@@ -429,6 +436,103 @@ def test_kernel_drops_candidates_the_direct_generator_rejects(monkeypatch):
     monkeypatch.setattr(fgkls.exact, "stationarity_residual", lambda *args: np.inf)
     with pytest.raises(RuntimeError, match="residual cutoff"):
         steady_state_basis(*build_two_level(1.0, 2.0, 1.0, 2.0))
+
+
+# --- real Liouvillian blocks ----------------------------------------------------
+
+def sigma_xy_equal_case():
+    """SigmaXY with |gamma1| = |gamma2|: some superoperator entries cancel exactly."""
+    cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.1, 0.1))
+    return build_oscillator_spin(cfg)
+
+
+def decoupled_case():
+    """A dense D = 6 model with its last level decoupled: blocks of 1, 10 and 25 indices."""
+    return decoupled_level_model(*random_nondegenerate_model(np.random.default_rng(5), dim=6,
+                                                             n_jumps=2, coupling=0.3))
+
+
+REAL_BLOCK_CASES = {
+    "one_level": (lambda: (EnergySpectrum(np.array([1.0])), []), (1,)),
+    "zero_jumps": (lambda: (EnergySpectrum(np.array([0.4, 1.1, 2.3])), []), (1, 1, 1, 2, 2, 2)),
+    "dense_one_block": (dense_case, (36,)),
+    "decoupled_level": (decoupled_case, (1, 10, 25)),
+    "sigma_xy_equal_gamma": (sigma_xy_equal_case, (2,) * 8 + (4,) * 12),
+    "sigma_xy_unequal_gamma": (lambda: sigma_xy_case(4, 1.0), (2,) * 8 + (4,) * 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REAL_BLOCK_CASES))
+def test_real_blocks_match_rotated_superoperator(case):
+    # block by block Re(U^dag M U), with nothing outside the blocks, and the
+    # blocks are the components of the structural pattern
+    build, sizes = REAL_BLOCK_CASES[case]
+    spectrum, jumps = build()
+    u = orthonormal_hermitian_basis(spectrum.dim)
+    reference = (u.conj().T @ kron_liouvillian(spectrum, jumps) @ u).real
+    tol = 8 * np.finfo(float).eps * np.max(np.abs(reference))
+    blocks = [(i, sub) for idx, subs in fgkls.exact._real_blocks(spectrum, jumps)
+              for i, sub in zip(idx, subs)]
+    assert tuple(i.size for i, _ in blocks) == sizes
+    outside = reference.copy()
+    for i, sub in blocks:
+        assert np.max(np.abs(sub - reference[np.ix_(i, i)])) <= tol
+        outside[np.ix_(i, i)] = 0.0
+    assert np.max(np.abs(outside)) <= tol
+    structural = connected_blocks(structural_pattern(spectrum, jumps))
+    assert sorted(i.tolist() for i, _ in blocks) == [b.tolist() for b in structural]
+
+
+def test_real_blocks_link_entries_that_cancel():
+    # the superoperator's own nonzero pattern (with the mirror link) splits
+    # 26 blocks; the blocks follow the jumps' patterns, and the kernel is the same
+    spectrum, jumps = sigma_xy_equal_case()
+    numeric = vectorize_liouvillian(spectrum, jumps).matrix != 0
+    # without jumps the structural pattern is the mirror link alone
+    numeric |= structural_pattern(spectrum, [])
+    assert len(connected_blocks(numeric)) == 26
+    steady = steady_state_basis(spectrum, jumps)
+    assert len(steady.block_sizes) == 20 and steady.kernel_dim == 4
+    _assert_matches_dense_reference(spectrum, jumps, steady)
+
+
+def test_product_block_is_evaluated_on_its_grid(monkeypatch):
+    # a block of every pair of a set of levels is evaluated on the grid of
+    # those levels, bit for bit as on its gathered index arrays
+    spectrum, jumps = decoupled_case()
+    real = fgkls.exact._hermitian_block
+    grids = []
+
+    def recording(jumps, g, rows, cols):
+        out = real(jumps, g, rows, cols)
+        if out.ndim == 5:
+            size = out.shape[1] * out.shape[2]
+            full = [np.broadcast_to(a, out.shape).reshape(-1, size, size) for a in (*rows, *cols)]
+            gathered = real(jumps, g, full[:3], full[3:])
+            assert np.array_equal(gathered, out.reshape(-1, size, size))
+            grids.append(size)
+        return out
+
+    monkeypatch.setattr(fgkls.exact, "_hermitian_block", recording)
+    steady = steady_state_basis(spectrum, jumps)
+    assert grids == [1, 25] and steady.block_sizes == (1, 10, 25)
+    monkeypatch.undo()
+    _assert_matches_dense_reference(spectrum, jumps, steady)
+
+
+def test_oracle_at_D64_assembles_no_superoperator():
+    # one complex D^4 superoperator at D = 64 is 268 MB
+    cfg = OscillatorSpinConfig(n_levels=32, omega=1.0, delta=1.0,
+                               jump_variant=SigmaXY(0.1 + 0.04j, 0.08 - 0.03j))
+    spectrum, jumps = build_oscillator_spin(cfg)
+    tracemalloc.start()
+    try:
+        steady = steady_state_basis(spectrum, jumps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert sum(steady.block_sizes) == 64 ** 2 and steady.kernel_dim == 32
 
 
 # --- time-domain oracle ---------------------------------------------------------

@@ -8,7 +8,7 @@ from fgkls import (
     stationarity_residual,
     steady_state_basis,
 )
-from fgkls.core import _hermitian_block
+from fgkls.core import _KIND_READS, _KIND_WEIGHTS, _hermitian_block
 from fgkls.exact import hermitian_affine_distance
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 from fgkls.perturbation import (
@@ -190,10 +190,17 @@ def test_hermitian_block_matches_dissipator_columns():
     eps = np.finfo(float).eps
     for spectrum, jumps in cases:
         partition = classify_pairs(spectrum)
-        unknowns = assemble_internal_system_deg(jumps, partition, _zero(spectrum.dim)).unknowns
+        system = assemble_internal_system_deg(jumps, partition, _zero(spectrum.dim))
+        unknowns = system.unknowns
         if partition.has_degeneracy:
             assert set(unknowns[:, 0]) == {0, 1, 2}
-        block = _hermitian_block(jumps, unknowns)
+        # the shared closed form with G = -K/2 is the scheme's system matrix
+        kind, m, n = unknowns.T
+        g = -0.5 * sum(np.asarray(L).conj().T @ np.asarray(L) for L in jumps)
+        block = _hermitian_block([np.asarray(L, dtype=complex) for L in jumps], g,
+                                 (m[:, None], n[:, None], _KIND_READS[kind][:, None]),
+                                 (m, n, _KIND_WEIGHTS[kind]))
+        assert np.array_equal(block, system.matrix)
         reference = dissipator_columns(jumps, unknowns)
         assert block.dtype == float and block.shape == reference.shape
         assert np.max(np.abs(block - reference)) <= 8 * eps * np.max(np.abs(reference))
