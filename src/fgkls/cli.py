@@ -19,8 +19,10 @@ integrated.
 indent=2) + "\n"`: sorted keys, 2-space indent, floats as `repr`, NaN and
 Infinity spelled as Python's `json` spells them, and every complex matrix as
 rows of [re, im] pairs.  `_json_chunks` produces those bytes piece by piece (a
-whole matrix in one piece); every output file is streamed to a temporary file
-in the output directory that then replaces the target.
+whole matrix in one piece, in which only the floats with nonzero bits are
+formatted and every other slot keeps the "0.0" of a cached all-zero layout);
+every output file is streamed to a temporary file in the output directory that
+then replaces the target.
 
 Exit codes: 0 success, 1 config error, 2 scheme failure (no solution at some
 order), 3 comparison thresholds exceeded, 4 integration step too large (the
@@ -347,19 +349,14 @@ def _family_report(family: PointerFamily) -> dict:
     }
 
 
-def _oscillator_structure_notes(config: RunConfig, family: PointerFamily) -> list[str]:
+def _oscillator_structure_notes(family: PointerFamily) -> list[str]:
     notes = []
-    n = config.oscillator.n_levels
     members = [oc.coeff for oc in family.orders]
     members += [v for dirs in family.free_directions for v in dirs]
-    eq_pop = max(
-        float(np.max(np.abs([m[2 * k, 2 * k] - m[2 * k + 1, 2 * k + 1] for k in range(n)])))
-        for m in members
-    )
-    down_pop = max(
-        float(np.max(np.abs([m[2 * k + 1, 2 * k + 1] for k in range(n)])))
-        for m in members
-    )
+    # diagonals first: stacking the members would copy every matrix
+    d = np.array([m.diagonal() for m in members])
+    eq_pop = float(np.max(np.abs(d[:, 0::2] - d[:, 1::2])))
+    down_pop = float(np.max(np.abs(d[:, 1::2])))
     if down_pop < 1e-12:
         notes.append("pointer structure: spin-down populations vanish (f_mm11 = 0)")
     elif eq_pop < 1e-12:
@@ -400,7 +397,7 @@ def _pointer_into_report(config: RunConfig, report: dict):
         return EXIT_NO_SOLUTION, None
     report["pointer_family"] = _family_report(result)
     if config.oscillator is not None:
-        report["notes"].extend(_oscillator_structure_notes(config, result))
+        report["notes"].extend(_oscillator_structure_notes(result))
     return EXIT_OK, result
 
 
@@ -592,13 +589,21 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _matrix_template(rows: int, cols: int, level: int) -> str:
+def _matrix_layout(rows: int, cols: int, level: int) -> np.ndarray:
     """`json`'s indent=2 layout of a rows x cols list of [re, im] pairs at
-    nesting `level`, with a `%s` slot for each float."""
+    nesting `level`: an object array whose odd entries are the floats' slots,
+    each holding "0.0", and whose even entries are the separators between them.
+    Every entry refers to one of six strings."""
     i1, i2, i3, i4 = ("\n" + "  " * (level + k) for k in range(4))
-    pair = f"[{i4}%s,{i4}%s{i3}]"
-    row = f"[{i3}" + f",{i3}".join([pair] * cols) + f"{i2}]"
-    return f"[{i2}" + f",{i2}".join([row] * rows) + f"{i1}]"
+    layout = np.empty(4 * rows * cols + 1, dtype=object)
+    layout[:] = "0.0"  # one object (np.full would make one string per slot)
+    before = layout[:-1:2].reshape(rows, cols, 2)  # the separator before each slot
+    before[:, :, 1] = f",{i4}"
+    before[:, 1:, 0] = f"{i3}],{i3}[{i4}"
+    before[1:, 0, 0] = f"{i3}]{i2}],{i2}[{i3}[{i4}"
+    before[0, 0, 0] = f"[{i2}[{i3}[{i4}"
+    layout[-1] = f"{i3}]{i2}]{i1}]"
+    return layout
 
 
 def _json_chunks(obj) -> Iterator[str]:
@@ -609,8 +614,12 @@ def _json_chunks(obj) -> Iterator[str]:
     as `np.float64` print as `float.__repr__`, plus 2-D complex arrays, written
     as the nested list of [re, im] pairs in one piece.  Anything else raises
     `TypeError`, as `json` does.
+
+    A finite matrix is written into a layout cached per (rows, cols, level)
+    whose every slot holds "0.0": only the floats whose bits are nonzero (so
+    -0.0 too) are formatted and put in their slots.
     """
-    templates: dict[tuple[int, int, int], str] = {}
+    layouts: dict[tuple[int, int, int], np.ndarray] = {}
 
     def chunks(value, level: int) -> Iterator[str]:
         if isinstance(value, str):
@@ -648,15 +657,20 @@ def _json_chunks(obj) -> Iterator[str]:
                 yield from chunks(item, level + 1)
             yield "\n" + "  " * level + "}"
         elif isinstance(value, np.ndarray) and value.ndim == 2 and np.iscomplexobj(value):
-            pairs = np.stack([value.real, value.imag], axis=-1)
+            pairs = np.stack([value.real, value.imag], axis=-1, dtype=float)
             if value.size == 0 or not np.isfinite(pairs).all():
                 # json's spelling of NaN and Infinity, one float at a time
                 yield from chunks(pairs.tolist(), level)
                 return
             key = (*value.shape, level)
-            if key not in templates:
-                templates[key] = _matrix_template(*key)
-            yield templates[key] % tuple(map(float.__repr__, pairs.ravel().tolist()))
+            if key not in layouts:
+                layouts[key] = _matrix_layout(*key)
+            floats = pairs.ravel()
+            # nonzero bits, so that -0.0 is written as itself
+            nonzero = np.flatnonzero(floats.view(np.int64))
+            parts = layouts[key].copy()
+            parts[2 * nonzero + 1] = list(map(float.__repr__, floats[nonzero].tolist()))
+            yield "".join(parts.tolist())
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

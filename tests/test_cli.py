@@ -13,6 +13,7 @@ from fgkls.cli import (
     EXIT_OK,
     EXIT_STEP_SIZE,
     EXIT_THRESHOLD,
+    _family_report,
     _json_chunks,
     load_config,
     main,
@@ -374,6 +375,70 @@ def test_json_writer_matches_json_dumps():
                 np.zeros(3, complex), np.zeros((2, 2, 2), complex)):
         with pytest.raises(TypeError):
             "".join(_json_chunks(bad))
+
+
+def _dumps_nested(obj):
+    """`json.dumps` of `obj` with every complex matrix as nested [re, im] lists."""
+    def nest(value):
+        if isinstance(value, np.ndarray):
+            return _nested_pairs(value)
+        if isinstance(value, dict):
+            return {k: nest(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [nest(v) for v in value]
+        return value
+    return json.dumps(nest(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_writer_splices_nonzero_floats_into_zero_layout():
+    sparse = np.zeros((3, 4), complex)
+    sparse[0, 0] = complex(-0.0, 0.0)
+    sparse[0, 3] = complex(5e-324, -0.0)
+    sparse[1, 2] = complex(0.0, -5e-324)
+    sparse[2, 0] = complex(1e16, 0.1)
+    sparse[2, 3] = complex(-0.0, -0.0)
+    # zero where `sparse` is not, so a layout reused across matrices must start clean
+    swapped = np.where(sparse.view(np.int64).reshape(3, 4, 2).any(axis=-1), 0.0, 0.1 - 3e-17j)
+    negative = np.full((2, 3), complex(-0.0, -0.0))
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    cases = [sparse, swapped, np.zeros((2, 3), complex), negative, np.array([[0j]]),
+             np.array([[complex(-0.0, 1e16)]]), dense, sparse.astype(np.complex64)]
+    for mat in cases:
+        for wrap in (lambda m: m, lambda m: {"k": [m, {"x": (m,)}]}):
+            assert "".join(_json_chunks(wrap(mat))) == _dumps_nested(wrap(mat))
+    # one shape at two levels, and each layout hit again with other zeros
+    mixed = {"a": [sparse, swapped, negative], "b": [[swapped, sparse], negative.T, negative.T]}
+    assert "".join(_json_chunks(mixed)) == _dumps_nested(mixed)
+
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, -2.5e-17, 1.0])
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 6, size=2))
+        floats = rng.choice(pool, size=(*shape, 2)) * (rng.random((*shape, 2)) < rng.random())
+        mat = np.empty(shape, complex)
+        mat.real, mat.imag = floats[..., 0], floats[..., 1]
+        obj = [[mat]] * int(rng.integers(1, 3))
+        assert "".join(_json_chunks(obj)) == _dumps_nested(obj)
+
+
+def test_degenerate_family_report_matches_json_dumps(tmp_path):
+    # q = 2 at D = 16: the degenerate branch, whose free directions are mostly zeros
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "oscillator_spin",
+        "oscillator_spin": {"n_levels": 8, "omega": 1.0, "delta": 1.0,
+                            "jump": {"variant": "sigma_xy",
+                                     "gamma1": [0.3, 0.0], "gamma2": [0.0, 0.2]}},
+        "max_order": 2,
+    })
+    config = load_config(cfg)
+    family = run_pointer_scheme(config.spectrum, config.jumps, config.partition,
+                                max_order=config.max_order, tol_rank=config.tol_rank)
+    assert family.branch == "degenerate" and all(family.free_directions)
+    report = _family_report(family)
+    floats = np.array([_nested_pairs(d) for order in report["orders"]
+                       for d in order["free_directions"]])
+    assert np.count_nonzero(floats) < floats.size / 10
+    assert "".join(_json_chunks(report)) == _dumps_nested(report)
 
 
 ROUND_TRIP_CONFIGS = [
