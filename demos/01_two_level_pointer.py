@@ -54,8 +54,8 @@ def main():
     print(f"order-0 coefficient matches closed form to "
           f"{np.max(np.abs(family.orders[0].coeff - closed_form)):.2e}")
     print(f"largest entry in orders 1..3 (series terminates): {order_tail:.2e}")
-    print(f"free directions per order: "
-          f"{[family.free_direction_count(s) for s in range(4)]} (pointer is unique)")
+    print(f"free directions, shared by every order: "
+          f"{len(family.free_directions)} (pointer is unique)")
     print()
 
     # route 2: Liouvillian null space

@@ -28,10 +28,9 @@ def family_structure_ok(delta, gamma1, gamma2, n_levels=4):
     spectrum, jumps = build_oscillator_spin(cfg)
     family = run_pointer_scheme(spectrum, jumps, max_order=2)
     worst = 0.0
-    for s in range(3):
-        for mat in [family.orders[s].coeff, *family.free_directions[s]]:
-            worst = max(worst, max(abs(mat[2 * m, 2 * m] - mat[2 * m + 1, 2 * m + 1])
-                                   for m in range(n_levels)))
+    for mat in [oc.coeff for oc in family.orders] + list(family.free_directions):
+        worst = max(worst, max(abs(mat[2 * m, 2 * m] - mat[2 * m + 1, 2 * m + 1])
+                               for m in range(n_levels)))
     f0 = family.orders[0].coeff
     half = abs(sum(f0[2 * m, 2 * m] for m in range(n_levels)) - 0.5)
     return family.branch, max(worst, half)

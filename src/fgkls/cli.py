@@ -331,13 +331,13 @@ def _jumps_all_zero(jumps) -> bool:
 
 def _family_report(family: PointerFamily) -> dict:
     orders = []
-    for oc, dirs, rep in zip(family.orders, family.free_directions, family.rank_reports):
+    for oc, rep in zip(family.orders, family.rank_reports):
         orders.append({
             "order": oc.order,
             "coefficients": oc.coeff,
             "trace": float(oc.coeff.trace().real),
-            "free_direction_count": len(dirs),
-            "free_directions": list(dirs),
+            "free_direction_count": len(family.free_directions),
+            "free_directions": list(family.free_directions),
             "rank": rep.rank,
             "rank_augmented": rep.rank_augmented,
             "singular_values": [float(s) for s in rep.singular_values],
@@ -351,8 +351,7 @@ def _family_report(family: PointerFamily) -> dict:
 
 def _oscillator_structure_notes(family: PointerFamily) -> list[str]:
     notes = []
-    members = [oc.coeff for oc in family.orders]
-    members += [v for dirs in family.free_directions for v in dirs]
+    members = [oc.coeff for oc in family.orders] + list(family.free_directions)
     # diagonals first: stacking the members would copy every matrix
     d = np.array([m.diagonal() for m in members])
     eq_pop = float(np.max(np.abs(d[:, 0::2] - d[:, 1::2])))

@@ -36,9 +36,10 @@ one (kind, m, n) row of an integer array (kind 0: f_mm; kinds 1 and 2: real
 and imaginary part of f_mn), and the system matrix is the dissipator written
 in the matching Hermitian basis E_mm, E_mn + E_nm, i(E_mn - E_nm), built in
 closed form from the jumps over those index arrays.  Solvability is
-decided per order by the Kronecker-Capelli rank comparison; the leftover null
-space is the pointer family's freedom, reduced by one parameter per order by
-the trace condition (trace 1 at order zero, traceless corrections above).
+decided per order by the Kronecker-Capelli rank comparison; the null space
+left after the trace condition (trace 1 at order zero, traceless corrections
+above) is the pointer family's freedom.  It depends on the matrix alone, so
+every order shares one set of free directions.
 
 Coefficients are stored lam-independent; lam enters only when a family member
 is evaluated.
@@ -213,6 +214,12 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
     return LinearSystem(matrix=matrix, rhs=_rhs(jumps, known, unknowns), unknowns=unknowns)
 
 
+def _rank(s: np.ndarray, tol_rank: float) -> int:
+    """Count of descending singular values `s` above tol_rank times the largest."""
+    smax = s[0] if s.size else 0.0
+    return int(np.sum(s > tol_rank * smax)) if smax > 0 else 0
+
+
 def solve_with_rank_check(system: LinearSystem, tol_rank: float = DEFAULT_TOLERANCES.rank):
     """Solve a (possibly singular) real system, reporting ranks.
 
@@ -226,13 +233,9 @@ def solve_with_rank_check(system: LinearSystem, tol_rank: float = DEFAULT_TOLERA
     b = np.asarray(system.rhs, dtype=float)
     n = a.shape[1]
     u, s, vt = np.linalg.svd(a, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol_rank * smax)) if smax > 0 else 0
-
+    rank = _rank(s, tol_rank)
     aug = np.concatenate([a, b[:, None]], axis=1)
-    s_aug = np.linalg.svd(aug, compute_uv=False)
-    smax_aug = s_aug[0] if s_aug.size else 0.0
-    rank_aug = int(np.sum(s_aug > tol_rank * smax_aug)) if smax_aug > 0 else 0
+    rank_aug = _rank(np.linalg.svd(aug, compute_uv=False), tol_rank)
 
     report = RankReport(rank=rank, rank_augmented=rank_aug, singular_values=s)
     if rank_aug > rank:
@@ -293,14 +296,14 @@ class PointerFamily:
     """Affine family of stationary states produced by the per-order scheme.
 
     `orders[s].coeff` is the lam-independent coefficient of lam^(2s) for the
-    particular member; `free_directions[s]` are Hermitian traceless matrices
-    spanning the residual freedom left at order s after the trace condition.
+    particular member; `free_directions`, shared by every order, are unit
+    traceless Hermitian matrices spanning the freedom after the trace condition.
     """
 
     spectrum: EnergySpectrum
     partition: DegeneracyPartition
     orders: tuple[OrderCoefficients, ...]
-    free_directions: tuple[tuple[np.ndarray, ...], ...]
+    free_directions: tuple[np.ndarray, ...]
     rank_reports: tuple[RankReport, ...]
 
     @property
@@ -312,40 +315,35 @@ class PointerFamily:
     def max_order(self) -> int:
         return len(self.orders) - 1
 
-    def free_direction_count(self, order: int) -> int:
-        return len(self.free_directions[order])
-
     def evaluate(self, lam: float = 1.0, max_order: int | None = None,
                  direction_coefficients=None) -> np.ndarray:
-        """Member sum_s lam^(2s) (f^(s) + sum_i c_si V_si) truncated at max_order.
+        """Member sum_s lam^(2s) (f^(s) + sum_i c_si V_i) truncated at max_order.
 
         `direction_coefficients`, when given, maps order -> sequence of real
-        coefficients for that order's free directions; omitted orders use the
-        particular member.
+        coefficients c_si, one per shared free direction V_i; omitted orders
+        use the particular member.
         """
         if max_order is None:
             max_order = self.max_order
         if not 0 <= max_order <= self.max_order:
             raise ValueError(f"max_order must be in [0, {self.max_order}]")
+        coeffs = direction_coefficients or {}
+        if any(s not in range(self.max_order + 1) for s in coeffs):
+            raise ValueError(f"direction_coefficients orders must be in [0, {self.max_order}]")
+        dirs = self.free_directions
+        if any(len(c) != len(dirs) for c in coeffs.values()):
+            raise ValueError(f"expected {len(dirs)} direction coefficients per order")
         out = np.zeros_like(self.orders[0].coeff)
         for s in range(max_order + 1):
             term = self.orders[s].coeff.copy()
-            if direction_coefficients and s in direction_coefficients:
-                coeffs = direction_coefficients[s]
-                dirs = self.free_directions[s]
-                if len(coeffs) != len(dirs):
-                    raise ValueError(f"expected {len(dirs)} coefficients at order {s}")
-                for c, v in zip(coeffs, dirs):
-                    term = term + c * v
+            for c, v in zip(coeffs.get(s, ()), dirs):
+                term = term + c * v
             out = out + (lam ** (2 * s)) * term
         return out
 
-    def affine_directions(self, max_order: int | None = None) -> list[np.ndarray]:
-        """Orthonormal Hermitian basis of the union of all free directions."""
-        if max_order is None:
-            max_order = self.max_order
-        return _orthonormal_span([v for s in range(max_order + 1)
-                                  for v in self.free_directions[s]])
+    def affine_directions(self) -> list[np.ndarray]:
+        """Frobenius-orthonormal Hermitian basis of the span of the free directions."""
+        return _orthonormal_span(list(self.free_directions))
 
 
 def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
@@ -358,8 +356,9 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     matrix depends only on the jumps and the partition, so it is assembled
     once; each order then fills the external entries from the previous order,
     rebuilds the right-hand side from them, checks solvability, and applies
-    the trace condition.  Returns a `PointerFamily`, or a `SchemeFailure`
-    naming the order at which the construction stopped.
+    the trace condition.  The free directions depend on the matrix alone, so
+    only order zero scatters them.  Returns a `PointerFamily`, or a
+    `SchemeFailure` naming the order at which the construction stopped.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -371,7 +370,6 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     dim = spectrum.dim
     jumps = [np.asarray(L, dtype=complex) for L in jumps]
     orders: list[OrderCoefficients] = []
-    directions: list[tuple[np.ndarray, ...]] = []
     reports: list[RankReport] = []
     prev = np.zeros((dim, dim), dtype=complex)
     system = assemble_internal_system_deg(jumps, partition, prev)
@@ -382,20 +380,21 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
         system = replace(system, rhs=_rhs(jumps, offdiag, system.unknowns))
 
         sol = solve_with_rank_check(system, tol_rank=tol_rank)
-        if isinstance(sol, NoSolution):
-            return SchemeFailure(order=s, reason=sol.reason, rank_report=sol.rank_report)
-        sol = apply_trace_condition(sol, s, system.unknowns)
+        if not isinstance(sol, NoSolution):
+            sol = apply_trace_condition(sol, s, system.unknowns)
         if isinstance(sol, NoSolution):
             return SchemeFailure(order=s, reason=sol.reason, rank_report=sol.rank_report)
 
-        mats = _scatter(dim, system.unknowns, np.array([sol.particular, *sol.nullspace_basis]))
+        free = sol.nullspace_basis if s == 0 else ()
+        mats = _scatter(dim, system.unknowns, np.array([sol.particular, *free]))
         coeff = offdiag + mats[0]
         orders.append(OrderCoefficients(order=s, coeff=coeff))
-        for mat in mats[1:]:
-            mat /= np.linalg.norm(mat)
-        directions.append(tuple(mats[1:]))
+        if s == 0:
+            for mat in mats[1:]:
+                mat /= np.linalg.norm(mat)
+            directions = tuple(mats[1:])
         reports.append(sol.rank_report)
         prev = coeff
 
     return PointerFamily(spectrum=spectrum, partition=partition, orders=tuple(orders),
-                         free_directions=tuple(directions), rank_reports=tuple(reports))
+                         free_directions=directions, rank_reports=tuple(reports))

@@ -104,15 +104,13 @@ def test_criterion_4_raising_jump_family_structure():
         spectrum, jumps = build_oscillator_spin(cfg)
         family = run_pointer_scheme(spectrum, jumps, max_order=3)
         worst = 0.0
-        for s in range(4):
-            members = [family.orders[s].coeff] + list(family.free_directions[s])
-            for mat in members:
-                offdiag = mat.copy()
-                np.fill_diagonal(offdiag, 0.0)
-                worst = max(worst, float(np.max(np.abs(offdiag))))
-                worst = max(worst, max(abs(mat[2 * m + 1, 2 * m + 1]) for m in range(6)))
-            if family.free_direction_count(s) != 5:
-                ok = False
+        for mat in [oc.coeff for oc in family.orders] + list(family.free_directions):
+            offdiag = mat.copy()
+            np.fill_diagonal(offdiag, 0.0)
+            worst = max(worst, float(np.max(np.abs(offdiag))))
+            worst = max(worst, max(abs(mat[2 * m + 1, 2 * m + 1]) for m in range(6)))
+        if len(family.free_directions) != 5:
+            ok = False
         ok = ok and worst < 1e-12
         details.append(f"q={2 * delta:g}: worst entry {worst:.2e}")
     _verdict(4, "raising-jump family: 5 free directions, spin-down and off-diagonal "
@@ -133,11 +131,9 @@ def test_criterion_5_xy_jumps_population_equalization():
             family = run_pointer_scheme(spectrum, jumps, max_order=2)
             f0 = family.orders[0].coeff
             worst = max(worst, abs(sum(f0[2 * m, 2 * m] for m in range(4)) - 0.5))
-            for s in range(3):
-                members = [family.orders[s].coeff] + list(family.free_directions[s])
-                for mat in members:
-                    worst = max(worst, max(abs(mat[2 * m, 2 * m] - mat[2 * m + 1, 2 * m + 1])
-                                           for m in range(4)))
+            for mat in [oc.coeff for oc in family.orders] + list(family.free_directions):
+                worst = max(worst, max(abs(mat[2 * m, 2 * m] - mat[2 * m + 1, 2 * m + 1])
+                                       for m in range(4)))
     ok = worst < 1e-12
     _verdict(5, f"xy-jump family: f_mm00 = f_mm11 and sum f_mm00 = 1/2 for random "
                 f"couplings, both parities of q (worst deviation {worst:.2e})", ok)

@@ -87,9 +87,8 @@ def test_pointer_oscillator_degenerate_structure_note(tmp_path):
     # matrices are written entry by entry as exact [re, im] float pairs
     config = load_config(cfg)
     family = run_pointer_scheme(config.spectrum, config.jumps, max_order=1)
-    for oc, dirs, entry in zip(family.orders, family.free_directions,
-                               report["pointer_family"]["orders"]):
-        for mat, encoded in zip((oc.coeff, *dirs),
+    for oc, entry in zip(family.orders, report["pointer_family"]["orders"]):
+        for mat, encoded in zip((oc.coeff, *family.free_directions),
                                 (entry["coefficients"], *entry["free_directions"])):
             assert encoded == [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
@@ -433,7 +432,7 @@ def test_degenerate_family_report_matches_json_dumps(tmp_path):
     config = load_config(cfg)
     family = run_pointer_scheme(config.spectrum, config.jumps, config.partition,
                                 max_order=config.max_order, tol_rank=config.tol_rank)
-    assert family.branch == "degenerate" and all(family.free_directions)
+    assert family.branch == "degenerate" and family.free_directions
     report = _family_report(family)
     floats = np.array([_nested_pairs(d) for order in report["orders"]
                        for d in order["free_directions"]])

@@ -8,7 +8,7 @@ from fgkls import (
     stationarity_residual,
     steady_state_basis,
 )
-from fgkls.core import _KIND_READS, _KIND_WEIGHTS, _hermitian_block
+from fgkls.core import _KIND_READS, _KIND_WEIGHTS, _hermitian_block, dissipator
 from fgkls.exact import hermitian_affine_distance
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 from fgkls.perturbation import (
@@ -296,7 +296,7 @@ def test_scheme_two_level_unique_pointer_all_orders():
     assert np.allclose(family.orders[0].coeff, np.diag([0.2, 0.8]), atol=1e-14)
     for s in range(1, 4):
         assert np.max(np.abs(family.orders[s].coeff)) < 1e-14
-        assert family.free_direction_count(s) == 0
+    assert family.free_directions == ()
 
 
 def test_scheme_sigma_plus_family_structure_both_branches():
@@ -311,7 +311,7 @@ def test_scheme_sigma_plus_family_structure_both_branches():
             np.fill_diagonal(offdiag, 0.0)
             assert np.max(np.abs(offdiag)) < 1e-12
             assert max(abs(coeff[2 * m + 1, 2 * m + 1]) for m in range(6)) < 1e-12
-            assert family.free_direction_count(s) == 5
+        assert len(family.free_directions) == 5
 
 
 def test_scheme_sigma_xy_family_structure():
@@ -427,7 +427,7 @@ def test_family_evaluate_members_and_direction_parameters():
     cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=0.3, jump_variant=SigmaPlus(0.4))
     spectrum, jumps = build_oscillator_spin(cfg)
     family = run_pointer_scheme(spectrum, jumps, max_order=1)
-    n_free = family.free_direction_count(0)
+    n_free = len(family.free_directions)
     assert n_free == 3
     member = family.evaluate(0.2, direction_coefficients={0: 0.05 * np.ones(n_free)})
     assert abs(member.trace() - 1.0) < 1e-12
@@ -443,3 +443,92 @@ def test_family_evaluate_validates_arguments():
         family.evaluate(1.0, max_order=5)
     with pytest.raises(ValueError):
         run_pointer_scheme(spectrum, jumps, max_order=-1)
+
+
+def test_family_evaluate_rejects_direction_orders_outside_family():
+    cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=0.3, jump_variant=SigmaPlus(0.4))
+    spectrum, jumps = build_oscillator_spin(cfg)
+    family = run_pointer_scheme(spectrum, jumps, max_order=3)
+    ones = np.ones(len(family.free_directions))
+    for order in (4, -1):
+        with pytest.raises(ValueError, match="orders must be in"):
+            family.evaluate(1.0, direction_coefficients={order: ones})
+    with pytest.raises(ValueError, match="coefficients per order"):
+        family.evaluate(1.0, direction_coefficients={1: ones[:-1]})
+    # an order past the truncation but inside the family is a valid key
+    assert np.array_equal(family.evaluate(1.0, max_order=1, direction_coefficients={3: ones}),
+                          family.evaluate(1.0, max_order=1))
+
+
+def test_scheme_holds_one_set_of_free_directions_at_D64():
+    # the shape of the pointer-osc64 benchmark model: its 31 directions of
+    # 64 x 64 take 2 MB once, and four per-order copies would take 8 MB
+    import tracemalloc
+
+    cfg = OscillatorSpinConfig(n_levels=32, omega=1.0, delta=1.0,
+                               jump_variant=SigmaXY(0.1, 0.09j))
+    spectrum, jumps = build_oscillator_spin(cfg)
+    tracemalloc.start()
+    try:
+        family = run_pointer_scheme(spectrum, jumps, max_order=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(family, PointerFamily) and family.branch == "degenerate"
+    dirs = family.free_directions
+    assert len(dirs) == 31
+    assert held < 4e6
+    internal = family.partition.class_ids[:, None] == family.partition.class_ids[None, :]
+    for v in dirs:
+        assert abs(v.trace()) < 1e-12
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert np.max(np.abs(v - v.conj().T)) < 1e-14
+        # the homogeneous system: diagonal and internal-pair conditions vanish
+        assert np.max(np.abs(dissipator(jumps, v)[internal])) < 1e-12
+
+
+def test_scheme_reaches_each_layer_through_module_globals(monkeypatch):
+    # the benchmark times the scheme's layers by rebinding these names
+    import fgkls.perturbation as pert
+
+    calls = {}
+
+    def spy(name):
+        real = getattr(pert, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return counting
+
+    names = ("offdiag_next_deg", "assemble_internal_system_deg",
+             "solve_with_rank_check", "apply_trace_condition")
+    for name in names:
+        monkeypatch.setattr(pert, name, spy(name))
+    cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.3, 0.2))
+    spectrum, jumps = build_oscillator_spin(cfg)
+    assert isinstance(run_pointer_scheme(spectrum, jumps, max_order=3), PointerFamily)
+    assert calls == {"offdiag_next_deg": 4, "assemble_internal_system_deg": 1,
+                     "solve_with_rank_check": 4, "apply_trace_condition": 4}
+
+
+def test_every_order_leaves_the_same_free_span(monkeypatch):
+    # one shared set of directions is right only while each order's trace
+    # condition leaves the same null-space basis
+    import fgkls.perturbation as pert
+
+    bases = []
+    real = pert.apply_trace_condition
+
+    def recording(*args):
+        sol = real(*args)
+        bases.append(np.array(sol.nullspace_basis))
+        return sol
+
+    monkeypatch.setattr(pert, "apply_trace_condition", recording)
+    cfg = OscillatorSpinConfig(n_levels=6, omega=1.0, delta=1.0, jump_variant=SigmaPlus(0.35))
+    spectrum, jumps = build_oscillator_spin(cfg)
+    family = run_pointer_scheme(spectrum, jumps, max_order=3)
+    assert len(bases) == 4 and len(family.free_directions) == len(bases[0]) == 5
+    for basis in bases[1:]:
+        assert np.array_equal(basis, bases[0])
