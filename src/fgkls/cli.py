@@ -59,6 +59,7 @@ from .exact import (
     EmptyKernelError,
     StepSizeError,
     SteadyStateSet,
+    default_step,
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
@@ -254,6 +255,12 @@ def load_config(path: str, max_order_override: int | None = None,
     if not lambda_values or min(lambda_values) <= 0:
         raise ConfigError("config error at lambda_values: expected a non-empty list of "
                           "positive finite reals")
+    # compare's residual of the last order's term scales as lambda^(2 max_order + 2);
+    # up to 1e100 its square in a norm or an SVD stays finite
+    for lam in lambda_values:
+        if (max_order + 1) * math.log10(lam) > 50:
+            raise ConfigError(f"config error at lambda_values: {lam!r} is too large, "
+                              f"lambda^{2 * max_order + 2} exceeds 1e100")
 
     # a copy: the config is echoed into the report as written
     tols = dict(_object(cfg, "tolerances", required=False))
@@ -337,7 +344,6 @@ def _family_report(family: PointerFamily) -> dict:
             "coefficients": oc.coeff,
             "trace": float(oc.coeff.trace().real),
             "free_direction_count": len(family.free_directions),
-            "free_directions": list(family.free_directions),
             "rank": rep.rank,
             "rank_augmented": rep.rank_augmented,
             "singular_values": [float(s) for s in rep.singular_values],
@@ -345,6 +351,7 @@ def _family_report(family: PointerFamily) -> dict:
     return {
         "branch": family.branch,
         "max_order": family.max_order,
+        "free_directions": list(family.free_directions),
         "orders": orders,
     }
 
@@ -459,13 +466,12 @@ def _run_trajectories(config: RunConfig) -> list[dict]:
         return []
     rho0s = [random_density_matrix(config.spectrum.dim, np.random.default_rng(seed))
              for seed in seeds]
-    n_steps = config.evolve.n_steps
-    record = 1
-    if n_steps is not None and n_steps > 1000:
-        record = n_steps // 1000
-    trajectories = integrate_trajectory(config.spectrum, config.jumps, rho0s,
-                                        t_end=config.evolve.t_end, n_steps=n_steps,
-                                        record_every=record)
+    t_end, n_steps = config.evolve.t_end, config.evolve.n_steps
+    if n_steps is None:  # integrate_trajectory's rule, resolved here to pick the stride
+        n_steps = max(1, math.ceil(t_end / default_step(config.spectrum, config.jumps)))
+    # about 1000 recorded states, plus the final one
+    trajectories = integrate_trajectory(config.spectrum, config.jumps, rho0s, t_end=t_end,
+                                        n_steps=n_steps, record_every=max(1, n_steps // 1000))
     return [{"seed": seed, "trajectory": traj} for seed, traj in zip(seeds, trajectories)]
 
 

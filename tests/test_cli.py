@@ -13,12 +13,13 @@ from fgkls.cli import (
     EXIT_OK,
     EXIT_STEP_SIZE,
     EXIT_THRESHOLD,
+    ConfigError,
     _family_report,
     _json_chunks,
     load_config,
     main,
 )
-from fgkls.exact import steady_state_basis, steady_state_basis_svd
+from fgkls.exact import default_step, steady_state_basis, steady_state_basis_svd
 from fgkls.models import build_two_level
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
 
@@ -88,9 +89,9 @@ def test_pointer_oscillator_degenerate_structure_note(tmp_path):
     config = load_config(cfg)
     family = run_pointer_scheme(config.spectrum, config.jumps, max_order=1)
     for oc, entry in zip(family.orders, report["pointer_family"]["orders"]):
-        for mat, encoded in zip((oc.coeff, *family.free_directions),
-                                (entry["coefficients"], *entry["free_directions"])):
-            assert encoded == [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+        assert entry["coefficients"] == _nested_pairs(oc.coeff)
+    assert report["pointer_family"]["free_directions"] == [
+        _nested_pairs(d) for d in family.free_directions]
 
 
 def test_exact_command(tmp_path):
@@ -122,6 +123,22 @@ def test_evolve_writes_trajectories_and_respects_seed_env(tmp_path, monkeypatch)
     assert report["evolve"]["seeds"] == [11]
     assert report["evolve"]["seed_source"] == "env:LP_SEED"
     assert (out2 / "trajectory_11.csv").exists()
+
+
+def test_evolve_derived_step_count_records_like_a_written_one(tmp_path):
+    # default_step is 0.01 / ||L12^dag L12|| = 0.0025, so t_end 5 takes 2000
+    # steps; both configs record every second step, 1000 states plus the first
+    config = load_config(write_config(tmp_path, "cfg.json", TWO_LEVEL))
+    assert 5.0 / default_step(config.spectrum, config.jumps) == 2000
+    written = {}
+    for name, evolve in (("derived", {"t_end": 5.0, "seeds": [3]}),
+                         ("written", {"t_end": 5.0, "n_steps": 2000, "seeds": [3]})):
+        cfg = write_config(tmp_path, f"{name}.json", dict(TWO_LEVEL, evolve=evolve))
+        assert main(["evolve", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        written[name] = (report["evolve"], (tmp_path / name / "trajectory_3.csv").read_bytes())
+    assert written["derived"] == written["written"]
+    assert written["derived"][1].count(b"\n") == 1 + 1001
 
 
 def test_evolve_requires_evolve_block(tmp_path):
@@ -420,24 +437,47 @@ def test_json_writer_splices_nonzero_floats_into_zero_layout():
         assert "".join(_json_chunks(obj)) == _dumps_nested(obj)
 
 
-def test_degenerate_family_report_matches_json_dumps(tmp_path):
-    # q = 2 at D = 16: the degenerate branch, whose free directions are mostly zeros
-    cfg = write_config(tmp_path, "cfg.json", {
-        "model": "oscillator_spin",
-        "oscillator_spin": {"n_levels": 8, "omega": 1.0, "delta": 1.0,
-                            "jump": {"variant": "sigma_xy",
-                                     "gamma1": [0.3, 0.0], "gamma2": [0.0, 0.2]}},
-        "max_order": 2,
-    })
-    config = load_config(cfg)
+# q = 2 at D = 16: the degenerate branch, whose free directions are mostly zeros
+DEGENERATE_D16 = {
+    "model": "oscillator_spin",
+    "oscillator_spin": {"n_levels": 8, "omega": 1.0, "delta": 1.0,
+                        "jump": {"variant": "sigma_xy",
+                                 "gamma1": [0.3, 0.0], "gamma2": [0.0, 0.2]}},
+    "max_order": 2,
+}
+
+
+def _degenerate_d16_family(tmp_path):
+    config = load_config(write_config(tmp_path, "cfg.json", DEGENERATE_D16))
     family = run_pointer_scheme(config.spectrum, config.jumps, config.partition,
                                 max_order=config.max_order, tol_rank=config.tol_rank)
     assert family.branch == "degenerate" and family.free_directions
-    report = _family_report(family)
-    floats = np.array([_nested_pairs(d) for order in report["orders"]
-                       for d in order["free_directions"]])
+    return family
+
+
+def test_degenerate_family_report_matches_json_dumps(tmp_path):
+    report = _family_report(_degenerate_d16_family(tmp_path))
+    floats = np.array([_nested_pairs(d) for d in report["free_directions"]])
     assert np.count_nonzero(floats) < floats.size / 10
     assert "".join(_json_chunks(report)) == _dumps_nested(report)
+
+
+def test_family_report_lists_free_directions_once(tmp_path):
+    # every order shares the family's free directions, so the report holds
+    # them once, next to the branch, and each order only their count
+    family = _degenerate_d16_family(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pointer", write_config(tmp_path, "cfg.json", DEGENERATE_D16),
+                 "--out", str(out), "--json-only"]) == EXIT_OK
+    text = (out / "report.json").read_text()
+    written = json.loads(text)["pointer_family"]
+    assert written["free_directions"] == [_nested_pairs(d) for d in family.free_directions]
+    assert len(written["orders"]) == family.max_order + 1
+    for order in written["orders"]:
+        assert "free_directions" not in order
+        assert {"rank", "rank_augmented"} <= order.keys()
+        assert order["free_direction_count"] == len(written["free_directions"])
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 ROUND_TRIP_CONFIGS = [
@@ -466,11 +506,17 @@ def test_reports_round_trip_through_json(tmp_path):
 
 
 def test_invalid_json_is_line_anchored(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text('{"model": "two_level",\n  broken\n}')
-    assert main(["pointer", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "broken.json:2:" in err
+    # (file text, or None for no file; what the message must name)
+    cases = [('{"model": "two_level",\n  broken\n}', "broken.json:2:"),
+             ("[1, 2]", "broken.json:1: top-level value must be an object"),
+             (None, "broken.json: [Errno 2]")]
+    for text, where in cases:
+        path = tmp_path / "broken.json"
+        path.unlink(missing_ok=True)
+        if text is not None:
+            path.write_text(text)
+        assert main(["pointer", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG, where
+        assert where in capsys.readouterr().err
 
 
 # (config, key path the error message must name); each case is checked
@@ -524,6 +570,27 @@ MALFORMED_CONFIGS = [
     (dict(TWO_LEVEL, lambda_values=[10**400]), "lambda_values"),
     (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], l12=[10**400, 0])), "two_level.l12"),
     (dict(TWO_LEVEL, tolerances={"tol_rank": 10**400}), "tolerances.tol_rank"),
+    (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], l12=[1.0])), "two_level.l12"),
+    (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps2=1.0)), "two_level"),
+    ({"model": "qubit"}, "model"),
+    ({"model": "oscillator_spin",
+      "oscillator_spin": {"n_levels": 4, "omega": 1.0, "delta": 0.3,
+                          "jump": {"variant": "sigma_z", "lam": [0.3, 0.0]}}},
+     "oscillator_spin.jump.variant"),
+    ({"model": "oscillator_spin",
+      "oscillator_spin": {"n_levels": 1, "omega": 1.0, "delta": 0.3,
+                          "jump": {"variant": "sigma_plus", "lam": [0.3, 0.0]}}},
+     "oscillator_spin"),
+    ({"model": "custom", "custom": {"energies": "x", "jumps": []}}, "custom.energies"),
+    ({"model": "custom", "custom": {"energies": [1.0, 2.0], "jumps": 5}}, "custom.jumps"),
+    ({"model": "custom", "custom": {"energies": [1.0, 2.0], "jumps": [5]}}, "custom.jumps[0]"),
+    ({"model": "custom", "custom": {"energies": [1.0, 2.0], "jumps": [[[[0.0, 0.0], [0.0, 0.0]]]]}},
+     "custom.jumps[0][0]"),
+    (dict(TWO_LEVEL, max_order=-1), "max_order"),
+    (dict(TWO_LEVEL, lambda_values="x"), "lambda_values"),
+    (dict(TWO_LEVEL, tolerances={"tol_x": 1e-9}), "tolerances.tol_x"),
+    (dict(TWO_LEVEL, evolve={"t_end": 0}), "evolve.t_end"),
+    (dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 0}), "evolve.n_steps"),
 ]
 
 
@@ -578,13 +645,26 @@ def test_failed_oracle_check_exits_without_key_path(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lam, max_order", [(1e200, 2), (1e100, 2), (1e55, 3), (1e13, 3)])
+def test_huge_lambda_is_a_config_error(tmp_path, capsys, lam, max_order):
+    # the oracle's norms and SVD overflowed (LinAlgError at 1e200), and the
+    # series' lambda^6 overflowed in family.evaluate (OverflowError at 1e55);
+    # the bound keeps lambda^(2 max_order + 2) within 1e100, past which is 1e13 at order 3
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(TWO_LEVEL, lambda_values=[0.5, lam], max_order=max_order))
+    assert main(["compare", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: config error at lambda_values: {lam!r} ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_env_seed_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LP_SEED", "-3")
     payload = dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 10, "seeds": [1]})
     cfg = write_config(tmp_path, "cfg.json", payload)
-    for command in ("evolve", "compare"):
-        assert main([command, cfg, "--out", str(tmp_path)]) == EXIT_CONFIG, command
-        assert "error: LP_SEED:" in capsys.readouterr().err
+    for env_seed, reason in (("-3", "must be nonnegative"), ("x", "not an integer")):
+        monkeypatch.setenv("LP_SEED", env_seed)
+        for command in ("evolve", "compare"):
+            assert main([command, cfg, "--out", str(tmp_path)]) == EXIT_CONFIG, command
+            assert f"error: LP_SEED: {reason}" in capsys.readouterr().err
 
 
 def test_oversized_integer_literal_reports_path(tmp_path, capsys):
@@ -688,5 +768,5 @@ def test_load_config_custom_model_shape_mismatch(tmp_path):
                    "jumps": [[[[0.0, 0.0]]]]},
     }
     cfg = write_config(tmp_path, "cfg.json", payload)
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match=r"^config error at custom\.jumps\[0\]: shape \(1, 1\)"):
         load_config(cfg)
