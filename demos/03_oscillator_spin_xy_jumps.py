@@ -61,8 +61,8 @@ def main():
                                    record_every=1000)
     print("population evolution (spin up vs down per level, random start):")
     for t, state in zip(traj.times, traj.states):
-        ups = [state.matrix[2 * m, 2 * m].real for m in range(3)]
-        downs = [state.matrix[2 * m + 1, 2 * m + 1].real for m in range(3)]
+        ups = [state[2 * m, 2 * m].real for m in range(3)]
+        downs = [state[2 * m + 1, 2 * m + 1].real for m in range(3)]
         gap = max(abs(u - d) for u, d in zip(ups, downs))
         print(f"  t = {t:6.1f}: max |up - down| = {gap:.2e}")
     final_gap = max(abs(traj.final_state.matrix[2 * m, 2 * m]

@@ -77,6 +77,9 @@ EXIT_STEP_SIZE = 4
 
 DEFAULT_FAMILY_DISTANCE_MAX = 1e-8
 DEFAULT_ENDPOINT_DISTANCE_MAX = 1e-6
+# a jump's squared Frobenius norm bounds ||L||^2 in the weak-coupling ratio
+# and every entry of L^dag L
+JUMP_NORM_MAX = math.sqrt(sys.float_info.max)
 
 
 class ConfigError(ValueError):
@@ -165,7 +168,9 @@ def _as_matrix(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], OscillatorSpinConfig | None]:
+def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], list[str],
+                                     OscillatorSpinConfig | None]:
+    """The model, its spectrum and jumps, where[k] naming jump k's config key, and its oscillator."""
     model = _get(cfg, "model", "")
     if model == "two_level":
         sub = _object(cfg, "two_level")
@@ -177,26 +182,25 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
             spectrum, jumps = build_two_level(eps1, eps2, l12, l21)
         except ValueError as err:
             raise ConfigError(f"config error at two_level: {err}") from err
-        return model, spectrum, jumps, None
+        larger = "two_level.l12" if np.abs(l12) >= np.abs(l21) else "two_level.l21"
+        return model, spectrum, jumps, [larger], None
     if model == "oscillator_spin":
         sub = _object(cfg, "oscillator_spin")
         jump = _object(sub, "jump", "oscillator_spin")
         variant_name = _get(jump, "variant", "oscillator_spin.jump")
+        # the variant's parameters, one per jump operator in build order
         if variant_name == "sigma_plus":
-            variant = SigmaPlus(lam=_as_complex(_get(jump, "lam", "oscillator_spin.jump"),
-                                                "oscillator_spin.jump.lam"))
+            variant_cls, keys = SigmaPlus, ("lam",)
         elif variant_name == "sigma_xy":
-            variant = SigmaXY(
-                gamma1=_as_complex(_get(jump, "gamma1", "oscillator_spin.jump"),
-                                   "oscillator_spin.jump.gamma1"),
-                gamma2=_as_complex(_get(jump, "gamma2", "oscillator_spin.jump"),
-                                   "oscillator_spin.jump.gamma2"),
-            )
+            variant_cls, keys = SigmaXY, ("gamma1", "gamma2")
         else:
             raise ConfigError(
                 "config error at oscillator_spin.jump.variant: expected "
                 "'sigma_plus' or 'sigma_xy'"
             )
+        where = [f"oscillator_spin.jump.{key}" for key in keys]
+        variant = variant_cls(**{key: _as_complex(_get(jump, key, "oscillator_spin.jump"), at)
+                                 for key, at in zip(keys, where)})
         n_levels = _integer(_get(sub, "n_levels", "oscillator_spin"), "oscillator_spin.n_levels")
         omega = _real(_get(sub, "omega", "oscillator_spin"), "oscillator_spin.omega")
         delta = _real(_get(sub, "delta", "oscillator_spin"), "oscillator_spin.delta")
@@ -206,7 +210,7 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
         except ValueError as err:
             raise ConfigError(f"config error at oscillator_spin: {err}") from err
         spectrum, jumps = build_oscillator_spin(osc)
-        return model, spectrum, jumps, osc
+        return model, spectrum, jumps, where, osc
     if model == "custom":
         sub = _object(cfg, "custom")
         energies = _get(sub, "energies", "custom")
@@ -217,12 +221,13 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], Osci
         raw_jumps = _get(sub, "jumps", "custom")
         if not isinstance(raw_jumps, list):
             raise ConfigError("config error at custom.jumps: expected a list of matrices")
-        jumps = [_as_matrix(mat, f"custom.jumps[{k}]") for k, mat in enumerate(raw_jumps)]
-        for k, L in enumerate(jumps):
+        where = [f"custom.jumps[{k}]" for k in range(len(raw_jumps))]
+        jumps = [_as_matrix(mat, at) for mat, at in zip(raw_jumps, where)]
+        for L, at in zip(jumps, where):
             if L.shape != (spectrum.dim, spectrum.dim):
-                raise ConfigError(f"config error at custom.jumps[{k}]: shape {L.shape} "
+                raise ConfigError(f"config error at {at}: shape {L.shape} "
                                   f"does not match dimension {spectrum.dim}")
-        return model, spectrum, jumps, None
+        return model, spectrum, jumps, where, None
     raise ConfigError("config error at model: expected 'two_level', 'oscillator_spin' or 'custom'")
 
 
@@ -241,7 +246,13 @@ def load_config(path: str, max_order_override: int | None = None,
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}:1: top-level value must be an object")
 
-    model, spectrum, jumps, osc = _build_model(cfg)
+    model, spectrum, jumps, where, osc = _build_model(cfg)
+    for L, at in zip(jumps, where):
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(L)
+        if norm >= JUMP_NORM_MAX:
+            raise ConfigError(f"config error at {at}: jump Frobenius norm {norm:.3e} is too "
+                              "large, its square exceeds the float range")
 
     max_order = _integer(_get(cfg, "max_order", "", required=False, default=3), "max_order")
     if max_order_override is not None:
@@ -332,10 +343,6 @@ def load_config(path: str, max_order_override: int | None = None,
     )
 
 
-def _jumps_all_zero(jumps) -> bool:
-    return all(np.max(np.abs(L)) < 1e-15 for L in jumps) if jumps else True
-
-
 def _family_report(family: PointerFamily) -> dict:
     orders = []
     for oc, rep in zip(family.orders, family.rank_reports):
@@ -380,7 +387,7 @@ def _base_report(command: str, config: RunConfig) -> dict:
         "weak_coupling_ratio": weak_coupling_ratio(config.spectrum, config.jumps),
         "notes": [],
     }
-    if _jumps_all_zero(config.jumps):
+    if all(np.max(np.abs(L)) < 1e-15 for L in config.jumps):
         report["notes"].append("Liouville regime, no unique pointer")
     if config.oscillator is not None:
         report["degeneracy_parameter_q"] = config.oscillator.q
@@ -459,11 +466,11 @@ def cmd_exact(config: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-def _run_trajectories(config: RunConfig) -> list[dict]:
-    """Integrate every seed's trajectory in one batch, in seed order."""
+def _run_trajectories(config: RunConfig) -> dict:
+    """Integrate every seed's trajectory in one batch; maps seed to trajectory, in seed order."""
     seeds = config.evolve.seeds
     if not seeds:
-        return []
+        return {}
     rho0s = [random_density_matrix(config.spectrum.dim, np.random.default_rng(seed))
              for seed in seeds]
     t_end, n_steps = config.evolve.t_end, config.evolve.n_steps
@@ -472,20 +479,34 @@ def _run_trajectories(config: RunConfig) -> list[dict]:
     # about 1000 recorded states, plus the final one
     trajectories = integrate_trajectory(config.spectrum, config.jumps, rho0s, t_end=t_end,
                                         n_steps=n_steps, record_every=max(1, n_steps // 1000))
-    return [{"seed": seed, "trajectory": traj} for seed, traj in zip(seeds, trajectories)]
+    return dict(zip(seeds, trajectories))
 
 
-def _trajectory_csv(traj) -> list[str]:
-    """The CSV file as a list of lines, each ending in a newline."""
-    d = traj.states[0].dim
-    header = ["t"]
-    header += [f"re(rho_{m}{n})" for m in range(d) for n in range(d)]
-    header += [f"im(rho_{m}{n})" for m in range(d) for n in range(d)]
-    flat = np.array([state.matrix.ravel() for state in traj.states])
-    table = np.column_stack([traj.times, flat.real, flat.imag])
-    # row by row: a whole-table tolist() holds every row's floats at once
-    return [",".join(header) + "\n"] + [",".join(map(repr, row.tolist())) + "\n"
-                                        for row in table]
+def _trajectory_csvs(trajectories) -> Iterator[list[str]]:
+    """Each trajectory's CSV file, in order, as a list of lines ending in a newline.
+
+    Row k is t_k, then record k's real and imaginary parts in row-major order,
+    every float as `repr`.  A time column shared with the previous file is
+    formatted once, and a file's other floats once per distinct magnitude:
+    for finite x, -0.0 included, repr(-x) is "-" + repr(x).
+    """
+    times = times_text = None
+    for traj in trajectories:
+        if traj.times is not times:
+            times = traj.times
+            times_text = list(map(repr, times.tolist()))
+        count, d, _ = traj.states.shape
+        header = ["t"] + [f"{part}(rho_{m}{n})" for part in ("re", "im")
+                          for m in range(d) for n in range(d)]
+        flat = traj.states.reshape(count, -1)
+        table = np.concatenate([flat.real, flat.imag], axis=1)
+        magnitudes, slots = np.unique(np.abs(table), return_inverse=True)
+        texts = np.array(list(map(repr, magnitudes.tolist())), dtype=object)
+        texts = texts[slots.reshape(table.shape)]
+        negative = np.signbit(table)
+        texts[negative] = "-" + texts[negative]
+        yield [",".join(header) + "\n"] + [f"{t},{','.join(row)}\n"
+                                           for t, row in zip(times_text, texts.tolist())]
 
 
 def cmd_evolve(config: RunConfig) -> tuple[int, dict]:
@@ -494,11 +515,10 @@ def cmd_evolve(config: RunConfig) -> tuple[int, dict]:
     report = _base_report("evolve", config)
     runs = _run_trajectories(config)
     entries = []
-    for run in runs:
-        traj = run["trajectory"]
-        final = traj.final_state.matrix
+    for seed, traj in runs.items():
+        final = traj.states[-1]
         entries.append({
-            "seed": run["seed"],
+            "seed": seed,
             "t_end": float(traj.times[-1]),
             "step_size": traj.step_size,
             "final_state": final,
@@ -557,14 +577,14 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
             member_full = family.evaluate(1.0)
         runs = _run_trajectories(config)
         endpoints = []
-        for run in runs:
-            final = run["trajectory"].final_state.matrix
+        for seed, traj in runs.items():
+            final = traj.states[-1]
             d_exact = point_to_affine_distance(final, steady_full.physical_member,
                                                list(steady_full.physical_directions))
             d_family = point_to_affine_distance(final, member_full, family_dirs)
             worst_endpoint = max(worst_endpoint, d_exact, d_family)
             endpoints.append({
-                "seed": run["seed"],
+                "seed": seed,
                 "endpoint_vs_exact": d_exact,
                 "endpoint_vs_family": d_family,
                 "final_residual": stationarity_residual(config.spectrum, config.jumps, final),
@@ -582,16 +602,6 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         "within_thresholds": within,
     }
     return (EXIT_OK if within else EXIT_THRESHOLD), report
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == -float("inf"):
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _matrix_layout(rows: int, cols: int, level: int) -> np.ndarray:
@@ -638,7 +648,8 @@ def _json_chunks(obj) -> Iterator[str]:
         elif isinstance(value, int):
             yield int.__repr__(value)
         elif isinstance(value, float):
-            yield _float_text(value)
+            # json spells NaN and the infinities itself
+            yield float.__repr__(value) if math.isfinite(value) else json.dumps(value)
         elif isinstance(value, (list, tuple)):
             if not value:
                 yield "[]"
@@ -810,16 +821,14 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
 
     os.makedirs(args.out, exist_ok=True)
-    trajectories = report.pop("_trajectories", None)
+    runs = report.pop("_trajectories", {})
     oracle_blocks = report.pop("_oracle_blocks", [])
     _atomic_write(os.path.join(args.out, "report.json"), _json_chunks(report))
     if not args.json_only:
         _atomic_write(os.path.join(args.out, "report.txt"),
                       [_text_report(report, elapsed, oracle_blocks)])
-        if trajectories:
-            for run in trajectories:
-                name = f"trajectory_{run['seed']}.csv"
-                _atomic_write(os.path.join(args.out, name), _trajectory_csv(run["trajectory"]))
+        for seed, lines in zip(runs, _trajectory_csvs(runs.values())):
+            _atomic_write(os.path.join(args.out, f"trajectory_{seed}.csv"), lines)
     return code
 
 

@@ -425,21 +425,6 @@ class DensityMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
 
-    @classmethod
-    def _stack(cls, stack) -> tuple[DensityMatrix, ...]:
-        """Read-only states of an (S, D, D) stack, validated by one `_check_states` call.
-
-        The members are views of one read-only copy of `stack`, so they do
-        not pass through `__post_init__` again.
-        """
-        arr = np.array(stack, dtype=complex)
-        _check_states(arr)
-        arr.flags.writeable = False
-        states = tuple(object.__new__(cls) for _ in arr)
-        for state, matrix in zip(states, arr):
-            object.__setattr__(state, "matrix", matrix)
-        return states
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -505,13 +490,17 @@ def weak_coupling_ratio(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]) -
     """Diagnostic ratio max_a ||L_a||^2 / ||H|| in spectral norms.
 
     The perturbative regime expects this to be small; it is reported, never
-    enforced.  Returns inf for a zero Hamiltonian with nonzero jumps.
+    enforced.  Returns inf for a zero Hamiltonian with nonzero jumps, and
+    where the ratio exceeds the float range.
     """
     h_norm = float(np.max(np.abs(spectrum.energies)))
     l_sq = 0.0
     for L in jumps:
         L = _as_operator(L, spectrum.dim)
-        l_sq = max(l_sq, float(np.linalg.norm(L, 2)) ** 2)
+        try:
+            l_sq = max(l_sq, float(np.linalg.norm(L, 2)) ** 2)
+        except OverflowError:  # a norm above sqrt(float max)
+            l_sq = float("inf")
     if h_norm == 0.0:
         return float("inf") if l_sq > 0 else 0.0
     return l_sq / h_norm

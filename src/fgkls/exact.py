@@ -26,6 +26,7 @@ from .core import (
     DensityMatrix,
     EnergySpectrum,
     InvalidStateError,
+    _check_states,
     _hermitian_block,
     _orthonormal_span,
     _real_embed,
@@ -58,6 +59,10 @@ __all__ = [
 # the kernel cutoff; report.txt notes a smaller one, where the kernel
 # dimension depends on tol_kernel
 KERNEL_MARGIN = 1e3
+
+# `integrate_trajectory` validates and stores its records this many complex
+# entries at a time, which bounds the temporaries of the check
+_RECORD_CHUNK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -357,15 +362,15 @@ class StepSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step integration record; every stored state is a valid density matrix."""
+    """Fixed-step integration record: the density matrices `states` (R, D, D) at `times`."""
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    states: np.ndarray
     step_size: float
 
     @property
     def final_state(self) -> DensityMatrix:
-        return self.states[-1]
+        return DensityMatrix(self.states[-1])
 
 
 def default_step(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]) -> float:
@@ -384,7 +389,8 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
 
     `rho0s` is a sequence of states (each a `DensityMatrix` or a square
     array).  Returns a tuple of `Trajectory`, one per state in input order,
-    sharing one read-only `times` array.
+    sharing one read-only `times` array; each `states` is a read-only
+    (R, D, D) array whose record 0 is the initial state as given.
 
     For the linear generator A, one RK4 step of size h is exactly the map
     P = I + hA (I + hA/2 (I + hA/3 (I + hA/4))).  It is built once per real
@@ -397,9 +403,10 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     When `n_steps` is omitted it is derived from `default_step`.  States are
     recorded every `record_every` steps, the final state always included.
     Each recorded state is checked for finiteness and a trace drift above
-    1e-8, then all members of the record are validated together as density
-    matrices.  A failure in any member raises `StepSizeError` naming the
-    first failing member and carrying a suggested step size.
+    1e-8 as it is reached, and the records are validated as density
+    matrices `_RECORD_CHUNK` complex entries at a time.  The earliest
+    failing (record, member) pair raises `StepSizeError`, which names the
+    member and carries a suggested step size.
     """
     if len(rho0s) == 0:
         raise ValueError("no initial states")
@@ -436,20 +443,37 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
         for k in (4, 3, 2, 1):
             step = eye + (h / k * sub) @ step
         steps.append((idx, step))
-    v = np.stack([state.matrix for state in initial]).transpose(0, 2, 1).reshape(len(initial), -1)
+    rho0 = np.stack([state.matrix for state in initial])
+    count = len(rho0)
+    v = rho0.transpose(0, 2, 1).reshape(count, -1)
     x = (alpha.conj() * v + alpha * v[:, mirror]).real
     diagonal = np.arange(d) * (d + 1)
 
-    times = [0.0]
-    records = [[state] for state in initial]
-    done = 0
     full, rest = divmod(n_steps, record_every)
     strides = [record_every] * full + [rest] * (rest > 0)
+    times = np.cumsum([0] + strides) * h
+    times.flags.writeable = False
+    states = np.empty((count, len(times), d, d), dtype=complex)
+    states[:, 0] = rho0
+    pending = []  # coordinates of the records after the stored ones
+    chunk = max(1, _RECORD_CHUNK // (count * d * d))
+
+    def store(end: int):
+        """Validate the pending records, in time order, and store them before record `end`."""
+        if pending:
+            mats = _scatter(d, unknowns, scale * np.concatenate(pending))
+            try:
+                _check_states(mats)
+            except InvalidStateError as err:
+                raise too_large(str(err), err.index % count) from err
+            states[:, end - len(pending):end] = mats.reshape(-1, count, d, d).swapaxes(0, 1)
+            pending.clear()
+
     # an unstable step overflows to a non-finite state, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         propagators = {power: [(idx, np.linalg.matrix_power(step, power)) for idx, step in steps]
                        for power in set(strides)}
-        for power in strides:
+        for record, power in enumerate(strides, 1):
             advanced = np.empty_like(x)
             for idx, prop in propagators[power]:
                 part = x[:, idx]
@@ -459,26 +483,21 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
                 block[~part.any(axis=-1)] = 0.0
                 advanced[:, idx] = block
             x = advanced
-            done += power
             finite = np.isfinite(x).all(axis=1)
             drift = np.abs(x[:, diagonal].sum(axis=1) - 1.0)
             ok = finite & (drift <= 1e-8)
             if not ok.all():
+                store(record)  # an invalid earlier record is reported first
                 bad = int(np.argmin(ok))
                 detail = ("non-finite state" if not finite[bad]
                           else f"trace drift {drift[bad]:.3e}")
-                raise too_large(f"{detail} at t = {done * h:.4g}", bad)
-            try:
-                states = DensityMatrix._stack(_scatter(d, unknowns, scale * x))
-            except InvalidStateError as err:
-                raise too_large(str(err), err.index) from err
-            for record, state in zip(records, states):
-                record.append(state)
-            times.append(done * h)
-    times_arr = np.array(times)
-    times_arr.flags.writeable = False
-    return tuple(Trajectory(times=times_arr, states=tuple(record), step_size=h)
-                 for record in records)
+                raise too_large(f"{detail} at t = {times[record]:.4g}", bad)
+            pending.append(x)
+            if len(pending) == chunk:
+                store(record + 1)
+        store(len(times))
+    states.flags.writeable = False
+    return tuple(Trajectory(times=times, states=member, step_size=h) for member in states)
 
 
 @dataclass(frozen=True)

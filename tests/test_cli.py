@@ -16,10 +16,13 @@ from fgkls.cli import (
     ConfigError,
     _family_report,
     _json_chunks,
+    _trajectory_csvs,
     load_config,
     main,
 )
-from fgkls.exact import default_step, steady_state_basis, steady_state_basis_svd
+from fgkls.core import random_density_matrix
+from fgkls.exact import (Trajectory, default_step, integrate_trajectory, steady_state_basis,
+                         steady_state_basis_svd)
 from fgkls.models import build_two_level
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
 
@@ -363,6 +366,41 @@ def _nested_pairs(mat):
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
+def _reference_csv(traj):
+    d = traj.states.shape[1]
+    header = ["t"]
+    header += [f"re(rho_{m}{n})" for m in range(d) for n in range(d)]
+    header += [f"im(rho_{m}{n})" for m in range(d) for n in range(d)]
+    flat = traj.states.reshape(len(traj.states), -1)
+    table = np.column_stack([traj.times, flat.real, flat.imag])
+    return [",".join(header) + "\n"] + [",".join(map(repr, row)) + "\n" for row in table.tolist()]
+
+
+def test_trajectory_csvs_match_repr_of_every_float(tmp_path):
+    # a batch at D = 2 shares its times; a D = 3 run has its own
+    rng = np.random.default_rng(4)
+    spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
+    trajectories = list(integrate_trajectory(spectrum, jumps, [random_density_matrix(2, rng)
+                                                               for _ in range(2)],
+                                             t_end=3.0, n_steps=60, record_every=7))
+    dense = load_config(write_config(tmp_path, "dense.json", DENSE_3))
+    trajectories += integrate_trajectory(dense.spectrum, dense.jumps,
+                                         [random_density_matrix(3, rng)], t_end=2.0, n_steps=40)
+    # -0.0 in place of every zero imaginary part of the diagonal
+    states = trajectories[0].states.copy()
+    states.imag[:, np.arange(2), np.arange(2)] = -0.0
+    trajectories.append(Trajectory(times=trajectories[0].times, states=states, step_size=0.05))
+    for traj in trajectories:
+        start = traj.states[0]
+        assert not np.array_equal(start, start.conj().T)  # not Hermitian to the bit
+        flat = traj.states.reshape(len(traj.states), -1)
+        assert (flat.imag < 0).any() and (flat.imag > 0).any()
+    assert np.signbit(trajectories[-1].states.imag).any()
+    files = _trajectory_csvs(trajectories)
+    assert [next(files) for _ in trajectories] == [_reference_csv(t) for t in trajectories]
+    assert next(files, None) is None
+
+
 def test_json_writer_matches_json_dumps():
     rng = np.random.default_rng(3)
     square = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -654,6 +692,35 @@ def test_huge_lambda_is_a_config_error(tmp_path, capsys, lam, max_order):
                        dict(TWO_LEVEL, lambda_values=[0.5, lam], max_order=max_order))
     assert main(["compare", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: config error at lambda_values: {lam!r} ")
+    assert not (tmp_path / "out").exists()
+
+
+HUGE_ENTRIES_3 = [[[1e154, 0.0]] * 3] * 3  # each entry squares to 1e308, the sum to 9e308
+OVERFLOWING_JUMPS = {
+    "two_level": (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], l12=[1e160, 0.0])),
+                  "two_level.l12"),
+    "custom": (dict(DENSE_3, custom=dict(DENSE_3["custom"],
+                                         jumps=DENSE_3["custom"]["jumps"] + [HUGE_ENTRIES_3])),
+               "custom.jumps[1]"),
+    "oscillator_spin": ({"model": "oscillator_spin",
+                         "oscillator_spin": {"n_levels": 2, "omega": 1.0, "delta": 0.3,
+                                             "jump": {"variant": "sigma_xy", "gamma1": [0.1, 0.0],
+                                                      "gamma2": [1e154, 1e154]}}},
+                        "oscillator_spin.jump.gamma2"),
+}
+
+
+@pytest.mark.parametrize("kind", list(OVERFLOWING_JUMPS))
+def test_overflowing_jump_is_a_config_error(tmp_path, capsys, kind):
+    # ||L||^2 of the weak-coupling ratio overflowed: an OverflowError
+    # traceback from the report at l12 = 1e160
+    payload, where = OVERFLOWING_JUMPS[kind]
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    for command in ("pointer", "compare"):
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config error at {where}: jump Frobenius norm ")
+        assert err.endswith(" is too large, its square exceeds the float range\n")
     assert not (tmp_path / "out").exists()
 
 

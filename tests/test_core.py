@@ -17,7 +17,7 @@ from fgkls import (
     vectorize_liouvillian,
     weak_coupling_ratio,
 )
-from fgkls.core import InvalidStateError
+from fgkls.core import InvalidStateError, _check_states
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import (component_generator, kron_liouvillian, random_hermitian,
@@ -298,13 +298,16 @@ def test_density_matrix_stack_validation_names_first_invalid_member():
         with pytest.raises(ValueError) as single:
             DensityMatrix(stack[bad])
         with pytest.raises(InvalidStateError) as batch:
-            DensityMatrix._stack(np.array(members))
+            _check_states(np.array(members))
         assert str(batch.value) == str(single.value)
         assert batch.value.index == 1
-    states = DensityMatrix._stack(np.array([valid, random_density_matrix(2, np.random.default_rng(1)).matrix]))
-    assert len(states) == 2 and all(isinstance(state, DensityMatrix) for state in states)
-    assert np.array_equal(states[0].matrix, valid)
-    assert not any(state.matrix.flags.writeable for state in states)
+    # a valid stack passes as it is, read-only, and each member is valid alone
+    states = np.array([valid, random_density_matrix(2, np.random.default_rng(1)).matrix])
+    states.flags.writeable = False
+    assert _check_states(states) is None
+    assert len(states) == 2 and all(isinstance(DensityMatrix(state), DensityMatrix) for state in states)
+    assert np.array_equal(states[0], valid)
+    assert not states.flags.writeable
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.5, np.nan)])
@@ -319,7 +322,7 @@ def test_density_matrix_rejects_non_finite_entries(entry):
         DensityMatrix(np.full((2, 2), np.nan))
     valid = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(InvalidStateError) as batch:
-        DensityMatrix._stack(np.array([valid, valid, bad, np.full((2, 2), np.nan)]))
+        _check_states(np.array([valid, valid, bad, np.full((2, 2), np.nan)]))
     assert str(batch.value) == str(single.value)
     assert batch.value.index == 2
 
@@ -336,3 +339,11 @@ def test_weak_coupling_ratio_diagnostic():
     spectrum, jumps = build_two_level(1.0, 2.0, 0.1, 0.2)
     ratio = weak_coupling_ratio(spectrum, jumps)
     assert ratio == pytest.approx(np.linalg.norm(jumps[0], 2) ** 2 / 2.0)
+
+
+def test_weak_coupling_ratio_beyond_the_float_range_is_inf():
+    # ||L||^2 = 1e320 raised OverflowError; a quotient past the range is inf too
+    spectrum, jumps = build_two_level(1.0, 2.0, 1e160, 0.2)
+    assert weak_coupling_ratio(spectrum, jumps) == float("inf")
+    spectrum, jumps = build_two_level(1e-300, 0.0, 1e10, 0.2)
+    assert weak_coupling_ratio(spectrum, jumps) == float("inf")

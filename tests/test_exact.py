@@ -542,7 +542,7 @@ def test_trajectory_steady_state_is_fixed_point():
     steady = steady_state_basis(spectrum, jumps)
     (traj,) = integrate_trajectory(spectrum, jumps, [DensityMatrix(steady.physical_member)],
                                    t_end=8.0, n_steps=2000)
-    drift = max(np.max(np.abs(s.matrix - steady.physical_member)) for s in traj.states)
+    drift = max(np.max(np.abs(s - steady.physical_member)) for s in traj.states)
     assert drift < 1e-10
 
 
@@ -605,7 +605,7 @@ def test_trajectory_residual_decreases_late():
         (traj,) = integrate_trajectory(spectrum, jumps, [rho0], t_end=t_end, n_steps=n_steps,
                                        record_every=100)
         quarter = [k for k, t in enumerate(traj.times) if t >= 0.75 * traj.times[-1]]
-        residuals = [stationarity_residual(spectrum, jumps, traj.states[k].matrix)
+        residuals = [stationarity_residual(spectrum, jumps, traj.states[k])
                      for k in quarter]
         for earlier, later in zip(residuals, residuals[1:]):
             assert later <= earlier * (1 + 1e-9) + 1e-13
@@ -617,7 +617,7 @@ def test_trajectory_trace_preserved_and_default_step():
     assert step == pytest.approx(0.01 / 2.0)
     (traj,) = integrate_trajectory(spectrum, jumps, [DensityMatrix(0.5 * np.eye(2))], t_end=5.0)
     assert traj.step_size <= step
-    drifts = [abs(s.matrix.trace() - 1.0) for s in traj.states]
+    drifts = [abs(s.trace() - 1.0) for s in traj.states]
     assert max(drifts) < 1e-8
 
 
@@ -650,8 +650,7 @@ def test_trajectory_batch_matches_single_calls_bitwise():
             assert np.array_equal(single.times, traj.times)
             assert single.step_size == traj.step_size
             assert len(single.states) == len(traj.states) == n_steps // 7 + 2
-            for a, b in zip(single.states, traj.states):
-                assert np.array_equal(a.matrix, b.matrix)
+            assert np.array_equal(single.states, traj.states)
 
 
 def test_trajectory_batch_returns_tuple_with_shared_times():
@@ -700,8 +699,7 @@ def test_trajectory_matches_rk4_reference_loop():
                                          n_steps=n_steps, record_every=record_every)
             for i, traj in enumerate(batch):
                 assert np.array_equal(traj.times, times)
-                got = np.array([state.matrix for state in traj.states])
-                assert np.max(np.abs(got - states[:, i])) < 1e-12
+                assert np.max(np.abs(traj.states - states[:, i])) < 1e-12
 
 
 def test_trajectory_unstable_step_reports_non_finite_state():
@@ -720,6 +718,55 @@ def test_trajectory_unstable_step_reports_non_finite_state():
                                    record_every=100)
     assert traj.final_state.matrix[0, 0] == pytest.approx(0.3 * np.exp(-1.0), abs=1e-9)
     assert traj.final_state.matrix[0, 1] == 0.0
+
+
+def _coherence_growth_case(omega_h):
+    """A level pair whose coherence RK4 amplifies per step at omega h > 2 sqrt 2.
+
+    The trace and the populations stay exact, so a state with a coherence
+    ends non-positive and, later, non-finite; a diagonal state stays valid.
+    """
+    spectrum = EnergySpectrum(np.array([0.0, 1.0]))
+    jumps = [np.array([[0.0, 0.0], [0.1, 0.0]], dtype=complex)]
+    diagonal = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
+    coherent = DensityMatrix(np.array([[0.5, 0.01], [0.01, 0.5]], dtype=complex))
+    return spectrum, jumps, [diagonal, coherent], omega_h
+
+
+def test_trajectory_step_error_names_the_member_failing_in_a_later_chunk(monkeypatch):
+    spectrum, jumps, rho0s, h = _coherence_growth_case(2.85)
+    n_steps = 150
+    _, states = rk4_reference(spectrum, jumps, [r.matrix for r in rho0s], n_steps * h, n_steps, 1)
+    min_eig = np.linalg.eigvalsh(states).min(axis=2)
+    first = int(np.argmax(min_eig[:, 1] < -1e-8))
+    assert first > 0 and (min_eig[:, 0] > 0).all()
+    messages = []
+    # one record per chunk validates record by record, as one check per
+    # record did; with 4 records per chunk the failure lies in chunk 25; the
+    # default chunk holds the whole run
+    assert first // 4 == 24
+    for chunk in (1, 4 * len(rho0s) * 4, fgkls.exact._RECORD_CHUNK):
+        monkeypatch.setattr(fgkls.exact, "_RECORD_CHUNK", chunk)
+        with pytest.raises(StepSizeError) as err:
+            integrate_trajectory(spectrum, jumps, rho0s, t_end=n_steps * h, n_steps=n_steps)
+        messages.append(str(err.value))
+    assert "not positive semidefinite" in messages[0] and "in initial state 1;" in messages[0]
+    assert messages[1] == messages[0] and messages[2] == messages[0]
+
+
+def test_trajectory_non_psd_record_precedes_a_later_non_finite_one():
+    spectrum, jumps, rho0s, h = _coherence_growth_case(10.0)
+    n_steps = 200
+    with np.errstate(all="ignore"):
+        _, states = rk4_reference(spectrum, jumps, [r.matrix for r in rho0s], n_steps * h,
+                                  n_steps, 1)
+    assert not np.isfinite(states[-1, 1]).all()
+    assert np.linalg.eigvalsh(states[1, 1]).min() < -1e-8
+    # both records lie in the one chunk of this run
+    assert (n_steps + 1) * len(rho0s) * 4 <= fgkls.exact._RECORD_CHUNK
+    with pytest.raises(StepSizeError, match="not positive semidefinite") as err:
+        integrate_trajectory(spectrum, jumps, rho0s, t_end=n_steps * h, n_steps=n_steps)
+    assert "in initial state 1;" in str(err.value)
 
 
 def test_trajectory_batch_rejects_wrongly_sized_member():
