@@ -135,8 +135,9 @@ def _real_blocks(spectrum: EnergySpectrum,
     alpha) has the superoperator's singular values.  Yields (idx, sub) per
     block size of `_block_labels`, increasing: idx (B, size) holds the sorted
     vec indices of the B blocks, by smallest index, and sub (B, size, size)
-    their real sub-blocks.  A block of every pair of a set of levels is
-    evaluated on their product grid, any other block on its index arrays.
+    their real sub-blocks.  A block of every pair of a set of levels is built
+    one row level at a time by `_grid_blocks`, any other block on its index
+    arrays by `core._hermitian_block`.
     """
     d = spectrum.dim
     jumps = [np.asarray(L, dtype=complex) for L in jumps]
@@ -152,14 +153,47 @@ def _real_blocks(spectrum: EnergySpectrum,
         levels = idx[:, :side] % d
         if side * side == size and np.array_equal(
                 idx, (levels[:, None, :] + d * levels[:, :, None]).reshape(-1, size)):
-            # block of every pair (m, n) of `levels`, in vec order: n major
-            rows = levels[:, None, :, None, None], levels[:, :, None, None, None]
-            cols = levels[:, None, None, None, :], levels[:, None, None, :, None]
+            yield idx, _grid_blocks(jumps, g, alpha, levels)
         else:
-            rows = idx[:, :, None] % d, idx[:, :, None] // d
-            cols = idx[:, None, :] % d, idx[:, None, :] // d
-        rows, cols = [(m, n, alpha[m + d * n]) for m, n in (rows, cols)]
-        yield idx, _hermitian_block(jumps, g, rows, cols).reshape(len(idx), size, size)
+            rows = idx[:, :, None] % d, idx[:, :, None] // d, alpha[idx[:, :, None]]
+            cols = idx[:, None, :] % d, idx[:, None, :] // d, alpha[idx[:, None, :]]
+            yield idx, _hermitian_block(jumps, g, rows, cols)
+
+
+def _grid_blocks(jumps: Sequence[np.ndarray], g: np.ndarray, alpha: np.ndarray,
+                 levels: np.ndarray) -> np.ndarray:
+    """Real blocks of every pair (m, n) of each row of `levels` (B, s), in vec order: n major.
+
+    The closed form of `core._hermitian_block` on the product grid, built one
+    row level n at a time: the complex slab T[b, m, q, p], entry (m, n) of
+    the image of E_pq, is G[m, p] delta_nq + delta_mp conj(G[n, q]) +
+    sum_a L[m, p] conj(L[n, q]) on the levels of block b, and the image of
+    E_qp is T with q and p swapped.  The terms are added in
+    `_hermitian_block`'s order, which keeps its bits on the gathered indices.
+    Elementwise products only, so the bits do not depend on the BLAS thread
+    count; the temporaries are slabs of B s^3 complex entries beside the
+    (B, s^2, s^2) real result.
+    """
+    d = g.shape[0]
+    b, s = levels.shape
+    rows, cols = levels[:, :, None], levels[:, None, :]
+    on_levels = [L[rows, cols] for L in jumps]
+    g_levels = g[rows, cols]
+    # weight[b, n, m] = alpha[m + D n] on the levels of block b
+    weight = alpha[cols + d * rows]
+    diag = np.arange(s)
+    out = np.empty((b, s, s, s, s))
+    for n in range(s):
+        slab = np.zeros((b, s, s, s), dtype=complex)
+        slab[:, :, n, :] += g_levels
+        slab[:, diag, :, diag] += g_levels[:, n].conj()
+        for L in on_levels:
+            slab += L[:, :, None, :] * L[:, None, n, :, None].conj()
+        z = slab * weight[:, None]
+        z += slab.swapaxes(2, 3) * weight[:, None].conj()
+        z *= weight[:, n, :, None, None].conj()
+        out[:, n] = 2 * z.real
+    return out.reshape(b, s * s, s * s)
 
 
 def _is_kernel(s: np.ndarray, smax: float, tol_kernel: float) -> np.ndarray:

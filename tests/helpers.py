@@ -5,14 +5,28 @@ import numpy as np
 from fgkls import EnergySpectrum
 
 
+# `random_nondegenerate_model` gives up after this many draws of the energies
+MAX_ENERGY_DRAWS = 10 ** 4
+
+
 def random_nondegenerate_model(rng, dim=None, n_jumps=1, coupling=0.1, min_gap=0.15):
-    """Random spectrum with separated gaps and jumps of spectral norm coupling*||H||."""
+    """Random spectrum with separated gaps and jumps of spectral norm coupling*||H||.
+
+    The energies are drawn from [0.5, 3.0] until every gap is at least
+    `min_gap`, at most MAX_ENERGY_DRAWS times.  ValueError when `dim` such
+    gaps cannot fit in the range, or when no draw had them.
+    """
     if dim is None:
         dim = int(rng.integers(3, 7))
-    e = np.sort(rng.uniform(0.5, 3.0, dim))
-    while np.min(np.diff(e)) < min_gap:
+    if (dim - 1) * min_gap >= 2.5:
+        raise ValueError(f"dim {dim} levels with min_gap {min_gap} do not fit in [0.5, 3.0]")
+    for _ in range(MAX_ENERGY_DRAWS):
         e = np.sort(rng.uniform(0.5, 3.0, dim))
-    return EnergySpectrum(e), random_jumps(rng, dim, n_jumps, coupling * float(np.max(np.abs(e))))
+        if np.min(np.diff(e)) >= min_gap:
+            return EnergySpectrum(e), random_jumps(rng, dim, n_jumps,
+                                                   coupling * float(np.max(np.abs(e))))
+    raise ValueError(f"no draw of dim {dim} levels in [0.5, 3.0] had every gap at least "
+                     f"min_gap {min_gap} in {MAX_ENERGY_DRAWS} draws")
 
 
 def random_jumps(rng, dim, n_jumps, scale):

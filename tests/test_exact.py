@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +21,7 @@ from fgkls import (
     vec,
     vectorize_liouvillian,
 )
-from fgkls.core import _orthonormal_span
+from fgkls.core import _hermitian_block, _orthonormal_span
 from fgkls.exact import (
     EmptyKernelError,
     StepSizeError,
@@ -177,7 +181,7 @@ def test_one_block_kernel_matches_dense_reference():
 
 
 def test_one_block_dense_D12_kernel_matches_dense_reference():
-    spectrum, jumps = dense_D12_case()
+    spectrum, jumps = spaced_dense_case(12, 0.15)
     superop = vectorize_liouvillian(spectrum, jumps)
     steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
@@ -225,11 +229,20 @@ def test_one_block_kernel_takes_no_svd_with_vectors(monkeypatch):
     assert shapes == []
 
 
-def dense_D12_case():
-    """A dense D = 12 model whose level gaps are at least 0.15 by construction, without redraws."""
-    rng = np.random.default_rng(12)
-    energies = np.sort(rng.uniform(0.5, 3.0 - 11 * 0.15, 12)) + 0.15 * np.arange(12)
-    return EnergySpectrum(energies), random_jumps(rng, 12, 2, 0.3 * energies.max())
+def spaced_dense_case(dim, min_gap):
+    """A dense model whose level gaps are at least `min_gap` by construction, without redraws."""
+    rng = np.random.default_rng(dim)
+    energies = np.sort(rng.uniform(0.5, 3.0 - (dim - 1) * min_gap, dim)) + min_gap * np.arange(dim)
+    return EnergySpectrum(energies), random_jumps(rng, dim, 2, 0.3 * energies.max())
+
+
+@pytest.mark.parametrize("dim", [18, 16])
+def test_random_model_without_room_for_its_gaps_raises(dim):
+    # 17 gaps of 0.15 exceed the 2.5-wide range; 15 fit, but almost no draw has them
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"dim {dim} .*min_gap 0.15"):
+        random_nondegenerate_model(np.random.default_rng(0), dim=dim)
+    assert time.perf_counter() - start < 1.0
 
 
 def dense_D8_case(seed):
@@ -497,27 +510,73 @@ def test_real_blocks_link_entries_that_cancel():
 
 
 def test_product_block_is_evaluated_on_its_grid(monkeypatch):
-    # a block of every pair of a set of levels is evaluated on the grid of
-    # those levels, bit for bit as on its gathered index arrays
+    # a block of every pair of a set of levels is built by the grid builder,
+    # and matches the closed form on the block's gathered index arrays
     spectrum, jumps = decoupled_case()
-    real = fgkls.exact._hermitian_block
+    real = fgkls.exact._grid_blocks
     grids = []
 
-    def recording(jumps, g, rows, cols):
-        out = real(jumps, g, rows, cols)
-        if out.ndim == 5:
-            size = out.shape[1] * out.shape[2]
-            full = [np.broadcast_to(a, out.shape).reshape(-1, size, size) for a in (*rows, *cols)]
-            gathered = real(jumps, g, full[:3], full[3:])
-            assert np.array_equal(gathered, out.reshape(-1, size, size))
-            grids.append(size)
+    def recording(jumps, g, alpha, levels):
+        out = real(jumps, g, alpha, levels)
+        d = g.shape[0]
+        idx = (levels[:, None, :] + d * levels[:, :, None]).reshape(len(levels), -1)
+        rows = idx[:, :, None] % d, idx[:, :, None] // d, alpha[idx[:, :, None]]
+        cols = idx[:, None, :] % d, idx[:, None, :] // d, alpha[idx[:, None, :]]
+        gathered = _hermitian_block(jumps, g, rows, cols)
+        assert out.shape == gathered.shape
+        assert np.max(np.abs(out - gathered)) <= 8 * np.finfo(float).eps * np.max(np.abs(gathered))
+        grids.append(idx.shape[1])
         return out
 
-    monkeypatch.setattr(fgkls.exact, "_hermitian_block", recording)
+    monkeypatch.setattr(fgkls.exact, "_grid_blocks", recording)
     steady = steady_state_basis(spectrum, jumps)
     assert grids == [1, 25] and steady.block_sizes == (1, 10, 25)
     monkeypatch.undo()
     _assert_matches_dense_reference(spectrum, jumps, steady)
+
+
+def test_product_block_holds_few_temporaries():
+    # one dense block of D^2 indices: the builder's temporaries are slabs of
+    # D^3 complex entries, not the D^4 images
+    d = 24
+    spectrum, jumps = spaced_dense_case(d, 0.05)
+    tracemalloc.start()
+    try:
+        (idx, sub), = fgkls.exact._real_blocks(spectrum, jumps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sub.shape == (1, d * d, d * d)
+    assert peak < 2 * sub.nbytes
+
+
+_BLOCK_DIGEST = """
+import hashlib
+import numpy as np
+import fgkls.exact
+from helpers import random_nondegenerate_model
+spectrum, jumps = random_nondegenerate_model(np.random.default_rng(0), dim=8, n_jumps=1,
+                                             coupling=0.5)
+digest = hashlib.sha256()
+for idx, sub in fgkls.exact._real_blocks(spectrum, jumps):
+    digest.update(idx.tobytes())
+    digest.update(sub.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_product_block_bits_do_not_depend_on_blas_threads():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests]
+                                        + env.get("PYTHONPATH", "").split(os.pathsep))
+    digests = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _BLOCK_DIGEST], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_oracle_at_D64_assembles_no_superoperator():
