@@ -420,12 +420,15 @@ def cmd_pointer(config: RunConfig) -> tuple[int, dict]:
     return code, report
 
 
-def _exact_for_lambda(config: RunConfig, lam: float,
-                      oracle=steady_state_basis) -> SteadyStateSet:
-    """The exact `oracle` at `lam`; its failed checks exit 1.
+def _exact_for_lambda(config: RunConfig, lam: float, oracle=None) -> SteadyStateSet:
+    """The exact `oracle` at `lam`, by default `steady_state_basis`; its failed checks exit 1.
 
-    An empty kernel is a tol_kernel error; the other checks name no key.
+    The default is looked up when called, not bound at definition, so that
+    the benchmark's tracer, which rebinds the module's names, times it.  An
+    empty kernel is a tol_kernel error; the other checks name no key.
     """
+    if oracle is None:
+        oracle = steady_state_basis
     jumps = [lam * L for L in config.jumps]
     try:
         return oracle(config.spectrum, jumps, tol_kernel=config.tol_kernel)

@@ -209,6 +209,19 @@ def test_compare_two_level_three_way_agreement(tmp_path, monkeypatch):
         assert row["endpoint_vs_family"] < 1e-6
 
 
+def test_compare_reaches_the_oracle_through_module_globals(tmp_path, monkeypatch):
+    # the benchmark times the oracle by rebinding this name
+    import fgkls.cli as cli
+
+    calls = []
+    real = cli.steady_state_basis
+    monkeypatch.setattr(cli, "steady_state_basis",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
+    assert main(["compare", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == len(TWO_LEVEL["lambda_values"])
+
+
 def test_text_report_lists_oracle_blocks(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from fgkls import (
     vec,
     vectorize_liouvillian,
 )
-from fgkls.core import _hermitian_block, _orthonormal_span
+from fgkls.core import _hermitian_block, _orthonormal_span, _vec_coordinates
 from fgkls.exact import (
     EmptyKernelError,
     StepSizeError,
@@ -38,7 +39,7 @@ from fgkls.exact import (
     two_level_system,
     verify_identity_72,
 )
-from fgkls.exact import _certified_kernel
+from fgkls.exact import _bordered, _certified_kernel, _split_kernel
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import (connected_blocks, decoupled_level_model, kron_liouvillian,
@@ -290,33 +291,77 @@ def test_certified_margin_bounds_the_singular_values(build):
     assert kept >= rel[-1] - s.size * np.finfo(float).eps
 
 
-def test_certificate_bounds_are_sharp_on_known_singular_values():
-    # R = U diag(s) V^T with u_n = v_n: the bordered inverse gives x = v_n
-    # exactly, so ||R x|| = s_n and the bounds can be checked against s
+def known_singular_block(n=8):
+    """R = U diag(s) V^T with u_n = v_n, its trace row u_n, and (v_n, s).
+
+    The bordered solution is x = v_n exactly, so ||R x|| = s_n and the
+    certificate's bounds can be checked against s.
+    """
     rng = np.random.default_rng(0)
-    n = 8
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
     v = u.copy()
     v[:, :-1] = u[:, :-1] @ w
     s = np.array([3.0, 2.0, 1.5, 1.2, 1.0, 0.8, 1e-4, 1e-12])
-    sub = (u * s) @ v.T
-    solved, (lo, (kept, rejected)) = _certified_kernel(sub, u[:, -1], 1e-10)
-    assert abs(solved @ v[:, -1]) / np.linalg.norm(solved) == pytest.approx(1.0, abs=1e-12)
+    return (u * s) @ v.T, u[:, -1], v[:, -1], s
+
+
+def test_certificate_bounds_are_sharp_on_known_singular_values():
+    # no Hamiltonian part: no coordinate is gapped, one inverse of B
+    sub, trace, kernel, s = known_singular_block()
+    n = s.size
+    solved, (lo, (kept, rejected)) = _certified_kernel(sub, trace, np.arange(n), np.zeros(n), 1e-10)
+    assert abs(solved @ kernel) / np.linalg.norm(solved) == pytest.approx(1.0, abs=1e-12)
     assert lo <= s[0]
     assert s[-1] / s[0] <= kept <= 1e-10
     assert 1e3 * 1e-10 < rejected <= s[-2] / s[0]
 
 
+def test_gapped_certificate_bounds_are_sharp_on_known_singular_values(monkeypatch):
+    # R = diag(U diag(s) V^T, w [[0, -1], [1, 0]]): the rotation is the
+    # Hamiltonian part of its two coordinates, gapped far above the rest, and
+    # R's singular values are s and w twice
+    core, trace, kernel, s = known_singular_block()
+    n, w = s.size, 50.0
+    sub = np.zeros((n + 2, n + 2))
+    sub[:n, :n] = core
+    sub[n, n + 1], sub[n + 1, n] = -w, w
+    partner = np.r_[np.arange(n), n + 1, n]
+    omega = np.r_[np.zeros(n), -w, w]
+    solves = _record_solves(monkeypatch)
+    solved, (lo, (kept, rejected)) = _certified_kernel(sub, np.r_[trace, 0.0, 0.0], partner, omega,
+                                                       1e-10)
+    assert solves == [(2, 2)]
+    assert np.all(solved[n:] == 0.0)
+    assert abs(solved[:n] @ kernel) / np.linalg.norm(solved) == pytest.approx(1.0, abs=1e-12)
+    assert lo <= w
+    # ||R x|| is s_n up to the rounding of R x
+    assert kept == pytest.approx(s[-1] / w, rel=1e-3)
+    assert 1e3 * 1e-10 < rejected <= s[-2] / w
+
+
+def _record_solves(monkeypatch):
+    """Shapes of the matrices `np.linalg.solve` factors while patched."""
+    shapes = []
+    real_solve = np.linalg.solve
+
+    def recording(a, b):
+        shapes.append(np.shape(a)[-2:])
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return shapes
+
+
 def test_one_block_kernel_near_cutoff_falls_back_to_svd(monkeypatch):
     spectrum, jumps = weak_dense_case()
     values = _record_svds(monkeypatch, values_only=True)
-    solves = []
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+    solves = _record_solves(monkeypatch)
     steady = steady_state_basis(spectrum, jumps)
     assert values == [(1, 36, 36)] and not steady.margin_is_bound
-    # the kernel vector is the one the certificate's inverse already gave
-    assert solves == []
+    # the kernel vector is the one the certificate already gave: its one
+    # solve is the gapped block of the 30 coherences, never the 37 x 37 B
+    assert solves == [(30, 30)]
     monkeypatch.undo()
     s_ref, basis_ref, member_ref, _ = dense_steady_reference(
         vectorize_liouvillian(spectrum, jumps))
@@ -325,6 +370,101 @@ def test_one_block_kernel_near_cutoff_falls_back_to_svd(monkeypatch):
     assert steady.kernel_dim == len(basis_ref) == 1
     # the kernel vector is only as well conditioned as the gap s_2 / s_max
     assert hermitian_affine_distance(steady.physical_member, (), member_ref, []) < 1e-6
+
+
+def one_block_case(rng, spectrum_kind):
+    """A random one-block model: D = 3-8, 1-2 jumps, coupling 1e-3 to 3 times max |E|.
+
+    `spectrum_kind` is "distinct" (gaps of at least 0.1), "degenerate"
+    (every level at one energy) or "near" (pairs of levels 1e-9 apart).
+    """
+    dim = int(rng.integers(3, 9))
+    energies = np.sort(rng.uniform(0.5, 3.0 - 0.1 * (dim - 1), dim)) + 0.1 * np.arange(dim)
+    if spectrum_kind == "degenerate":
+        energies[:] = energies[0]
+    elif spectrum_kind == "near":
+        energies[1::2] = energies[:dim - dim % 2:2] + 1e-9
+    coupling = 10.0 ** rng.uniform(-3, np.log10(3.0))
+    jumps = random_jumps(rng, dim, int(rng.integers(1, 3)), coupling * energies.max())
+    return EnergySpectrum(energies), jumps
+
+
+def certificate_inputs(spectrum, jumps):
+    """(R, t, partner, omega) of a one-block model, as `steady_state_basis` passes them."""
+    d = spectrum.dim
+    [((idx,), (sub,))] = list(fgkls.exact._real_blocks(spectrum, jumps))
+    unknowns, _, _, mirror = _vec_coordinates(d)
+    e = spectrum.energies
+    return sub, (unknowns[idx, 0] == 0).astype(float), mirror[idx], e[idx % d] - e[idx // d]
+
+
+@pytest.mark.parametrize("spectrum_kind", ["distinct", "degenerate", "near"])
+def test_split_certificate_is_sound_on_random_one_block_models(monkeypatch, spectrum_kind):
+    rng = np.random.default_rng(["distinct", "degenerate", "near"].index(spectrum_kind))
+    solves = _record_solves(monkeypatch)
+    certified = split = 0
+    for _ in range(40):
+        spectrum, jumps = one_block_case(rng, spectrum_kind)
+        sub, trace, partner, omega = certificate_inputs(spectrum, jumps)
+        before = len(solves)
+        _, low, _ = _split_kernel(sub, trace, partner, omega)
+        # with no gapped coordinate the solve is of a 0 x 0 block
+        split += any(shape[0] for shape in solves[before:])
+        sigma_min = np.linalg.svd(_bordered(sub[None], trace[None])[0], compute_uv=False)[-1]
+        assert low <= sigma_min * (1 + 1e-10)
+        steady = steady_state_basis(spectrum, jumps)
+        if steady.margin_is_bound:
+            certified += 1
+            full = steady_state_basis_svd(spectrum, jumps)
+            assert steady.kernel_dim == full.kernel_dim
+            assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
+                                             full.physical_member, full.physical_directions) < 1e-12
+    # a degenerate spectrum has no Hamiltonian gap: it never takes the split
+    assert certified > 0 and (split > 0) == (spectrum_kind != "degenerate")
+
+
+def _certificate_from_bordered_inverse(sub, trace):
+    """(B^-1[:n, n], certificate) from one inverse of the whole bordered matrix B."""
+    n = sub.shape[0]
+    inverse = np.linalg.inv(_bordered(sub[None], trace[None])[0])
+    solved = inverse[:n, n]
+    x = solved / np.linalg.norm(solved)
+    low = 1.0 / float(np.linalg.norm(inverse))
+    hi = math.sqrt(float(np.linalg.norm(sub, 1)) * float(np.linalg.norm(sub, np.inf)))
+    lo = float(np.linalg.norm(sub, axis=0).max())
+    residual = float(np.linalg.norm(sub @ x))
+    return solved, (lo, (residual / lo, low / hi))
+
+
+def test_certificate_without_hamiltonian_is_the_bordered_inverse():
+    # H = 0: no gapped coordinate, so the split solve is the inverse of the
+    # whole B, bit for bit
+    rng = np.random.default_rng(5)
+    spectrum = EnergySpectrum(np.zeros(5))
+    sub, trace, partner, omega = certificate_inputs(spectrum, random_jumps(rng, 5, 2, 0.5))
+    assert not omega.any()
+    solved, certificate = _certified_kernel(sub, trace, partner, omega, 1e-10)
+    solved_ref, certificate_ref = _certificate_from_bordered_inverse(sub, trace)
+    assert certificate is not None
+    assert np.array_equal(solved, solved_ref) and certificate == certificate_ref
+
+
+def test_certificate_inverts_no_block_larger_than_the_levels(monkeypatch):
+    # weak coupling gaps every coherence of a dense D = 12 model: one solve
+    # of the 132 gapped coordinates, one inverse of the 12 populations and
+    # the border, never the 145 x 145 bordered matrix
+    rng = np.random.default_rng(12)
+    d = 12
+    energies = np.sort(rng.uniform(0.5, 3.0 - 0.15 * (d - 1), d)) + 0.15 * np.arange(d)
+    jumps = random_jumps(rng, d, 2, 0.05)
+    inverses = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(np.shape(a)) or real_inv(a))
+    solves = _record_solves(monkeypatch)
+    steady = steady_state_basis(EnergySpectrum(energies), jumps)
+    assert steady.margin_is_bound and steady.block_sizes == (d * d,)
+    assert solves == [(d * d - d, d * d - d)]
+    assert inverses and all(shape[-1] <= d + 1 for shape in inverses)
 
 
 @pytest.mark.parametrize("failure", ["singular", "non-finite"])
@@ -382,7 +522,7 @@ def test_kernel_block_without_trace_coordinate_takes_full_svd(monkeypatch):
 @pytest.mark.parametrize("case", ["dense_D6", "worked_4x4_lam_1"])
 def test_kernel_failed_bordered_solve_falls_back_to_full_svd(monkeypatch, failure, case):
     # the one-block dense case takes its bordered solution from the
-    # certificate's inverse, which fails the same way
+    # certificate's solve and inverse, which fail the same way
     spectrum, jumps = dense_case() if case == "dense_D6" else worked_case(1.0)
 
     def failing(real):
