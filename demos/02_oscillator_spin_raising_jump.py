@@ -46,7 +46,7 @@ def run_case(delta):
     else:
         print("  spectrum non-degenerate: all classes singletons")
 
-    system = assemble_internal_system_deg(jumps, partition, np.zeros((cfg.dim, cfg.dim)))
+    system = assemble_internal_system_deg(jumps, partition)
     kinds = np.bincount(system.unknowns[:, 0], minlength=3)
     print(f"  linear system: {len(system.unknowns)} (kind, m, n) unknowns = {kinds[0]} "
           f"diagonal + {kinds[1]} real + {kinds[2]} imaginary pair parts")

@@ -283,7 +283,8 @@ def load_config(path: str, max_order_override: int | None = None,
         val = _real(val, f"tolerances.{key}")
         if val <= 0:
             raise ConfigError(f"config error at tolerances.{key}: must be positive")
-        # rank and kernel cutoffs are relative to the largest singular value
+        # the kernel cutoff is relative to the largest singular value, the rank
+        # cutoff relative, with an absolute floor (sum_a ||L_a||_F^2)
         if key != "tol_degen" and val >= 1:
             raise ConfigError(f"config error at tolerances.{key}: must lie in (0, 1)")
     try:
@@ -297,6 +298,10 @@ def load_config(path: str, max_order_override: int | None = None,
         t_end = _real(_get(sub, "t_end", "evolve"), "evolve.t_end")
         if t_end <= 0:
             raise ConfigError("config error at evolve.t_end: must be positive")
+        # integrate_trajectory derives its step count, or names it in a step-size error
+        if not math.isfinite(t_end / default_step(spectrum, jumps)):
+            raise ConfigError(f"config error at evolve.t_end: {t_end!r} is too large, "
+                              "t_end / default step is not finite")
         n_steps = sub.get("n_steps")
         if n_steps is not None:
             n_steps = _integer(n_steps, "evolve.n_steps")

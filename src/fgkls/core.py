@@ -46,7 +46,8 @@ class Tolerances:
 
     herm / trace    validity of density matrices (Hermiticity, unit trace)
     psd             allowed negative eigenvalue magnitude of a state
-    rank            relative singular-value cutoff for rank decisions
+    rank            singular-value cutoff for rank decisions: relative, with an
+                    absolute floor (tol * max(s_max, sum_a ||L_a||_F^2))
     kernel          relative cutoff for Liouvillian null-space extraction
     """
 

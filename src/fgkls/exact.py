@@ -501,7 +501,8 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     never formed.  Each member's product is independent of the batch, so
     its record is bit-identical to a batch of that state alone.
 
-    When `n_steps` is omitted it is derived from `default_step`.  States are
+    When `n_steps` is omitted it is derived from `default_step`; a `t_end`
+    for which t_end / default_step is not finite raises `ValueError`.  States are
     recorded every `record_every` steps, the final state always included.
     Each recorded state is checked for finiteness and a trace drift above
     1e-8 as it is reached, and the records are validated as density
@@ -519,6 +520,9 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     h_default = default_step(spectrum, jumps)
+    if not math.isfinite(t_end / h_default):
+        raise ValueError(f"t_end {t_end:g} is too large: t_end / default step "
+                         f"{h_default:.3e} is not finite")
     if n_steps is None:
         n_steps = max(1, int(math.ceil(t_end / h_default)))
     if n_steps < 1:

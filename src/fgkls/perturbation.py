@@ -27,19 +27,20 @@ A non-degenerate spectrum needs no separate scheme: its classes are
 singletons, every off-diagonal pair is external and only the diagonal
 unknowns remain.  One path serves every spectrum, and the "branch" label of a
 family is read off its partition.  The system matrix depends only on the jumps
-and the partition, so it is assembled once per run; each order rebuilds only
-the right-hand side.
+and the partition, so it is assembled and factorised (one SVD) once per run;
+each order builds only its right-hand side and reads the stored factors.
 
 The linear systems are real: diagonal unknowns are real by Hermiticity and
 each internal pair contributes a real and an imaginary part.  Each unknown is
 one (kind, m, n) row of an integer array (kind 0: f_mm; kinds 1 and 2: real
 and imaginary part of f_mn), and the system matrix is the dissipator written
 in the matching Hermitian basis E_mm, E_mn + E_nm, i(E_mn - E_nm), built in
-closed form from the jumps over those index arrays.  Solvability is
-decided per order by the Kronecker-Capelli rank comparison; the null space
-left after the trace condition (trace 1 at order zero, traceless corrections
-above) is the pointer family's freedom.  It depends on the matrix alone, so
-every order shares one set of free directions.
+closed form from the jumps over those index arrays.  Solvability is decided
+per order by the Kronecker-Capelli rank comparison, with the cutoff tol_rank *
+max(s_max, sum_a ||L_a||_F^2); the null space left after the trace condition
+(trace 1 at order zero, traceless corrections above) is the pointer family's
+freedom.  It depends on the matrix alone, so every order shares one set of
+free directions.
 
 Coefficients are stored lam-independent; lam enters only when a family member
 is evaluated.
@@ -47,7 +48,7 @@ is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -99,26 +100,34 @@ class OrderCoefficients:
         target = 1.0 if self.order == 0 else 0.0
         trace_err = abs(arr.trace() - target)
         if trace_err > tol.trace:
-            raise ValueError(
-                f"order {self.order} trace differs from {target} by {trace_err:.3e}"
-            )
+            raise ValueError(f"order {self.order} trace differs from {target} by {trace_err:.3e}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeff", arr)
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Real square linear system; row and column i both stand for `unknowns[i]`.
+    """Real square system matrix A, factorised once; row and column i stand for `unknowns[i]`.
 
     `unknowns` is an (N, 3) integer array of rows (kind, m, n): kind 0 is the
     diagonal entry f_mm (n = m), kinds 1 and 2 the real and imaginary parts of
     f_mn for an internal pair m < n.  Row i is the same part of entry (m, n)
-    of the stationarity condition.
+    of the stationarity condition.  `scale` (sum_a ||L_a||_F^2 when assembled)
+    floors rank cutoffs.  A and its full SVD (u, s, vt) are stored read-only.
     """
 
     matrix: np.ndarray
-    rhs: np.ndarray
     unknowns: np.ndarray
+    scale: float = 0.0
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=float)
+        svd = np.linalg.svd(matrix, full_matrices=True)
+        for arr in (matrix, *svd):
+            arr.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "svd", tuple(svd))
 
 
 @dataclass(frozen=True)
@@ -178,9 +187,9 @@ def _rhs(jumps, known, rows: np.ndarray) -> np.ndarray:
     return -np.where(kind == 2, image.imag, image.real)
 
 
-def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: DegeneracyPartition,
-                                 external: np.ndarray) -> LinearSystem:
-    """Stacked system for diagonal and internal-pair entries of one order.
+def assemble_internal_system_deg(jumps: Sequence[np.ndarray],
+                                 partition: DegeneracyPartition) -> LinearSystem:
+    """Factorised system matrix for the diagonal and internal-pair entries of every order.
 
     The unknowns are (kind, m, n) rows (see `LinearSystem`): the diagonal
     entries first (ascending index), then the internal pairs (m, n), m < n, in
@@ -188,14 +197,14 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
     part.  The rows are the unknowns: the diagonal conditions and, per
     internal pair, the real and imaginary parts of [Diss(f)]_mn = 0.  The
     matrix is the dissipator in the Hermitian basis of the unknowns, built in
-    closed form by `_hermitian_block`; the right-hand side is minus the image
-    of the known external entries.  For a spectrum without degeneracy only
-    the diagonal unknowns remain: their matrix is the rate matrix whose
-    columns each sum to zero, so one singular value is structurally zero.
+    closed form by `_hermitian_block`, and factorised once; each order passes
+    its own right-hand side.  For a spectrum without degeneracy only the
+    diagonal unknowns remain: their matrix is the rate matrix whose columns
+    each sum to zero, so one singular value is structurally zero.
     """
-    external = np.asarray(external, dtype=complex)
-    dim = external.shape[0]
-    if partition.dim != dim:
+    dim = partition.dim
+    jumps = [np.asarray(L, dtype=complex) for L in jumps]
+    if any(L.shape != (dim, dim) for L in jumps):
         raise ValueError("partition does not match operator dimension")
     pairs = np.array(partition.internal_pairs(), dtype=int).reshape(-1, 2)
     diag = np.arange(dim)
@@ -203,50 +212,42 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
         np.column_stack([np.zeros(dim, dtype=int), diag, diag]),
         np.column_stack([np.tile([1, 2], len(pairs)), np.repeat(pairs, 2, axis=0)]),
     ])
-    ids = partition.class_ids
-    known = np.where(ids[:, None] != ids[None, :], external, 0.0)
-    jumps = [np.asarray(L, dtype=complex) for L in jumps]
     # internal pairs drop the commutator, so G holds no energies
     g = -0.5 * sum((L.conj().T @ L for L in jumps), np.zeros((dim, dim), dtype=complex))
     kind, m, n = unknowns.T
     matrix = _hermitian_block(jumps, g, (m[:, None], n[:, None], _KIND_READS[kind][:, None]),
                               (m, n, _KIND_WEIGHTS[kind]))
-    return LinearSystem(matrix=matrix, rhs=_rhs(jumps, known, unknowns), unknowns=unknowns)
+    return LinearSystem(matrix, unknowns, sum(float(np.linalg.norm(L)) ** 2 for L in jumps))
 
 
-def _rank(s: np.ndarray, tol_rank: float) -> int:
-    """Count of descending singular values `s` above tol_rank times the largest."""
-    smax = s[0] if s.size else 0.0
-    return int(np.sum(s > tol_rank * smax)) if smax > 0 else 0
+def _rank(s: np.ndarray, tol_rank: float, scale: float) -> int:
+    """Count of singular values `s` above tol_rank times max(largest, scale)."""
+    return int(np.sum(s > tol_rank * max(s.max(initial=0.0), scale)))
 
 
-def solve_with_rank_check(system: LinearSystem, tol_rank: float = DEFAULT_TOLERANCES.rank):
-    """Solve a (possibly singular) real system, reporting ranks.
+def solve_with_rank_check(system: LinearSystem, rhs: np.ndarray,
+                          tol_rank: float = DEFAULT_TOLERANCES.rank):
+    """Solve A x = rhs for the factorised (possibly singular) system, reporting ranks.
 
-    Rank is the number of singular values above tol_rank times the largest
-    one, for the system matrix and for the augmented matrix.  Unequal ranks
-    mean the system is inconsistent and `NoSolution` is returned.  Otherwise
-    the minimum-norm particular solution and an orthonormal null-space basis
-    are produced.
+    Rank counts singular values above tol_rank * max(s_max, system.scale),
+    for A (stored) and for [A | rhs] (values only).  Unequal ranks mean the
+    system is inconsistent and `NoSolution` is returned.  Otherwise the
+    minimum-norm particular solution and an orthonormal null-space basis
+    are produced from A's stored factors.
     """
-    a = np.asarray(system.matrix, dtype=float)
-    b = np.asarray(system.rhs, dtype=float)
-    n = a.shape[1]
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = _rank(s, tol_rank)
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    rank_aug = _rank(np.linalg.svd(aug, compute_uv=False), tol_rank)
+    b = np.asarray(rhs, dtype=float)
+    u, s, vt = system.svd
+    rank = _rank(s, tol_rank, system.scale)
+    aug = np.concatenate([system.matrix, b[:, None]], axis=1)
+    rank_aug = _rank(np.linalg.svd(aug, compute_uv=False), tol_rank, system.scale)
 
     report = RankReport(rank=rank, rank_augmented=rank_aug, singular_values=s)
     if rank_aug > rank:
         return NoSolution(rank_report=report, reason="rank(matrix) < rank(augmented)")
 
-    if rank > 0:
-        particular = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    else:
-        particular = np.zeros(n)
-    basis = tuple(vt[i] for i in range(rank, n))
-    return AffineSolution(particular=particular, nullspace_basis=basis, rank_report=report)
+    # rank 0 leaves an empty sum: the zero vector
+    particular = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    return AffineSolution(particular, tuple(vt[rank:]), report)
 
 
 def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray):
@@ -354,11 +355,12 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     Every spectrum takes the same path: a spectrum without degeneracy is the
     case of singleton classes, which leaves no internal pairs.  The system
     matrix depends only on the jumps and the partition, so it is assembled
-    once; each order then fills the external entries from the previous order,
-    rebuilds the right-hand side from them, checks solvability, and applies
-    the trace condition.  The free directions depend on the matrix alone, so
-    only order zero scatters them.  Returns a `PointerFamily`, or a
-    `SchemeFailure` naming the order at which the construction stopped.
+    and factorised once; each order then fills the external entries from the
+    previous order, builds the right-hand side from them, checks solvability,
+    and applies the trace condition.  The free directions depend on the
+    matrix alone, so only order zero scatters them.  Returns a
+    `PointerFamily`, or a `SchemeFailure` naming the order at which the
+    construction stopped.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -372,14 +374,12 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     orders: list[OrderCoefficients] = []
     reports: list[RankReport] = []
     prev = np.zeros((dim, dim), dtype=complex)
-    system = assemble_internal_system_deg(jumps, partition, prev)
+    system = assemble_internal_system_deg(jumps, partition)
 
     for s in range(max_order + 1):
         # the closed form leaves the diagonal and internal entries zero
         offdiag = offdiag_next_deg(jumps, spectrum, partition, prev)
-        system = replace(system, rhs=_rhs(jumps, offdiag, system.unknowns))
-
-        sol = solve_with_rank_check(system, tol_rank=tol_rank)
+        sol = solve_with_rank_check(system, _rhs(jumps, offdiag, system.unknowns), tol_rank)
         if not isinstance(sol, NoSolution):
             sol = apply_trace_condition(sol, s, system.unknowns)
         if isinstance(sol, NoSolution):
@@ -387,14 +387,13 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
 
         free = sol.nullspace_basis if s == 0 else ()
         mats = _scatter(dim, system.unknowns, np.array([sol.particular, *free]))
-        coeff = offdiag + mats[0]
-        orders.append(OrderCoefficients(order=s, coeff=coeff))
+        prev = offdiag + mats[0]
+        orders.append(OrderCoefficients(order=s, coeff=prev))
         if s == 0:
             for mat in mats[1:]:
                 mat /= np.linalg.norm(mat)
             directions = tuple(mats[1:])
         reports.append(sol.rank_report)
-        prev = coeff
 
     return PointerFamily(spectrum=spectrum, partition=partition, orders=tuple(orders),
                          free_directions=directions, rank_reports=tuple(reports))

@@ -596,6 +596,10 @@ MALFORMED_CONFIGS = [
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 100.0}), "evolve.n_steps"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": True}), "evolve.n_steps"),
     (dict(TWO_LEVEL, evolve={"t_end": float("inf")}), "evolve.t_end"),
+    # finite, but t_end / default step overflows, so neither the derived step
+    # count nor the step-size error's suggested count is finite
+    (dict(TWO_LEVEL, evolve={"t_end": 1e308}), "evolve.t_end"),
+    (dict(TWO_LEVEL, evolve={"t_end": 1e308, "n_steps": 1}), "evolve.t_end"),
     ({"model": "custom", "custom": {"energies": [float("nan"), 1.0], "jumps": []}},
      "custom.energies[0]"),
     ({"model": "custom", "custom": {"energies": [1.0, "x"], "jumps": []}}, "custom.energies[1]"),

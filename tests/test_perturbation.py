@@ -18,6 +18,7 @@ from fgkls.perturbation import (
     PointerFamily,
     RankReport,
     SchemeFailure,
+    _rhs,
     apply_trace_condition,
     assemble_internal_system_deg,
     offdiag_next_deg,
@@ -35,6 +36,10 @@ def _zero(dim):
 def _diag_unknowns(dim):
     """(kind, m, n) rows of the diagonal unknowns f_00 ... f_(dim-1)(dim-1)."""
     return np.column_stack([np.zeros(dim, dtype=int), np.arange(dim), np.arange(dim)])
+
+
+def _solve_homogeneous(system):
+    return solve_with_rank_check(system, np.zeros(len(system.unknowns)))
 
 
 # --- off-diagonal closed form ---------------------------------------------
@@ -104,17 +109,17 @@ def test_offdiag_deg_external_only_and_hermitian():
 
 def test_diagonal_system_two_level_matrix():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
     assert np.array_equal(system.unknowns, _diag_unknowns(2))
     assert np.allclose(system.matrix, [[-4.0, 1.0], [4.0, -1.0]])
-    assert np.max(np.abs(system.rhs)) == 0.0
+    assert np.max(np.abs(_rhs(jumps, _zero(2), system.unknowns))) == 0.0
 
 
 def test_diagonal_system_homogeneous_for_zero_offdiag():
     rng = np.random.default_rng(21)
     spectrum, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2)
-    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(5))
-    assert np.max(np.abs(system.rhs)) == 0.0
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
+    assert np.max(np.abs(_rhs(jumps, _zero(5), system.unknowns))) == 0.0
 
 
 def test_equation_rows_sum_to_identity():
@@ -124,9 +129,9 @@ def test_equation_rows_sum_to_identity():
     spectrum, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2, coupling=0.5)
     partition = classify_pairs(spectrum)
     offdiag = offdiag_next_deg(jumps, spectrum, partition, random_hermitian(rng, 5))
-    system = assemble_internal_system_deg(jumps, partition, offdiag)
+    system = assemble_internal_system_deg(jumps, partition)
     assert np.max(np.abs(system.matrix.sum(axis=0))) < 1e-12
-    assert abs(system.rhs.sum()) < 1e-12
+    assert abs(_rhs(jumps, offdiag, system.unknowns).sum()) < 1e-12
     s = np.linalg.svd(system.matrix, compute_uv=False)
     assert s[-1] < 1e-10 * s[0]
 
@@ -143,14 +148,15 @@ def test_internal_system_structure_sigma_xy():
 
     rng = np.random.default_rng(31)
     external = offdiag_next_deg(jumps, spectrum, partition, random_hermitian(rng, 8))
-    system = assemble_internal_system_deg(jumps, partition, external)
+    system = assemble_internal_system_deg(jumps, partition)
+    rhs = _rhs(jumps, external, system.unknowns)
     n_diag = 8
     assert np.array_equal(system.unknowns[:n_diag], _diag_unknowns(n_diag))
     assert np.array_equal(system.unknowns[n_diag:], [[1, 0, 5], [2, 0, 5], [1, 2, 7], [2, 2, 7]])
 
-    sol = apply_trace_condition(solve_with_rank_check(system), 0, system.unknowns)
+    sol = apply_trace_condition(solve_with_rank_check(system, rhs), 0, system.unknowns)
     assert isinstance(sol, AffineSolution)
-    assert np.linalg.norm(system.matrix @ sol.particular - system.rhs) < 1e-10
+    assert np.linalg.norm(system.matrix @ sol.particular - rhs) < 1e-10
     for v in sol.nullspace_basis:
         assert np.linalg.norm(system.matrix @ v) < 1e-10
     values = dict(zip(map(tuple, system.unknowns.tolist()), sol.particular))
@@ -169,9 +175,9 @@ def test_internal_system_structure_sigma_xy():
 def test_internal_system_all_zero_jumps():
     spectrum = EnergySpectrum(np.array([1.0, 1.0]))
     partition = classify_pairs(spectrum)
-    system = assemble_internal_system_deg([_zero(2)], partition, _zero(2))
+    system = assemble_internal_system_deg([_zero(2)], partition)
     assert np.max(np.abs(system.matrix)) == 0.0
-    sol = solve_with_rank_check(system)
+    sol = _solve_homogeneous(system)
     assert sol.rank_report.rank == 0
     assert len(sol.nullspace_basis) == len(system.unknowns)
 
@@ -190,7 +196,7 @@ def test_hermitian_block_matches_dissipator_columns():
     eps = np.finfo(float).eps
     for spectrum, jumps in cases:
         partition = classify_pairs(spectrum)
-        system = assemble_internal_system_deg(jumps, partition, _zero(spectrum.dim))
+        system = assemble_internal_system_deg(jumps, partition)
         unknowns = system.unknowns
         if partition.has_degeneracy:
             assert set(unknowns[:, 0]) == {0, 1, 2}
@@ -210,8 +216,8 @@ def test_hermitian_block_matches_dissipator_columns():
 
 def test_solve_two_level_null_space():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
-    sol = solve_with_rank_check(system)
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
+    sol = _solve_homogeneous(system)
     assert sol.rank_report.rank == 1
     assert len(sol.nullspace_basis) == 1
     v = sol.nullspace_basis[0]
@@ -220,27 +226,24 @@ def test_solve_two_level_null_space():
 
 
 def test_solve_zero_system_everything_free():
-    system = LinearSystem(matrix=np.zeros((3, 3)), rhs=np.zeros(3),
-                          unknowns=_diag_unknowns(3))
-    sol = solve_with_rank_check(system)
+    system = LinearSystem(matrix=np.zeros((3, 3)), unknowns=_diag_unknowns(3))
+    sol = _solve_homogeneous(system)
     assert sol.rank_report.rank == 0
     assert np.max(np.abs(sol.particular)) == 0.0
     assert len(sol.nullspace_basis) == 3
 
 
 def test_solve_identity_system_unique():
-    system = LinearSystem(matrix=np.eye(2), rhs=np.array([1.0, 1.0]),
-                          unknowns=_diag_unknowns(2))
-    sol = solve_with_rank_check(system)
+    system = LinearSystem(matrix=np.eye(2), unknowns=_diag_unknowns(2))
+    sol = solve_with_rank_check(system, np.array([1.0, 1.0]))
     assert np.allclose(sol.particular, [1.0, 1.0])
     assert sol.nullspace_basis == ()
     assert sol.rank_report.rank == sol.rank_report.rank_augmented == 2
 
 
 def test_solve_inconsistent_reports_no_solution():
-    system = LinearSystem(matrix=np.array([[1.0, 0.0], [1.0, 0.0]]), rhs=np.array([1.0, 2.0]),
-                          unknowns=_diag_unknowns(2))
-    out = solve_with_rank_check(system)
+    system = LinearSystem(matrix=np.array([[1.0, 0.0], [1.0, 0.0]]), unknowns=_diag_unknowns(2))
+    out = solve_with_rank_check(system, np.array([1.0, 2.0]))
     assert isinstance(out, NoSolution)
     assert out.rank_report.rank == 1
     assert out.rank_report.rank_augmented == 2
@@ -250,8 +253,8 @@ def test_solve_inconsistent_reports_no_solution():
 
 def test_trace_condition_two_level_order_zero():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
-    sol = apply_trace_condition(solve_with_rank_check(system), 0, system.unknowns)
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
+    sol = apply_trace_condition(_solve_homogeneous(system), 0, system.unknowns)
     assert isinstance(sol, AffineSolution)
     assert np.allclose(sol.particular, [0.2, 0.8], atol=1e-14)
     assert sol.nullspace_basis == ()
@@ -259,16 +262,15 @@ def test_trace_condition_two_level_order_zero():
 
 def test_trace_condition_higher_order_keeps_zero():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum), _zero(2))
-    sol = apply_trace_condition(solve_with_rank_check(system), 1, system.unknowns)
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
+    sol = apply_trace_condition(_solve_homogeneous(system), 1, system.unknowns)
     assert np.max(np.abs(sol.particular)) < 1e-15
     assert sol.nullspace_basis == ()
 
 
 def test_trace_condition_remaining_directions_traceless():
-    system = LinearSystem(matrix=np.zeros((4, 4)), rhs=np.zeros(4),
-                          unknowns=_diag_unknowns(4))
-    sol = apply_trace_condition(solve_with_rank_check(system), 0, system.unknowns)
+    system = LinearSystem(matrix=np.zeros((4, 4)), unknowns=_diag_unknowns(4))
+    sol = apply_trace_condition(_solve_homogeneous(system), 0, system.unknowns)
     assert len(sol.nullspace_basis) == 3
     assert abs(sol.particular.sum() - 1.0) < 1e-14
     for v in sol.nullspace_basis:
@@ -345,12 +347,12 @@ def test_scheme_failure_propagates_order(monkeypatch):
     calls = {"n": 0}
     real_solve = pert.solve_with_rank_check
 
-    def failing_solve(system, tol_rank=None):
+    def failing_solve(system, rhs, tol_rank=None):
         calls["n"] += 1
         if calls["n"] == 3:  # fail at order 2
             return NoSolution(rank_report=RankReport(1, 2, np.array([1.0])),
                               reason="rank(matrix) < rank(augmented)")
-        return real_solve(system, tol_rank)
+        return real_solve(system, rhs, tol_rank)
 
     monkeypatch.setattr(pert, "solve_with_rank_check", failing_solve)
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
@@ -361,8 +363,9 @@ def test_scheme_failure_propagates_order(monkeypatch):
 
 
 def test_scheme_assembles_system_once(monkeypatch):
-    # the system matrix is built once per run, in closed form; each order costs
-    # one closed-form and one right-hand-side dissipator call, not one per unknown
+    # the system matrix is built once per run, in closed form, with no
+    # dissipator call; each order costs one closed-form and one right-hand-side
+    # dissipator call, not one per unknown
     import fgkls.perturbation as pert
 
     cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.3, 0.2))
@@ -382,8 +385,53 @@ def test_scheme_assembles_system_once(monkeypatch):
         return calls["n"]
 
     assert calls_for(3) - calls_for(1) == 2 * 2
-    # order zero: the assembly's right-hand side, one closed form, one right-hand side
-    assert calls_for(0) == 3
+    # order zero: one closed form, one right-hand side
+    assert calls_for(0) == 2
+
+
+def test_scheme_factorises_its_matrix_once(monkeypatch):
+    # every order solves with the same matrix: one full SVD per run, read-only,
+    # and per order only the values-only SVD of the augmented matrix
+    import fgkls.perturbation as pert
+
+    cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.3, 0.2))
+    spectrum, jumps = build_oscillator_spin(cfg)
+    real_svd = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, compute_uv=True, **kwargs):
+        calls.append(compute_uv)
+        return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for max_order in (0, 3):
+        calls.clear()
+        assert isinstance(pert.run_pointer_scheme(spectrum, jumps, max_order=max_order),
+                          PointerFamily)
+        assert calls.count(True) == 1 and calls.count(False) == max_order + 1
+    monkeypatch.undo()
+
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
+    u, s, vt = system.svd
+    for arr in (system.matrix, u, s, vt):
+        assert not arr.flags.writeable
+    assert np.allclose((u * s) @ vt, system.matrix, atol=1e-14)
+
+
+def test_pure_dephasing_keeps_every_free_direction():
+    # a pure-dephasing jump leaves a rate matrix that is zero in exact
+    # arithmetic; rounding gives it s_max of about 1e-17, which a cutoff
+    # relative to s_max alone would count as rank 1, losing one free direction.
+    # The floor sum_a ||L_a||_F^2 counts rank 0.
+    spectrum = EnergySpectrum(np.array([0.5, 1.1, 1.9, 2.6]))
+    e11 = _zero(4)
+    e11[1, 1] = 1.0
+    jumps = [0.3 * e11, 0.1 * e11]
+    family = run_pointer_scheme(spectrum, jumps, max_order=3)
+    assert isinstance(family, PointerFamily)
+    assert [(r.rank, r.rank_augmented) for r in family.rank_reports] == [(0, 0)] * 4
+    assert len(family.free_directions) == 3
+    assert len(family.free_directions) + 1 == steady_state_basis(spectrum, jumps).kernel_dim
 
 
 def test_residual_scaling_with_truncation_order():
