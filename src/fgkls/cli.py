@@ -493,8 +493,9 @@ def _run_trajectories(config: RunConfig) -> dict:
 def _trajectory_csvs(trajectories) -> Iterator[list[str]]:
     """Each trajectory's CSV file, in order, as a list of lines ending in a newline.
 
-    Row k is t_k, then record k's real and imaginary parts in row-major order,
-    every float as `repr`.  A time column shared with the previous file is
+    Columns t, re(rho_mn)..., im(rho_mn)... (rho_m_n from D = 11 on).  Row k
+    is t_k, then record k's real and imaginary parts in row-major order, every
+    float as `repr`.  A time column shared with the previous file is
     formatted once, and a file's other floats once per distinct magnitude:
     for finite x, -0.0 included, repr(-x) is "-" + repr(x).
     """
@@ -504,7 +505,8 @@ def _trajectory_csvs(trajectories) -> Iterator[list[str]]:
             times = traj.times
             times_text = list(map(repr, times.tolist()))
         count, d, _ = traj.states.shape
-        header = ["t"] + [f"{part}(rho_{m}{n})" for part in ("re", "im")
+        sep = "_" if d >= 11 else ""  # rho_1_10 and rho_11_0 stay apart
+        header = ["t"] + [f"{part}(rho_{m}{sep}{n})" for part in ("re", "im")
                           for m in range(d) for n in range(d)]
         flat = traj.states.reshape(count, -1)
         table = np.concatenate([flat.real, flat.imag], axis=1)
@@ -551,7 +553,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
     comparisons = []
     scaling = []
     blocks = []
-    family_dirs = family.affine_directions()
+    family_dirs = family.free_directions
     worst_family = 0.0
     steady_full = member_full = None
     for lam in config.lambda_values:
@@ -562,7 +564,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         blocks.append(_oracle_blocks(lam, steady))
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
-                                         list(steady.physical_directions))
+                                         steady.physical_directions)
         worst_family = max(worst_family, dist)
         comparisons.append({
             "lambda": lam,
@@ -588,7 +590,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         for seed, traj in runs.items():
             final = traj.states[-1]
             d_exact = point_to_affine_distance(final, steady_full.physical_member,
-                                               list(steady_full.physical_directions))
+                                               steady_full.physical_directions)
             d_family = point_to_affine_distance(final, member_full, family_dirs)
             worst_endpoint = max(worst_endpoint, d_exact, d_family)
             endpoints.append({

@@ -436,23 +436,6 @@ def _real_embed(mat: np.ndarray) -> np.ndarray:
     return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
 
 
-def _embed_to_matrix(row: np.ndarray, dim: int) -> np.ndarray:
-    re, im = row[: dim * dim], row[dim * dim:]
-    return re.reshape(dim, dim) + 1j * im.reshape(dim, dim)
-
-
-def _orthonormal_span(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the real span of `mats`, cut at 1e-12 relative."""
-    if not mats:
-        return []
-    dim = mats[0].shape[0]
-    rows = np.array([_real_embed(m) for m in mats])
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    return [_embed_to_matrix(vt[i], dim) for i in range(s.size) if s[i] > 1e-12 * s[0]]
-
-
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Reproducible random state: normalize A A^dag for complex Gaussian A."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -29,7 +29,6 @@ from .core import (
     InvalidStateError,
     _check_states,
     _hermitian_block,
-    _orthonormal_span,
     _real_embed,
     _scatter,
     _vec_coordinates,
@@ -70,8 +69,10 @@ _RECORD_CHUNK = 2 ** 14
 class SteadyStateSet:
     """Hermitian basis of the Liouvillian kernel plus its physical trace-1 slice.
 
-    `block_sizes` are the sizes of the independent real blocks (a vec index
-    and its mirror share one) of the kernel search, in the order solved.
+    `basis` and the traceless `physical_directions` are Frobenius-orthonormal
+    by construction (orthonormal coordinates in an orthonormal Hermitian
+    basis).  `block_sizes` are the sizes of the independent real blocks (a vec
+    index and its mirror share one) of the kernel search, in the order solved.
     `tol_kernel` is the relative cutoff that decided the kernel dimension.
     `singular_values` holds all D^2 singular values of the Liouvillian in
     descending order, or None when the kernel was certified without them.
@@ -454,7 +455,7 @@ def _steady_states(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], tol_ke
 
 
 class StepSizeError(RuntimeError):
-    """Integration step too large: trace or positivity drifted beyond tolerance."""
+    """A recorded state drifted beyond tolerance: the step is too large, or rounding piled up."""
 
     def __init__(self, message: str, suggested_step: float):
         super().__init__(message)
@@ -508,7 +509,8 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     1e-8 as it is reached, and the records are validated as density
     matrices `_RECORD_CHUNK` complex entries at a time.  The earliest
     failing (record, member) pair raises `StepSizeError`, which names the
-    member and carries a suggested step size.
+    member and carries a suggested step size; from the default step count on,
+    its message blames rounding accumulated over `n_steps` steps instead.
     """
     if len(rho0s) == 0:
         raise ValueError("no initial states")
@@ -523,8 +525,9 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     if not math.isfinite(t_end / h_default):
         raise ValueError(f"t_end {t_end:g} is too large: t_end / default step "
                          f"{h_default:.3e} is not finite")
+    default_count = max(1, int(math.ceil(t_end / h_default)))
     if n_steps is None:
-        n_steps = max(1, int(math.ceil(t_end / h_default)))
+        n_steps = default_count
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if record_every < 1:
@@ -532,12 +535,14 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     h = t_end / n_steps
 
     def too_large(detail: str, member: int) -> StepSizeError:
-        return StepSizeError(
-            f"step size {h:.3e} too large: {detail} in initial state {member}; "
-            f"suggested step {h_default:.3e} "
-            f"({max(1, int(math.ceil(t_end / h_default)))} steps for t_end {t_end:g})",
-            suggested_step=h_default,
-        )
+        where = f"{detail} in initial state {member}"
+        if n_steps >= default_count:  # no larger than the default step: rounding piled up
+            return StepSizeError(f"accumulated rounding over {n_steps:.3g} steps: {where}; step "
+                                 f"size {h:.3e} is not above the default step {h_default:.3e}, "
+                                 f"so use a shorter t_end than {t_end:g}", h_default)
+        return StepSizeError(f"step size {h:.3e} too large: {where}; suggested step "
+                             f"{h_default:.3e} ({default_count} steps for t_end {t_end:g})",
+                             h_default)
 
     d = spectrum.dim
     unknowns, scale, alpha, mirror = _vec_coordinates(d)
@@ -710,13 +715,20 @@ def verify_identity_72(params: TwoLevelParams) -> float:
 
 def point_to_affine_distance(point: np.ndarray, base: np.ndarray,
                              directions: Sequence[np.ndarray]) -> float:
-    """Frobenius distance from `point` to the affine set base + span(directions)."""
+    """Frobenius distance from `point` to the affine set base + span(directions).
+
+    `directions` must be Frobenius-orthonormal, as both oracles' are: a Gram
+    matrix more than 1e-10 from the identity raises `ValueError`.
+    """
     r = _real_embed(np.asarray(point, complex) - np.asarray(base, complex))
-    ortho = _orthonormal_span(list(directions))
-    for b in ortho:
-        eb = _real_embed(b)
-        r = r - (eb @ r) * eb
-    return float(np.linalg.norm(r))
+    if len(directions) == 0:
+        return float(np.linalg.norm(r))
+    e = np.array([_real_embed(np.asarray(v, complex)) for v in directions])
+    gram_err = float(np.max(np.abs(e @ e.T - np.eye(len(e)))))
+    if not gram_err <= 1e-10:
+        raise ValueError(f"directions are not Frobenius-orthonormal: "
+                         f"max |Gram - I| = {gram_err:.3e}")
+    return float(np.linalg.norm(r - (e @ r) @ e))
 
 
 def hermitian_affine_distance(point_a: np.ndarray, dirs_a: Sequence[np.ndarray],
@@ -725,7 +737,7 @@ def hermitian_affine_distance(point_a: np.ndarray, dirs_a: Sequence[np.ndarray],
 
     Each family's representative is matched against the closest member of the
     other family; the larger of the two mismatches is returned, so the value
-    is zero iff the representatives lie in each other's families.
+    is zero iff the representatives lie in each other's (orthonormal) families.
     """
     return max(point_to_affine_distance(point_a, point_b, dirs_b),
                point_to_affine_distance(point_b, point_a, dirs_a))

@@ -60,7 +60,6 @@ from .core import (
     _KIND_READS,
     _KIND_WEIGHTS,
     _hermitian_block,
-    _orthonormal_span,
     _scatter,
     classify_pairs,
     dissipator,
@@ -139,7 +138,7 @@ class RankReport:
 
 @dataclass(frozen=True)
 class AffineSolution:
-    """Particular solution of minimum norm plus an orthonormal null-space basis."""
+    """Particular solution plus a null-space basis (see `apply_trace_condition` for its metric)."""
 
     particular: np.ndarray
     nullspace_basis: tuple[np.ndarray, ...]
@@ -254,10 +253,13 @@ def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray)
     """Impose the per-order trace target, eliminating one free parameter.
 
     The target is 1 at order zero and 0 above.  The free direction with the
-    largest diagonal-sum component absorbs the constraint; the remaining
-    directions are re-orthonormalized with zero diagonal sum.  If no direction
-    can move the trace and the particular solution misses the target, the
-    scheme has failed.
+    largest diagonal-sum component absorbs the constraint.  The remaining
+    directions, which have zero diagonal sum, are orthonormalised (one QR) in
+    the metric sum_j w_j x_j y_j, with w_j the Frobenius norm squared of
+    unknown j's basis element (1 for kind 0, 2 for kinds 1 and 2), so that
+    their `_scatter`ed matrices are Frobenius-orthonormal and traceless.  If
+    no direction can move the trace, `sol` is returned unchanged when it
+    meets the target; otherwise the scheme has failed.
     """
     t = (np.asarray(unknowns)[:, 0] == 0).astype(float)
     target = 1.0 if order == 0 else 0.0
@@ -283,9 +285,10 @@ def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray)
         if i != j
     ]
     if remaining:
-        q, r = np.linalg.qr(np.column_stack(remaining))
+        root_w = np.sqrt(2.0 - t)  # sqrt(w): 1 on kind 0, sqrt(2) on kinds 1 and 2
+        q, r = np.linalg.qr(root_w[:, None] * np.column_stack(remaining))
         keep = np.abs(np.diag(r)) > 1e-12
-        basis = tuple(q[:, k] for k in range(q.shape[1]) if keep[k])
+        basis = tuple(q[:, k] / root_w for k in range(q.shape[1]) if keep[k])
     else:
         basis = ()
     return AffineSolution(particular=particular, nullspace_basis=basis,
@@ -297,8 +300,9 @@ class PointerFamily:
     """Affine family of stationary states produced by the per-order scheme.
 
     `orders[s].coeff` is the lam-independent coefficient of lam^(2s) for the
-    particular member; `free_directions`, shared by every order, are unit
-    traceless Hermitian matrices spanning the freedom after the trace condition.
+    particular member; `free_directions`, shared by every order, are
+    Frobenius-orthonormal traceless Hermitian matrices spanning the freedom
+    after the trace condition.
     """
 
     spectrum: EnergySpectrum
@@ -321,8 +325,8 @@ class PointerFamily:
         """Member sum_s lam^(2s) (f^(s) + sum_i c_si V_i) truncated at max_order.
 
         `direction_coefficients`, when given, maps order -> sequence of real
-        coefficients c_si, one per shared free direction V_i; omitted orders
-        use the particular member.
+        coefficients c_si, one per shared (Frobenius-orthonormal) free
+        direction V_i; omitted orders use the particular member.
         """
         if max_order is None:
             max_order = self.max_order
@@ -341,10 +345,6 @@ class PointerFamily:
                 term = term + c * v
             out = out + (lam ** (2 * s)) * term
         return out
-
-    def affine_directions(self) -> list[np.ndarray]:
-        """Frobenius-orthonormal Hermitian basis of the span of the free directions."""
-        return _orthonormal_span(list(self.free_directions))
 
 
 def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
@@ -390,8 +390,6 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
         prev = offdiag + mats[0]
         orders.append(OrderCoefficients(order=s, coeff=prev))
         if s == 0:
-            for mat in mats[1:]:
-                mat /= np.linalg.norm(mat)
             directions = tuple(mats[1:])
         reports.append(sol.rank_report)
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from fgkls import EnergySpectrum
+from fgkls.core import _real_embed
 
 
 # `random_nondegenerate_model` gives up after this many draws of the energies
@@ -38,6 +39,36 @@ def random_jumps(rng, dim, n_jumps, scale):
     return jumps
 
 
+def protected_class_model(rng, n_classes=3, n_jumps=2, coupling=0.1):
+    """Random degenerate model whose stationary states carry internal coherences.
+
+    Each energy class holds 1-3 levels, the first at least two.  The first
+    class, and each other class with probability 1/2, is protected: every
+    jump acts on it as a random complex scalar, so the coherences inside it
+    are stationary.  The other classes get a random Hermitian block per
+    jump.  The jumps are block-diagonal in the classes.
+    """
+    sizes = rng.integers(1, 4, size=n_classes)
+    sizes[0] = max(sizes[0], 2)
+    protected = rng.random(n_classes) < 0.5
+    protected[0] = True
+    energies = np.repeat(rng.permutation(n_classes) + 0.5, sizes).astype(float)
+    dim = energies.size
+    jumps = []
+    for _ in range(n_jumps):
+        L = np.zeros((dim, dim), dtype=complex)
+        start = 0
+        for size, keep in zip(sizes, protected):
+            block = slice(start, start + size)
+            if keep:
+                L[block, block] = (rng.standard_normal() + 1j * rng.standard_normal()) * np.eye(size)
+            else:
+                L[block, block] = random_hermitian(rng, size)
+            start += size
+        jumps.append(coupling * L)
+    return EnergySpectrum(energies), jumps
+
+
 def decoupled_level_model(spectrum, jumps):
     """The model with its last level decoupled: the jumps' last row and column zeroed.
 
@@ -48,6 +79,31 @@ def decoupled_level_model(spectrum, jumps):
     for L in jumps:
         L[-1, :] = L[:, -1] = 0.0
     return spectrum, jumps
+
+
+def orthonormal_span(mats):
+    """Frobenius-orthonormal basis of the real span of `mats` (one SVD), cut at 1e-12 relative."""
+    if not mats:
+        return []
+    dim = mats[0].shape[0]
+    _, s, vt = np.linalg.svd(np.array([_real_embed(m) for m in mats]), full_matrices=False)
+    if s[0] == 0.0:
+        return []
+    return [v[:dim * dim].reshape(dim, dim) + 1j * v[dim * dim:].reshape(dim, dim)
+            for v, sv in zip(vt, s) if sv > 1e-12 * s[0]]
+
+
+def span_gap(mats_a, mats_b):
+    """Spectral norm of the difference of the projectors onto the real spans of two matrix lists.
+
+    It is the sine of the largest principal angle, taken from the residual of
+    one orthonormal basis against the other; inf when the dimensions differ.
+    """
+    qa = np.array([_real_embed(m) for m in orthonormal_span(list(mats_a))])
+    qb = np.array([_real_embed(m) for m in orthonormal_span(list(mats_b))])
+    if len(qa) != len(qb):
+        return float("inf")
+    return float(np.linalg.norm(qb - (qb @ qa.T) @ qa, 2))
 
 
 def random_hermitian(rng, dim):

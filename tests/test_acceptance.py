@@ -152,7 +152,7 @@ def test_criterion_6_oracle_equivalence():
     worst_bundled = 0.0
     for _, spectrum, jumps in _bundled_models():
         family = run_pointer_scheme(spectrum, jumps, max_order=2)
-        dirs = family.affine_directions()
+        dirs = family.free_directions
         for lam in (0.1, 0.05):
             steady = steady_state_basis(spectrum, [lam * L for L in jumps])
             dist = hermitian_affine_distance(family.evaluate(lam), dirs,
@@ -170,7 +170,7 @@ def test_criterion_6_oracle_equivalence():
         constants = []
         for lam in (0.1, 0.05):
             steady = steady_state_basis(spectrum, [lam * L for L in jumps])
-            dist = hermitian_affine_distance(family.evaluate(lam), family.affine_directions(),
+            dist = hermitian_affine_distance(family.evaluate(lam), family.free_directions,
                                              steady.physical_member,
                                              list(steady.physical_directions))
             if dist < 1e-13:

@@ -381,9 +381,10 @@ def _nested_pairs(mat):
 
 def _reference_csv(traj):
     d = traj.states.shape[1]
+    sep = "_" if d >= 11 else ""
     header = ["t"]
-    header += [f"re(rho_{m}{n})" for m in range(d) for n in range(d)]
-    header += [f"im(rho_{m}{n})" for m in range(d) for n in range(d)]
+    header += [f"re(rho_{m}{sep}{n})" for m in range(d) for n in range(d)]
+    header += [f"im(rho_{m}{sep}{n})" for m in range(d) for n in range(d)]
     flat = traj.states.reshape(len(traj.states), -1)
     table = np.column_stack([traj.times, flat.real, flat.imag])
     return [",".join(header) + "\n"] + [",".join(map(repr, row)) + "\n" for row in table.tolist()]
@@ -412,6 +413,18 @@ def test_trajectory_csvs_match_repr_of_every_float(tmp_path):
     files = _trajectory_csvs(trajectories)
     assert [next(files) for _ in trajectories] == [_reference_csv(t) for t in trajectories]
     assert next(files, None) is None
+
+
+def test_trajectory_csv_header_names_are_unique_from_D11():
+    # without a separator (1, 10) and (11, 0) would both print as rho_110
+    for d, first in ((10, "re(rho_00)"), (11, "re(rho_0_0)")):
+        states = np.broadcast_to(np.eye(d, dtype=complex) / d, (2, d, d))
+        traj = Trajectory(times=np.array([0.0, 1.0]), states=states, step_size=1.0)
+        (lines,) = _trajectory_csvs([traj])
+        header = lines[0].rstrip("\n").split(",")
+        assert len(set(header)) == len(header) == 1 + 2 * d * d
+        assert header[1] == first and lines == _reference_csv(traj)
+    assert "re(rho_1_10)" in header and "im(rho_10_10)" in header
 
 
 def test_json_writer_matches_json_dumps():
@@ -794,6 +807,17 @@ def test_step_size_error_exit_code(tmp_path, capsys):
     assert err.startswith("error: step size")
     assert "suggested step" in err
     assert "Traceback" not in err
+
+
+def test_huge_t_end_at_the_default_step_names_accumulated_rounding(tmp_path, capsys):
+    # t_end 1e300 derives about 4e302 default steps, which rounding cannot survive
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(TWO_LEVEL, evolve={"t_end": 1e300, "seeds": [0]}))
+    assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == EXIT_STEP_SIZE
+    err = capsys.readouterr().err
+    assert err.startswith("error: accumulated rounding over 4e+302 steps: ")
+    assert "use a shorter t_end than 1e+300" in err
+    assert "too large" not in err and "suggested step" not in err
 
 
 def test_unstable_step_exits_without_float_warnings(tmp_path):

@@ -22,7 +22,7 @@ from fgkls import (
     vec,
     vectorize_liouvillian,
 )
-from fgkls.core import _hermitian_block, _orthonormal_span, _vec_coordinates
+from fgkls.core import _hermitian_block, _real_embed, _vec_coordinates
 from fgkls.exact import (
     EmptyKernelError,
     StepSizeError,
@@ -43,8 +43,8 @@ from fgkls.exact import _bordered, _certified_kernel, _split_kernel
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import (connected_blocks, decoupled_level_model, kron_liouvillian,
-                     orthonormal_hermitian_basis, random_jumps, random_nondegenerate_model,
-                     rk4_reference, structural_pattern)
+                     orthonormal_hermitian_basis, orthonormal_span, protected_class_model,
+                     random_jumps, random_nondegenerate_model, rk4_reference, structural_pattern)
 
 
 # --- null-space oracle -------------------------------------------------------
@@ -106,7 +106,7 @@ def dense_steady_reference(superop):
     candidates = []
     for k in kernel:
         candidates += [0.5 * (k + k.conj().T), (k - k.conj().T) / 2j]
-    basis = [b for b in _orthonormal_span(candidates)
+    basis = [b for b in orthonormal_span(candidates)
              if np.linalg.norm(superop.matrix @ vec(b)) <= tol * max(s[0], 1.0)]
     traces = np.array([float(b.trace().real) for b in basis])
     member = sum((t / float(traces @ traces)) * b for t, b in zip(traces, basis))
@@ -845,6 +845,23 @@ def test_trajectory_step_too_large_reports_suggestion():
     assert "suggested step" in str(err.value)
 
 
+def test_trajectory_rounding_drift_at_the_default_step_blames_the_step_count():
+    # at its own default step a two-level run drifts in trace past 1e-8 from
+    # about 1e8 steps on: rounding piles up over the powers of the step map,
+    # and no smaller step is suggested
+    spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
+    h = default_step(spectrum, jumps)
+    n_steps = 10 ** 8
+    with pytest.raises(StepSizeError) as err:
+        integrate_trajectory(spectrum, jumps, [DensityMatrix(0.5 * np.eye(2))],
+                             t_end=n_steps * h, n_steps=n_steps, record_every=10 ** 5)
+    message = str(err.value)
+    assert message.startswith("accumulated rounding over 1e+08 steps: trace differs from 1")
+    assert "use a shorter t_end" in message
+    assert "too large" not in message and "suggested step" not in message
+    assert err.value.suggested_step == h
+
+
 def test_trajectory_rejects_t_end_without_a_finite_step_count():
     # t_end / default step overflows: no step count to derive or to suggest
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
@@ -1150,6 +1167,33 @@ def test_affine_distance_member_matching():
     assert hermitian_affine_distance(a, [], b, []) == pytest.approx(0.2, abs=1e-12)
     # identical affine sets match to zero
     assert hermitian_affine_distance(b, [direction], a, [direction]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_affine_distance_rejects_non_orthonormal_directions():
+    a = np.diag([0.5, 0.5]).astype(complex)
+    z = np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / np.sqrt(2)
+    for dirs in ([np.sqrt(2) * z], [x, x], [x, (x + z) / np.sqrt(2)], [np.nan * x]):
+        with pytest.raises(ValueError, match="not Frobenius-orthonormal"):
+            point_to_affine_distance(a + 0.1 * x, a, dirs)
+        with pytest.raises(ValueError, match="not Frobenius-orthonormal"):
+            hermitian_affine_distance(a, dirs, a, [])
+    # within 1e-10 of orthonormal is accepted, and projects out the direction
+    assert point_to_affine_distance(a + 0.1 * x, a, [x, (1 + 1e-12) * z]) < 1e-15
+
+
+def test_physical_directions_are_frobenius_orthonormal_and_traceless():
+    rng = np.random.default_rng(67)
+    models = [(EnergySpectrum(np.array([0.4, 1.1, 2.3])), []), worked_case(0.1),
+              sigma_xy_case(4, 1.0)] + [protected_class_model(rng) for _ in range(4)]
+    for spectrum, jumps in models:
+        for oracle in (steady_state_basis, steady_state_basis_svd):
+            steady = oracle(spectrum, jumps)
+            dirs = steady.physical_directions
+            assert len(dirs) == steady.kernel_dim - 1 >= 1
+            e = np.array([_real_embed(v) for v in dirs])
+            assert np.max(np.abs(e @ e.T - np.eye(len(dirs)))) < 1e-12
+            assert max(abs(v.trace()) for v in dirs) < 1e-12
 
 
 def test_three_way_agreement_random_model():

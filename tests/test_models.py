@@ -85,7 +85,7 @@ def test_truncation_exactness():
     member = np.zeros((16, 16), dtype=complex)
     member[:8, :8] = fam_small.evaluate(1.0)
     dist = point_to_affine_distance(member, fam_large.evaluate(1.0),
-                                    fam_large.affine_directions())
+                                    fam_large.free_directions)
     assert dist < 1e-12
 
 

@@ -8,7 +8,8 @@ from fgkls import (
     stationarity_residual,
     steady_state_basis,
 )
-from fgkls.core import _KIND_READS, _KIND_WEIGHTS, _hermitian_block, dissipator
+from fgkls.core import (_KIND_READS, _KIND_WEIGHTS, _hermitian_block, _real_embed, _scatter,
+                        dissipator)
 from fgkls.exact import hermitian_affine_distance
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 from fgkls.perturbation import (
@@ -26,7 +27,8 @@ from fgkls.perturbation import (
     solve_with_rank_check,
 )
 
-from helpers import dissipator_columns, random_hermitian, random_nondegenerate_model
+from helpers import (dissipator_columns, protected_class_model, random_hermitian,
+                     random_nondegenerate_model, span_gap)
 
 
 def _zero(dim):
@@ -460,7 +462,7 @@ def test_oracle_equivalence_random_models():
         constants = []
         for lam in (0.1, 0.05):
             steady = steady_state_basis(spectrum, [lam * L for L in jumps])
-            dist = hermitian_affine_distance(family.evaluate(lam), family.affine_directions(),
+            dist = hermitian_affine_distance(family.evaluate(lam), family.free_directions,
                                              steady.physical_member,
                                              list(steady.physical_directions))
             if dist < 1e-13:
@@ -533,6 +535,40 @@ def test_scheme_holds_one_set_of_free_directions_at_D64():
         assert np.max(np.abs(v - v.conj().T)) < 1e-14
         # the homogeneous system: diagonal and internal-pair conditions vanish
         assert np.max(np.abs(dissipator(jumps, v)[internal])) < 1e-12
+
+
+def _unweighted_free_span(spectrum, jumps):
+    """The free directions before orthonormalisation: order zero's null space less pivot multiples."""
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
+    null = _solve_homogeneous(system).nullspace_basis
+    components = [float((system.unknowns[:, 0] == 0) @ v) for v in null]
+    j = int(np.argmax(np.abs(components)))
+    remaining = [v - (c / components[j]) * null[j]
+                 for i, (v, c) in enumerate(zip(null, components)) if i != j]
+    return list(_scatter(spectrum.dim, system.unknowns, np.array(remaining)))
+
+
+def test_free_directions_are_frobenius_orthonormal_traceless_with_the_same_span():
+    rng = np.random.default_rng(61)
+    models = [build_oscillator_spin(OscillatorSpinConfig(n, 1.0, delta, variant))
+              for n, delta, variant in ((6, 1.0, SigmaPlus(0.35)), (4, 1.0, SigmaXY(0.3, 0.2j)),
+                                        (32, 1.0, SigmaXY(0.1, 0.09j)))]
+    models += [protected_class_model(rng) for _ in range(6)]
+    coherent = 0
+    for spectrum, jumps in models:
+        family = run_pointer_scheme(spectrum, jumps, max_order=1)
+        dirs = family.free_directions
+        assert len(dirs) >= 2
+        e = np.array([_real_embed(v) for v in dirs])
+        assert np.max(np.abs(e @ e.T - np.eye(len(dirs)))) < 1e-12
+        for v in dirs:
+            assert abs(v.trace()) < 1e-12
+            assert np.max(np.abs(v - v.conj().T)) < 1e-14
+        # the weighted QR spans what the unweighted construction spanned
+        assert span_gap(dirs, _unweighted_free_span(spectrum, jumps)) < 1e-12
+        coherent += any(np.max(np.abs(v - np.diag(np.diag(v)))) > 0.1 for v in dirs)
+    # the weights matter only where directions hold internal-pair coherences
+    assert coherent == 6
 
 
 def test_scheme_reaches_each_layer_through_module_globals(monkeypatch):
