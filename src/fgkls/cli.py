@@ -8,10 +8,12 @@ Subcommands
 
 Each run writes `report.json` (machine readable, byte-stable across reruns)
 and `report.txt` (human readable, includes timing and, per lambda, the number
-of real Liouvillian blocks and the largest block the exact oracle solved, and
-the kernel margin: the largest kept and smallest rejected singular value over
-the largest one, next to the cutoff, or "<=" and ">=" bounds on the two where
-the oracle certified a one-block kernel without singular values) into the
+of real Liouvillian blocks and the largest block the exact oracle solved, the
+route that decided the kernel (certified by Neumann sweeps, with their count
+and contraction factor; the bordered inverse of the built block; or the SVD),
+and the kernel margin: the largest kept and smallest rejected singular value
+over the largest one, next to the cutoff, or "<=" and ">=" bounds on the two
+where the oracle certified a one-block kernel without singular values) into the
 output directory, plus `trajectory_<seed>.csv` files when trajectories are
 integrated.
 
@@ -444,19 +446,28 @@ def _exact_for_lambda(config: RunConfig, lam: float, oracle=None) -> SteadyState
         raise ConfigError(f"exact oracle at lambda {lam:g}: {err}") from err
 
 
-OracleRow = tuple[float, int, int, float, float, float | None, bool]
+OracleRow = tuple[float, int, int, str, float, float, float | None, bool]
+
+
+def _kernel_route(steady: SteadyStateSet) -> str:
+    """How `steady`'s kernel was decided: certified by sweeps, the bordered inverse, or the SVD."""
+    if steady.sweeps is None:
+        return "bordered inverse" if steady.margin_is_bound else "svd"
+    sweeps = f"{steady.sweeps[0]} sweeps, eta/gap {steady.sweeps[1]:.2e}"
+    return f"certified ({sweeps})" if steady.margin_is_bound else f"svd (after {sweeps})"
 
 
 def _oracle_blocks(lam: float, steady: SteadyStateSet) -> OracleRow:
     """The oracle's decisions at `lam`, for report.txt.
 
-    (lambda, number of real Liouvillian blocks, largest block, kernel cutoff,
-    then `SteadyStateSet.kernel_margin`: the largest kept and smallest
-    rejected singular value over the largest one, None when none is rejected,
-    and `margin_is_bound`: whether the two are bounds from the certificate.)
+    (lambda, number of real Liouvillian blocks, largest block, `_kernel_route`,
+    kernel cutoff, then `SteadyStateSet.kernel_margin`: the largest kept and
+    smallest rejected singular value over the largest one, None when none is
+    rejected, and `margin_is_bound`: whether the two are bounds from the
+    certificate.)
     """
-    return (lam, len(steady.block_sizes), max(steady.block_sizes), steady.tol_kernel,
-            *steady.kernel_margin, steady.margin_is_bound)
+    return (lam, len(steady.block_sizes), max(steady.block_sizes), _kernel_route(steady),
+            steady.tol_kernel, *steady.kernel_margin, steady.margin_is_bound)
 
 
 def cmd_exact(config: RunConfig) -> tuple[int, dict]:
@@ -746,15 +757,15 @@ def _text_report(report: dict, elapsed: float, oracle_blocks: list[OracleRow]) -
             lines.append(f"{row['lambda']:<6g} | {row['kernel_dim']:10d} | "
                          f"{row['family_vs_exact_distance']:.3e}")
     if oracle_blocks:
-        lines.append("lambda | Liouvillian blocks | largest block")
-        for lam, count, largest, *_ in oracle_blocks:
-            lines.append(f"{lam:<6g} | {count:18d} | {largest:13d}")
+        lines.append("lambda | Liouvillian blocks | largest block | kernel route")
+        for lam, count, largest, route, *_ in oracle_blocks:
+            lines.append(f"{lam:<6g} | {count:18d} | {largest:13d} | {route}")
         lines.append("lambda | kernel cutoff | largest kept / s_max | smallest rejected / s_max")
-        for lam, _, _, cutoff, kept, rejected, bound in oracle_blocks:
+        for lam, _, _, _, cutoff, kept, rejected, bound in oracle_blocks:
             kept_shown = f"<= {kept:.3e}" if bound else f"{kept:.3e}"
             shown = "-" if rejected is None else f"{'>= ' if bound else ''}{rejected:.3e}"
             lines.append(f"{lam:<6g} | {cutoff:13.3e} | {kept_shown:>20} | {shown:>25}")
-        for lam, _, _, cutoff, _, rejected, _ in oracle_blocks:
+        for lam, _, _, _, cutoff, _, rejected, _ in oracle_blocks:
             if rejected is not None and rejected < KERNEL_MARGIN * cutoff:
                 lines.append(f"note: at lambda {lam:g} the smallest rejected singular value is "
                              f"within 1e3 of the kernel cutoff; the kernel dimension depends on "

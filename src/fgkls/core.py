@@ -204,19 +204,36 @@ def classify_pairs(spectrum: EnergySpectrum, tol_degen: float | None = None) -> 
     return DegeneracyPartition(classes=ordered, tol_degen=float(tol_degen))
 
 
-def _as_operator(op, dim: int) -> np.ndarray:
+def _as_operator(op, dim: int, stack: bool = False) -> np.ndarray:
+    """`op` as a complex (dim, dim) array, or with `stack` also a (k, dim, dim) stack."""
     arr = np.asarray(op, dtype=complex)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"operator has shape {arr.shape}, expected {(dim, dim)}")
+    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.shape[-2:] != (dim, dim):
+        raise ValueError(f"operator has shape {arr.shape}, expected {(dim, dim)}"
+                         + (" or (k, D, D)" if stack else ""))
     return arr
 
 
 def dissipator(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """Jump-operator part of the generator: sum_a L_a rho L_a^dag - 1/2 {L_a^dag L_a, rho}."""
+    """Jump-operator part of the generator: sum_a L_a rho L_a^dag - 1/2 {L_a^dag L_a, rho}.
+
+    `rho` is one (D, D) matrix or a (k, D, D) stack, mapped member by member
+    with batched products.  A stack sums K = sum_a L_a^dag L_a first, two
+    products fewer per jump, so its members agree with single calls to
+    rounding; one matrix keeps the per-jump sum and its bits.
+    """
     rho = np.asarray(rho, dtype=complex)
+    rho = _as_operator(rho, rho.shape[-1] if rho.ndim else 0, stack=True)
+    jumps = [_as_operator(L, rho.shape[-1]) for L in jumps]
+    if rho.ndim == 3:
+        K = sum((L.conj().T @ L for L in jumps), np.zeros_like(rho[0]))
+        out = K @ rho
+        out += rho @ K
+        out *= -0.5
+        for L in jumps:
+            out += L @ rho @ L.conj().T
+        return out
     out = np.zeros_like(rho)
     for L in jumps:
-        L = _as_operator(L, rho.shape[0])
         K = L.conj().T @ L
         out += L @ rho @ L.conj().T - 0.5 * (K @ rho + rho @ K)
     return out

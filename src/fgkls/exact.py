@@ -6,7 +6,8 @@ built in closed form in real Hermitian coordinates:
 
 * the Liouvillian's kernel, every exact steady state as an affine trace-1
   slice of the kernel span, decided per block with its cutoff and margin
-  recorded (`steady_state_basis`, `steady_state_basis_svd`);
+  recorded, or for one block certified by Neumann sweeps of the dissipator
+  without building it (`steady_state_basis`, `steady_state_basis_svd`);
 * fixed-step RK4 integration of the FGKLS equation, confirming that pointers
   are attractors, with one propagator per real block (`integrate_trajectory`);
 * the closed-form solution of the dissipative two-level (Bloch vector)
@@ -32,6 +33,7 @@ from .core import (
     _real_embed,
     _scatter,
     _vec_coordinates,
+    dissipator,
     stationarity_residual,
 )
 from .models import build_two_level, pauli_to_offdiag
@@ -80,10 +82,10 @@ class SteadyStateSet:
     the largest one, kept meaning counted as kernel under `tol_kernel`; the
     rejected value is None when every value is kept.  Without singular
     values (`margin_is_bound`) the pair is the certificate's bounds on the
-    true values: kept from above (||R x|| over R's largest column norm),
-    rejected from below (a bound on the bordered matrix's smallest singular
-    value, from the Schur complement of the Hamiltonian-gapped block, over
-    sqrt(||R||_1 ||R||_inf)).
+    true values (`_certified_kernel`), whose bounds on s_max come from Weyl's
+    inequality, max |omega| -+ eta over the level gaps omega, after Neumann
+    sweeps, else from R's norms.  `sweeps` is (count, eta / min gapped
+    |omega|) of `_swept_kernel`'s sweeps when they ran, certified or not.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -93,6 +95,7 @@ class SteadyStateSet:
     block_sizes: tuple[int, ...]
     tol_kernel: float
     kernel_margin: tuple[float, float | None]
+    sweeps: tuple[int, float] | None = None
 
     @property
     def kernel_dim(self) -> int:
@@ -131,8 +134,8 @@ def _block_labels(jumps: Sequence[np.ndarray], k: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _real_blocks(spectrum: EnergySpectrum,
-                 jumps: Sequence[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _real_blocks(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
+                 labels: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The model's Liouvillian in real Hermitian coordinates, one block size at a time.
 
     R[i, j] = <B_i, L(B_j)> in the orthonormal Hermitian basis B_i of
@@ -142,14 +145,17 @@ def _real_blocks(spectrum: EnergySpectrum,
     vec indices of the B blocks, by smallest index, and sub (B, size, size)
     their real sub-blocks.  A block of every pair of a set of levels is built
     one row level at a time by `_grid_blocks`, any other block on its index
-    arrays by `core._hermitian_block`.
+    arrays by `core._hermitian_block`.  `labels`, when given, are the
+    model's `_block_labels`.
     """
     d = spectrum.dim
     jumps = [np.asarray(L, dtype=complex) for L in jumps]
     k = sum((L.conj().T @ L for L in jumps), np.zeros((d, d), dtype=complex))
     g = -0.5 * k - 1j * np.diag(spectrum.energies)
     _, _, alpha, _ = _vec_coordinates(d)
-    _, block, sizes = np.unique(_block_labels(jumps, k), return_inverse=True, return_counts=True)
+    if labels is None:
+        labels = _block_labels(jumps, k)
+    _, block, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     members = np.argsort(block, kind="stable")
     starts = np.cumsum(sizes) - sizes
     for size in sorted(set(sizes.tolist())):
@@ -222,96 +228,145 @@ def _bordered(sub: np.ndarray, trace: np.ndarray) -> np.ndarray:
     return bordered
 
 
-def _split_kernel(sub: np.ndarray, trace: np.ndarray, partner: np.ndarray, omega: np.ndarray
-                  ) -> tuple[np.ndarray, float, float]:
-    """(B^-1[:n, n], low, hi) for B = [[R, t], [t^T, 0]], low <= sigma_min(B), hi >= ||R||_2.
+# (||R x||, low, hi, lo) for a unit kernel candidate x of a one-block model's
+# block R: low <= sigma_min(B), B = [[R, t], [t^T, 0]] with t the trace row,
+# and hi >= s_max >= lo
+Bounds = tuple[float, float, float, float]
+_NO_BOUNDS = (math.nan,) * 4
 
-    R (n, n) is a real block, t its trace row, and Omega its Hamiltonian
-    part (R at zero coupling): omega[i] at (i, partner[i]), partner an
-    involution with |omega[partner]| = |omega|.  hi = sqrt(||R||_1 ||R||_inf)
-    (Higham, Accuracy and Stability of Numerical Algorithms, chs. 6 and 15);
-    the same norms of R - Omega, inflated for their rounding, give
-    eta >= ||R - Omega||_2.
 
-    The gapped coordinates O, |omega| > 2 eta, are closed under partner, so
-    Omega[O, O] is a scaled permutation and Weyl's inequality gives
-    sigma_min(A) >= a = min_O |omega| - eta for A = R[O, O].  I holds the
-    other coordinates and the border; F = B[O, I], G = B[I, O], C = B[I, I].
-    One LU solve X = A^-1 F gives S = C - G X, and the block factorisation
-    B = [[1, 0], [G A^-1, 1]] diag(A, S0) [[1, A^-1 F], [0, 1]], S0 the exact
-    Schur complement, gives
-    sigma_min(B) >= min(a, s) / ((1 + ||G|| / a) (1 + ||F|| / a)), where
-    s = 1 / ||S^-1|| - ||G|| ||A X - F|| / a <= sigma_min(S0) covers the
-    solve's rounding (Frobenius norms throughout).  The solution is
-    z_I = S^-1 e_last, z_O = -X z_I.  With O empty (no Hamiltonian gap) S is
-    B, and this is the inverse of B and low = 1 / ||B^-1||, bit for bit.
-    Raises `np.linalg.LinAlgError` when A or S is singular.
+def _certified_kernel(residual: float, low: float, hi: float, lo: float,
+                      tol_kernel: float) -> tuple[float, tuple[float, float]] | None:
+    """The certificate (lo, (||R x|| / lo, low / hi)) that R's kernel is span(x), or None.
+
+    The arguments are `Bounds`.  sigma_min(B) <= sigma_2(R), since a unit x'
+    in the span of R's two smallest right singular vectors has t^T x' = 0.
+    So R's kernel under tol_kernel * s_max is span(x) when
+    low > KERNEL_MARGIN * tol_kernel * hi and ||R x|| <= tol_kernel * lo; the
+    pair bounds the kept value from above and the rejected one from below,
+    over s_max.  A NaN bound, or lo = 0 (a one-level model), certifies nothing.
     """
-    n = sub.shape[0]
-    magnitude = np.abs(sub)
-    hi = math.sqrt(float(magnitude.sum(axis=0).max()) * float(magnitude.sum(axis=1).max()))
-    at_omega = np.arange(n), partner
-    magnitude[at_omega] = np.abs(sub[at_omega] - omega)
-    # each sum adds n terms rounded once; the product and root round twice
-    eta = math.sqrt(float(magnitude.sum(axis=0).max()) * float(magnitude.sum(axis=1).max()))
-    eta *= 1.0 + 2 * (n + 2) * sys.float_info.epsilon
-    del magnitude
-    gapped = np.abs(omega) > 2 * eta
-    outer, inner = np.flatnonzero(gapped), np.flatnonzero(~gapped)
-    a = float(np.min(np.abs(omega[outer]), initial=math.inf)) - eta
-
-    def pick(rows, cols):
-        # two `take`s gather faster than one `np.ix_` index
-        return sub.take(rows, axis=0).take(cols, axis=1)
-
-    block = pick(outer, outer)
-    f = np.column_stack([pick(outer, inner), trace[outer]])
-    g = np.vstack([pick(inner, outer), trace[outer]])
-    x = np.linalg.solve(block, f)
-    inverse = np.linalg.inv(_bordered(pick(inner, inner)[None], trace[inner][None])[0] - g @ x)
-    g_norm, f_norm = float(np.linalg.norm(g)), float(np.linalg.norm(f))
-    s = 1.0 / float(np.linalg.norm(inverse)) - g_norm * float(np.linalg.norm(block @ x - f)) / a
-    # s first: a NaN s makes low NaN, which certifies nothing
-    low = min(s, a) / ((1.0 + g_norm / a) * (1.0 + f_norm / a))
-    solved = np.empty(n)
-    solved[inner] = inverse[:-1, -1]
-    solved[outer] = -(x @ inverse[:, -1])
-    return solved, low, hi
+    if lo > 0 and low > KERNEL_MARGIN * tol_kernel * hi and residual <= tol_kernel * lo:
+        return lo, (residual / lo, low / hi)
+    return None
 
 
-def _certified_kernel(sub: np.ndarray, trace: np.ndarray, partner: np.ndarray, omega: np.ndarray,
-                      tol_kernel: float
-                      ) -> tuple[np.ndarray, tuple[float, tuple[float, float]] | None]:
-    """Try to certify the kernel of one real block R (n, n) without its SVD.
+def _bordered_kernel(sub: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, Bounds]:
+    """(B^-1[:n, n], `Bounds`) from one inverse of B for a built block R (n, n).
 
-    With t the trace row, B = [[R, t], [t^T, 0]] and x = B^-1[:n, n]
-    normalised, `_split_kernel` gives x, low <= sigma_min(B) and
-    hi = sqrt(||R||_1 ||R||_inf) >= s_max from one LU solve of the block of
-    R's coordinates whose Hamiltonian part (`partner`, `omega`) is gapped.
-    sigma_min(B) <= sigma_2(R), since a unit x' in the span of R's two
-    smallest right singular vectors has t^T x' = 0, and s_max >= lo, R's
-    largest column norm.  R's kernel under tol_kernel * s_max is
-    span(x) when low > KERNEL_MARGIN * tol_kernel * hi and
-    ||R x|| <= tol_kernel * lo.  Returns (B^-1[:n, n], certificate), the
-    first NaN when a solve meets a singular matrix; the certificate is
-    (lo, (||R x|| / lo, low / hi)), the pair bounding the kept value from
-    above and the rejected one from below, over s_max, or None when x is not
-    finite or a bound misses.
+    The route of a one-block model with no gapped coherence (see
+    `_swept_kernel`): x = B^-1[:n, n] normalised, low = 1 / ||B^-1||_F,
+    hi = sqrt(||R||_1 ||R||_inf) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 6) and lo is R's largest column norm.  The
+    first is NaN and the bounds `_NO_BOUNDS` when B is singular.
     """
     n = sub.shape[0]
     try:
-        solved, low, hi = _split_kernel(sub, trace, partner, omega)
+        inverse = np.linalg.inv(_bordered(sub[None], trace[None])[0])
     except np.linalg.LinAlgError:
-        return np.full(n, np.nan), None
+        return np.full(n, np.nan), _NO_BOUNDS
+    solved = inverse[:n, n]
     if not np.isfinite(solved).all():
-        return solved, None
+        return solved, _NO_BOUNDS
     x = solved / np.linalg.norm(solved)
-    lo = float(np.linalg.norm(sub, axis=0).max())
-    residual = float(np.linalg.norm(sub @ x))
-    # lo = 0 only for the zero 1 x 1 block of a one-level model, left to the SVD
-    if lo > 0 and low > KERNEL_MARGIN * tol_kernel * hi and residual <= tol_kernel * lo:
-        return solved, (lo, (residual / lo, low / hi))
-    return solved, None
+    magnitude = np.abs(sub)
+    hi = math.sqrt(float(magnitude.sum(axis=0).max()) * float(magnitude.sum(axis=1).max()))
+    return solved, (float(np.linalg.norm(sub @ x)), 1.0 / float(np.linalg.norm(inverse)), hi,
+                    float(np.linalg.norm(sub, axis=0).max()))
+
+
+def _swept_kernel(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]
+                  ) -> tuple[np.ndarray, Bounds, tuple[int, float]] | None:
+    """A one-block model's bordered kernel and `Bounds` by Neumann sweeps, with no block built.
+
+    R = Omega + E: the Hamiltonian part Omega multiplies coherence (m, n) by
+    -i omega, omega = eps_m - eps_n, and ||E||_2 = ||Diss||_2 <= eta =
+    2 sum_a ||L_a||_2^2, inflated for rounding.  O holds the gapped
+    coherences, |omega| > 2 eta, and I the rest of B's coordinates: the
+    populations, the other coherences and the border.  With A = B[O, O],
+    F = B[O, I], G = B[I, O] and C = B[I, I], sweeps
+    X <- Omega_O^-1 (F - P_O Diss(X)) sum the scheme's closed form to
+    X = A^-1 F (Kato, Perturbation Theory for Linear Operators, ch. II).
+    Each is one `dissipator` call on the (k, D, D) stack of I's basis
+    elements less their columns of X, whose generator image holds the Schur
+    complement S = C - G X on I and the residual F - A X on O.  Exact sweeps
+    shrink their change by q = eta / min_O |omega| < 1/2 at least, so they
+    stop at the first that does not, and after 2 + log(eps) / log(q).  Weyl
+    gives sigma_min(A) >= a = min_O |omega| - eta and hi, lo =
+    max |omega| +- eta.  The block LDU factors of B give (Higham, chs. 6 and
+    15) low = min(a, s) / ((1 + ||G|| / a) (1 + ||F|| / a)), s the smallest
+    singular value of S less (k + 1) u ||S||_F for the SVD's backward error
+    and ||G|| ||A X - F|| / a for an inexact X; ||F|| and, through Diss's
+    adjoint, ||G|| are Frobenius norms on I's basis elements, capped by eta.
+    The kernel is z_I = S^-1 e_last, z_O = -X z_I.  Returns None when no
+    coherence is gapped, else (its coordinates in vec order, the bounds,
+    (sweeps, q)), NaN coordinates and `_NO_BOUNDS` when S is singular.
+    """
+    d = spectrum.dim
+    eps = sys.float_info.epsilon
+    omega = spectrum.energies[:, None] - spectrum.energies[None, :]
+    # a backward-stable SVD per jump, squared, summed and doubled
+    eta = 2 * sum(float(np.linalg.norm(L, 2)) ** 2 for L in jumps)
+    eta *= 1 + 4 * (d + len(jumps)) * eps
+    gapped = np.abs(omega) > 2 * eta
+    if not gapped.any():
+        return None
+    gap, top = float(np.abs(omega[gapped]).min()), float(np.abs(omega).max())
+    a = gap - eta
+    unknowns, scale, alpha, mirror = _vec_coordinates(d)
+    inner = np.flatnonzero(~gapped.T.ravel())  # vec index m + D n is entry (m, n)
+    k = inner.size
+    hamiltonian = -1j * omega
+    inverse = np.divide(1.0, hamiltonian, out=np.zeros_like(hamiltonian), where=gapped)
+
+    def generator(z):
+        out = dissipator(jumps, z)
+        out += hamiltonian * z
+        return out
+
+    # z is the stack of Z_j = B_j - X_j, with X = 0 before the first sweep
+    z = _scatter(d, unknowns[inner], np.diag(scale[inner]))
+    decay = sum(L.conj().T @ L for L in jumps)
+    adjoint = sum(L.conj().T @ z @ L for L in jumps) - 0.5 * (decay @ z + z @ decay)
+    g_norm = min(float(np.linalg.norm(adjoint[:, gapped])), eta)
+    del adjoint
+    w = generator(z)
+    f_norm = min(float(np.linalg.norm(w[:, gapped])), eta)
+    factor = eta / gap
+    cap = 2 + math.ceil(math.log(eps) / math.log(max(factor, eps)))
+    change, sweeps = math.inf, 0
+    while sweeps < cap:
+        # P_O W = F - A X, so this step is X's next sweep less X; exact
+        # steps shrink by the factor at least, so one that does not is rounding
+        step = inverse * w
+        size = float(np.linalg.norm(step))
+        if not size < factor * change:
+            break
+        z -= step
+        w = generator(z)
+        change, sweeps = size, sweeps + 1
+    swept = sweeps, factor
+    residual = float(np.linalg.norm(w[:, gapped]))
+    rows, cols = inner % d, inner // d
+    schur = np.zeros((k + 1, k + 1))
+    # <B_i, W_j> = Re(conj(alpha_i) W_j[m, n] + alpha_i W_j[n, m]) for i = m + D n
+    schur[:k, :k] = (alpha[inner].conj() * w[:, rows, cols]
+                     + alpha[inner] * w[:, cols, rows]).real.T
+    schur[:k, k] = schur[k, :k] = rows == cols
+    try:
+        s = float(np.linalg.svd(schur, compute_uv=False)[-1])
+        z_inner = np.linalg.solve(schur, np.eye(k + 1)[k])
+    except np.linalg.LinAlgError:
+        return np.full(d * d, np.nan), _NO_BOUNDS, swept
+    s -= (k + 1) * eps * float(np.linalg.norm(schur)) + g_norm * residual / a
+    # s first: a NaN s makes low NaN, which certifies nothing
+    low = min(s, a) / ((1.0 + g_norm / a) * (1.0 + f_norm / a))
+    v = np.tensordot(z_inner[:k], z, 1).T.ravel()
+    solved = (alpha.conj() * v + alpha * v[mirror]).real
+    if not np.isfinite(solved).all():
+        return solved, _NO_BOUNDS, swept
+    x = _scatter(d, unknowns, scale * (solved / np.linalg.norm(solved))[None])[0]
+    return solved, (stationarity_residual(spectrum, jumps, x), low, top + eta, top - eta), swept
 
 
 def _kernel_coordinates(sub: np.ndarray, trace: np.ndarray, counts: np.ndarray,
@@ -359,20 +414,21 @@ def steady_state_basis(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
                        tol_kernel: float = DEFAULT_TOLERANCES.kernel) -> SteadyStateSet:
     """Exact steady states of the model: the kernel of its Liouvillian M.
 
-    When M has a single real block (`_real_blocks`), `_certified_kernel`
-    first tries to certify that its kernel is one vector, from one LU solve
-    of the block's Hamiltonian-gapped coordinates (the coherences between
-    levels whose energy gap exceeds twice the dissipative part's norm) and
-    one inverse of the rest, the populations and the trace border: 33 x 33
-    at D = 32 when every coherence is gapped.  A certified block
-    takes no SVD, `singular_values` is None, `kernel_margin` holds the
-    certificate's bounds, and its lower bound on s_max stands for s_max
-    below.  Otherwise the kernel is decided as in `steady_state_basis_svd`,
-    and a single block's bordered solution comes from the certificate's
-    solve.  Members whose direct generator residual (`stationarity_residual`)
-    exceeds tol_kernel times max(s_max, 1) are dropped.  The physical slice
-    is the trace-1 affine subset of the kernel span: one member and
-    traceless directions.
+    When M is a single real block (`_block_labels`) and some coherence's
+    energy gap exceeds twice the dissipative part's norm, `_swept_kernel`
+    tries to certify that its kernel is one vector without building the
+    block: Neumann sweeps of the stacked dissipator on the populations (and
+    ungapped coherences), then one solve and values-only SVD of their
+    bordered Schur complement, 33 x 33 at D = 32.  With no gapped coherence
+    `_bordered_kernel` inverts the built block's bordered matrix instead.  A
+    certified block takes no SVD of the Liouvillian, `singular_values` is
+    None, `kernel_margin` holds the certificate's bounds, and its lower bound
+    on s_max stands for s_max below.  Otherwise the block is built and the
+    kernel decided as in `steady_state_basis_svd`, a single block's bordered
+    solution taken from the failed certificate.  Members whose direct
+    generator residual (`stationarity_residual`) exceeds tol_kernel times
+    max(s_max, 1) are dropped.  The physical slice is the trace-1 affine
+    subset of the kernel span: one member and traceless directions.
     """
     return _steady_states(spectrum, jumps, tol_kernel, certify=True)
 
@@ -399,20 +455,25 @@ def _steady_states(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], tol_ke
                    certify: bool) -> SteadyStateSet:
     """The body of `steady_state_basis` (certify) and `steady_state_basis_svd`."""
     d = spectrum.dim
-    unknowns, scale, _, mirror = _vec_coordinates(d)
-    blocks = list(_real_blocks(spectrum, jumps))
-    solved = certificate = s = None
-    if certify and len(blocks) == 1 and blocks[0][0].shape[0] == 1:
+    unknowns, scale, _, _ = _vec_coordinates(d)
+    jumps = [np.asarray(L, dtype=complex) for L in jumps]
+    labels = _block_labels(jumps, sum((L.conj().T @ L for L in jumps),
+                                      np.zeros((d, d), dtype=complex)))
+    one_block = certify and not labels.any()
+    swept = _swept_kernel(spectrum, jumps) if one_block else None
+    solved, bounds, sweeps = swept or (None, None, None)
+    certificate = bounds and _certified_kernel(*bounds, tol_kernel)
+    # the block is built only for the bordered inverse and the SVD
+    blocks = [] if certificate else list(_real_blocks(spectrum, jumps, labels))
+    if one_block and swept is None:
         # the one block holds every vec index in order: positions are vec indices
-        (idx,), (sub,) = blocks[0]
-        energies = spectrum.energies
-        solved, certificate = _certified_kernel(sub, (unknowns[idx, 0] == 0).astype(float),
-                                                mirror[idx], energies[idx % d] - energies[idx // d],
-                                                tol_kernel)
+        solved, bounds = _bordered_kernel(blocks[0][1][0], (unknowns[:, 0] == 0).astype(float))
+        certificate = _certified_kernel(*bounds, tol_kernel)
+    s = None
     if certificate is not None:
         smax, margin = certificate
         x = solved / np.linalg.norm(solved)
-        candidates = list(_scatter(d, unknowns[idx], scale[idx] * x[None]))
+        candidates = list(_scatter(d, unknowns, scale * x[None]))
     else:
         spectra = [np.linalg.svd(sub, compute_uv=False) for _, sub in blocks]
         s = np.sort(np.concatenate([sv.ravel() for sv in spectra]))[::-1]
@@ -448,10 +509,11 @@ def _steady_states(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], tol_ke
         _, _, vt = np.linalg.svd(traces[None, :], full_matrices=True)
         for row in vt[1:]:
             directions.append(sum(c * b for c, b in zip(row, basis)))
-    block_sizes = tuple(idx.shape[1] for idx, _ in blocks for _block in idx)
+    block_sizes = tuple(idx.shape[1] for idx, _ in blocks for _block in idx) or (d * d,)
     return SteadyStateSet(basis=tuple(basis), physical_member=member,
                           physical_directions=tuple(directions), singular_values=s,
-                          block_sizes=block_sizes, tol_kernel=tol_kernel, kernel_margin=margin)
+                          block_sizes=block_sizes, tol_kernel=tol_kernel, kernel_margin=margin,
+                          sweeps=sweeps)
 
 
 class StepSizeError(RuntimeError):

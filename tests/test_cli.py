@@ -16,6 +16,7 @@ from fgkls.cli import (
     ConfigError,
     _family_report,
     _json_chunks,
+    _kernel_route,
     _trajectory_csvs,
     load_config,
     main,
@@ -25,6 +26,8 @@ from fgkls.exact import (Trajectory, default_step, integrate_trajectory, steady_
                          steady_state_basis_svd)
 from fgkls.models import build_two_level
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
+
+from helpers import random_nondegenerate_model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -228,9 +231,9 @@ def test_text_report_lists_oracle_blocks(tmp_path):
     assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
     # the two-level Liouvillian splits into populations and coherences
     lines = (out / "report.txt").read_text().splitlines()
-    start = lines.index("lambda | Liouvillian blocks | largest block")
+    start = lines.index("lambda | Liouvillian blocks | largest block | kernel route")
     rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
-    assert rows == [["1", "2", "2"], ["0.5", "2", "2"]]
+    assert rows == [["1", "2", "2", "svd"], ["0.5", "2", "2", "svd"]]
     assert "_oracle_blocks" not in (out / "report.json").read_text()
     # the kernel margin: largest kept and smallest rejected value over s_max
     start = lines.index(MARGIN_HEADER)
@@ -247,8 +250,8 @@ def test_text_report_lists_oracle_blocks(tmp_path):
 
     assert main(["exact", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "report.txt").read_text().splitlines()
-    start = lines.index("lambda | Liouvillian blocks | largest block")
-    assert [field.strip() for field in lines[start + 1].split("|")] == ["1", "2", "2"]
+    start = lines.index("lambda | Liouvillian blocks | largest block | kernel route")
+    assert [field.strip() for field in lines[start + 1].split("|")] == ["1", "2", "2", "svd"]
     start = lines.index(MARGIN_HEADER)
     assert [field.strip() for field in lines[start + 1].split("|")] == expected[0]
 
@@ -271,6 +274,12 @@ def test_text_report_lists_oracle_blocks(tmp_path):
         expected.append([f"{lam:g}", "1.000e-10", f"<= {kept:.3e}", f">= {rejected:.3e}"])
     assert rows == expected
     assert not any("within 1e3 of the kernel cutoff" in line for line in lines)
+    # lambda = 1 gaps no coherence, so the built block's bordered inverse
+    # certifies it; lambda = 0.5 gaps some, and the sweeps certify it
+    start = lines.index("lambda | Liouvillian blocks | largest block | kernel route")
+    count, factor = steady_state_basis(model.spectrum, [0.5 * L for L in model.jumps]).sweeps
+    assert [line.split(" | ")[3] for line in lines[start + 1:start + 3]] == [
+        "bordered inverse", f"certified ({count} sweeps, eta/gap {factor:.2e})"]
     report = (out / "report.json").read_text()
     assert "<=" not in report and ">=" not in report and "margin" not in report
     # `exact` prints the smallest singular values, so it takes them all and
@@ -282,6 +291,18 @@ def test_text_report_lists_oracle_blocks(tmp_path):
     rel = values / values[0]
     assert [field.strip() for field in lines[start + 1].split("|")] == [
         "1", "1.000e-10", f"{rel[-1]:.3e}", f"{rel[-2]:.3e}"]
+
+
+def test_kernel_route_names_a_failed_certificate():
+    # a weakly coupled one-block model whose rejected singular value lies
+    # within 1e3 of the cutoff: the sweeps run, their certificate fails, and
+    # the SVD decides
+    spectrum, jumps = random_nondegenerate_model(np.random.default_rng(0), dim=6, n_jumps=2,
+                                                 coupling=3e-5)
+    steady = steady_state_basis(spectrum, jumps)
+    count, factor = steady.sweeps
+    assert not steady.margin_is_bound and count > 0
+    assert _kernel_route(steady) == f"svd (after {count} sweeps, eta/gap {factor:.2e})"
 
 
 # a three-level model with one dense jump: its Liouvillian is one real block

@@ -8,6 +8,7 @@ from fgkls import (
     EnergySpectrum,
     bloch_to_matrix,
     classify_pairs,
+    dissipator,
     fgkls_generator,
     matrix_to_bloch,
     random_density_matrix,
@@ -41,6 +42,35 @@ def test_generator_matches_component_oracle():
         direct = fgkls_generator(spectrum, jumps, rho)
         brute = component_generator(spectrum.energies, jumps, rho)
         assert np.max(np.abs(direct - brute)) < 1e-12
+
+
+def test_dissipator_maps_a_stack_member_by_member():
+    rng = np.random.default_rng(8)
+    _, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2, coupling=0.5)
+    stack = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    out = dissipator(jumps, stack)
+    assert out.shape == stack.shape
+    for member, image in zip(stack, out):
+        single = dissipator(jumps, member)
+        assert np.linalg.norm(image - single) <= 1e-15 * np.linalg.norm(single)
+    # one matrix keeps the bits of the single-matrix formula
+    reference = np.zeros((5, 5), dtype=complex)
+    for L in jumps:
+        K = L.conj().T @ L
+        reference += L @ stack[0] @ L.conj().T - 0.5 * (K @ stack[0] + stack[0] @ K)
+    assert np.array_equal(dissipator(jumps, stack[0]), reference)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 4), (2, 5, 4), (1, 2, 5, 5)])
+def test_dissipator_checks_the_last_two_axes(shape):
+    _, jumps = random_nondegenerate_model(np.random.default_rng(8), dim=5, n_jumps=1)
+    with pytest.raises(ValueError, match="operator has shape"):
+        dissipator(jumps, np.zeros(shape))
+    # a jump is one matrix, never a stack, and matches the state's last axes
+    with pytest.raises(ValueError, match=r"expected \(5, 5\)$"):
+        dissipator([np.stack(jumps)], np.zeros((5, 5)))
+    with pytest.raises(ValueError, match="operator has shape"):
+        dissipator(jumps, np.zeros((5, 4, 4)))
 
 
 def test_generator_matches_two_level_bloch_components():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from fgkls.exact import (
     two_level_system,
     verify_identity_72,
 )
-from fgkls.exact import _bordered, _certified_kernel, _split_kernel
+from fgkls.exact import _bordered, _bordered_kernel, _certified_kernel, _swept_kernel
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import (connected_blocks, decoupled_level_model, kron_liouvillian,
@@ -319,10 +320,10 @@ def residual_rounding(core, lo):
 
 
 def test_certificate_bounds_are_sharp_on_known_singular_values():
-    # no Hamiltonian part: no coordinate is gapped, one inverse of B
+    # the bordered inverse of a built block, the route without a gapped coherence
     sub, trace, kernel, s = known_singular_block()
-    n = s.size
-    solved, (lo, (kept, rejected)) = _certified_kernel(sub, trace, np.arange(n), np.zeros(n), 1e-10)
+    solved, bounds = _bordered_kernel(sub, trace)
+    lo, (kept, rejected) = _certified_kernel(*bounds, 1e-10)
     assert abs(solved @ kernel) / np.linalg.norm(solved) == pytest.approx(1.0, abs=1e-12)
     assert lo <= s[0]
     slack = residual_rounding(sub, lo)
@@ -330,29 +331,28 @@ def test_certificate_bounds_are_sharp_on_known_singular_values():
     assert 1e3 * 1e-10 < rejected <= s[-2] / s[0]
 
 
-def test_gapped_certificate_bounds_are_sharp_on_known_singular_values(monkeypatch):
-    # R = diag(U diag(s) V^T, w [[0, -1], [1, 0]]): the rotation is the
-    # Hamiltonian part of its two coordinates, gapped far above the rest, and
-    # R's singular values are s and w twice
-    core, trace, kernel, s = known_singular_block()
-    n, w = s.size, 50.0
-    sub = np.zeros((n + 2, n + 2))
-    sub[:n, :n] = core
-    sub[n, n + 1], sub[n + 1, n] = -w, w
-    partner = np.r_[np.arange(n), n + 1, n]
-    omega = np.r_[np.zeros(n), -w, w]
-    solves = _record_solves(monkeypatch)
-    solved, (lo, (kept, rejected)) = _certified_kernel(sub, np.r_[trace, 0.0, 0.0], partner, omega,
-                                                       1e-10)
-    assert solves == [(2, 2)]
-    assert np.all(solved[n:] == 0.0)
-    assert abs(solved[:n] @ kernel) / np.linalg.norm(solved) == pytest.approx(1.0, abs=1e-12)
-    assert lo <= w
-    # ||R x|| is s_n up to the rounding of R x, which sums only the core's
-    # columns, and lo = w = s_max
-    slack = residual_rounding(core, lo)
-    assert s[-1] / w - slack <= kept <= s[-1] / w + slack
-    assert 1e3 * 1e-10 < rejected <= s[-2] / w
+def test_gapped_certificate_bounds_are_sharp_on_known_singular_values():
+    # every coherence of a weakly coupled D = 8 model is gapped: the sweeps'
+    # bounds against the singular values of its built block R and of the
+    # bordered B, within a few eta / min gap of them
+    spectrum, jumps = random_nondegenerate_model(np.random.default_rng(3), dim=8, n_jumps=2,
+                                                 coupling=0.01)
+    sub, trace = certificate_inputs(spectrum, jumps)
+    s = np.linalg.svd(sub, compute_uv=False)
+    sigma_min = np.linalg.svd(_bordered(sub[None], trace[None])[0], compute_uv=False)[-1]
+    solved, bounds, (sweeps, factor) = _swept_kernel(spectrum, jumps)
+    residual, low, hi, lo = bounds
+    assert factor < 0.05 and 0 < sweeps <= 2 + math.ceil(math.log(np.finfo(float).eps)
+                                                          / math.log(factor))
+    assert 0.99 * s[0] < lo <= s[0] <= hi < 1.01 * s[0]
+    assert 0.95 * sigma_min < low <= sigma_min
+    lo_certified, (kept, rejected) = _certified_kernel(*bounds, 1e-10)
+    assert lo_certified == lo and kept == residual / lo
+    # the SVD finds the smallest value only to about n eps of s_max
+    assert s[-1] / s[0] - s.size * np.finfo(float).eps <= kept <= 1e-10
+    assert 0.9 * s[-2] / s[0] < rejected <= s[-2] / s[0]
+    x = solved / np.linalg.norm(solved)
+    assert np.linalg.norm(sub @ x) <= 1e-15 * s[0]
 
 
 def _record_solves(monkeypatch):
@@ -373,10 +373,13 @@ def test_one_block_kernel_near_cutoff_falls_back_to_svd(monkeypatch):
     values = _record_svds(monkeypatch, values_only=True)
     solves = _record_solves(monkeypatch)
     steady = steady_state_basis(spectrum, jumps)
-    assert values == [(1, 36, 36)] and not steady.margin_is_bound
-    # the kernel vector is the one the certificate already gave: its one
-    # solve is the gapped block of the 30 coherences, never the 37 x 37 B
-    assert solves == [(30, 30)]
+    # the sweeps ran and their certificate failed, so the block is built and
+    # its values-only SVD decides; the kernel vector is the one the sweeps
+    # gave, so no solve, nor any other SVD, is larger than the levels and
+    # the border: never the 37 x 37 B
+    assert values[-1] == (1, 36, 36) and not steady.margin_is_bound
+    assert steady.sweeps is not None
+    assert all(shape[-1] <= 7 for shape in solves + values[:-1])
     monkeypatch.undo()
     s_ref, basis_ref, member_ref, _ = dense_steady_reference(
         vectorize_liouvillian(spectrum, jumps))
@@ -405,28 +408,40 @@ def one_block_case(rng, spectrum_kind):
 
 
 def certificate_inputs(spectrum, jumps):
-    """(R, t, partner, omega) of a one-block model, as `steady_state_basis` passes them."""
-    d = spectrum.dim
+    """(R, t) of a one-block model: its built real block and trace row."""
     [((idx,), (sub,))] = list(fgkls.exact._real_blocks(spectrum, jumps))
-    unknowns, _, _, mirror = _vec_coordinates(d)
+    unknowns, _, _, _ = _vec_coordinates(spectrum.dim)
+    return sub, (unknowns[idx, 0] == 0).astype(float)
+
+
+def gapped_coherences(spectrum, jumps):
+    """How many coherences (m, n) the sweeps gap: |eps_m - eps_n| > 4 sum_a ||L_a||_2^2."""
     e = spectrum.energies
-    return sub, (unknowns[idx, 0] == 0).astype(float), mirror[idx], e[idx % d] - e[idx // d]
+    eta = 2 * sum(np.linalg.norm(L, 2) ** 2 for L in jumps)
+    return int(np.sum(np.abs(e[:, None] - e[None, :]) > 2 * eta))
 
 
 @pytest.mark.parametrize("spectrum_kind", ["distinct", "degenerate", "near"])
-def test_split_certificate_is_sound_on_random_one_block_models(monkeypatch, spectrum_kind):
+def test_split_certificate_is_sound_on_random_one_block_models(spectrum_kind):
+    # low <= sigma_min(B) and lo <= s_max <= hi against SVDs of the built
+    # block, on every model, certified or not; a certified kernel matches the
+    # SVD route's
     rng = np.random.default_rng(["distinct", "degenerate", "near"].index(spectrum_kind))
-    solves = _record_solves(monkeypatch)
-    certified = split = 0
+    certified = 0
+    gapped = set()
     for _ in range(40):
         spectrum, jumps = one_block_case(rng, spectrum_kind)
-        sub, trace, partner, omega = certificate_inputs(spectrum, jumps)
-        before = len(solves)
-        _, low, _ = _split_kernel(sub, trace, partner, omega)
-        # with no gapped coordinate the solve is of a 0 x 0 block
-        split += any(shape[0] for shape in solves[before:])
+        sub, trace = certificate_inputs(spectrum, jumps)
+        swept = _swept_kernel(spectrum, jumps)
+        _, (_, low, hi, lo) = _bordered_kernel(sub, trace) if swept is None else swept[:2]
+        count = gapped_coherences(spectrum, jumps)
+        assert (swept is None) == (count == 0)
+        coherences = spectrum.dim * (spectrum.dim - 1)
+        gapped.add("none" if count == 0 else "all" if count == coherences else "part")
         sigma_min = np.linalg.svd(_bordered(sub[None], trace[None])[0], compute_uv=False)[-1]
+        s_max = np.linalg.svd(sub, compute_uv=False)[0]
         assert low <= sigma_min * (1 + 1e-10)
+        assert lo <= s_max * (1 + 1e-12) and s_max <= hi * (1 + 1e-12)
         steady = steady_state_basis(spectrum, jumps)
         if steady.margin_is_bound:
             certified += 1
@@ -434,8 +449,11 @@ def test_split_certificate_is_sound_on_random_one_block_models(monkeypatch, spec
             assert steady.kernel_dim == full.kernel_dim
             assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
                                              full.physical_member, full.physical_directions) < 1e-12
-    # a degenerate spectrum has no Hamiltonian gap: it never takes the split
-    assert certified > 0 and (split > 0) == (spectrum_kind != "degenerate")
+    # a degenerate spectrum has no gap and takes the bordered inverse; a near
+    # pair is never gapped; distinct levels meet every case
+    expected = {"distinct": {"none", "part", "all"}, "degenerate": {"none"},
+                "near": {"none", "part"}}[spectrum_kind]
+    assert certified > 0 and gapped == expected
 
 
 def _certificate_from_bordered_inverse(sub, trace):
@@ -452,22 +470,37 @@ def _certificate_from_bordered_inverse(sub, trace):
 
 
 def test_certificate_without_hamiltonian_is_the_bordered_inverse():
-    # H = 0: no gapped coordinate, so the split solve is the inverse of the
-    # whole B, bit for bit
+    # H = 0: no gapped coherence, so no sweeps and one inverse of the whole
+    # built B, bit for bit
     rng = np.random.default_rng(5)
     spectrum = EnergySpectrum(np.zeros(5))
-    sub, trace, partner, omega = certificate_inputs(spectrum, random_jumps(rng, 5, 2, 0.5))
-    assert not omega.any()
-    solved, certificate = _certified_kernel(sub, trace, partner, omega, 1e-10)
+    jumps = random_jumps(rng, 5, 2, 0.5)
+    assert _swept_kernel(spectrum, jumps) is None
+    sub, trace = certificate_inputs(spectrum, jumps)
+    solved, bounds = _bordered_kernel(sub, trace)
+    certificate = _certified_kernel(*bounds, 1e-10)
     solved_ref, certificate_ref = _certificate_from_bordered_inverse(sub, trace)
     assert certificate is not None
     assert np.array_equal(solved, solved_ref) and certificate == certificate_ref
+    steady = steady_state_basis(spectrum, jumps)
+    assert steady.sweeps is None and steady.kernel_margin == certificate[1]
+
+
+def _record_builds(monkeypatch):
+    """Names of the calls of `_real_blocks` and `_grid_blocks`, which build blocks, while patched."""
+    builds = []
+    for name in ("_real_blocks", "_grid_blocks"):
+        real = getattr(fgkls.exact, name)
+        monkeypatch.setattr(fgkls.exact, name,
+                            lambda *args, _name=name, _real=real: builds.append(_name)
+                            or _real(*args))
+    return builds
 
 
 def test_certificate_inverts_no_block_larger_than_the_levels(monkeypatch):
-    # weak coupling gaps every coherence of a dense D = 12 model: one solve
-    # of the 132 gapped coordinates, one inverse of the 12 populations and
-    # the border, never the 145 x 145 bordered matrix
+    # weak coupling gaps every coherence of a dense D = 12 model: the sweeps
+    # build no block, and no solve, inverse or SVD is larger than the 12
+    # populations and the border, never the 145 x 145 bordered matrix
     rng = np.random.default_rng(12)
     d = 12
     energies = np.sort(rng.uniform(0.5, 3.0 - 0.15 * (d - 1), d)) + 0.15 * np.arange(d)
@@ -476,10 +509,15 @@ def test_certificate_inverts_no_block_larger_than_the_levels(monkeypatch):
     real_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(np.shape(a)) or real_inv(a))
     solves = _record_solves(monkeypatch)
+    values = _record_svds(monkeypatch, values_only=True)
+    vectors = _record_svds(monkeypatch)
+    builds = _record_builds(monkeypatch)
     steady = steady_state_basis(EnergySpectrum(energies), jumps)
-    assert steady.margin_is_bound and steady.block_sizes == (d * d,)
-    assert solves == [(d * d - d, d * d - d)]
-    assert inverses and all(shape[-1] <= d + 1 for shape in inverses)
+    assert steady.margin_is_bound and steady.block_sizes == (d * d,) and steady.sweeps[0] > 0
+    assert builds == [] and vectors == []
+    assert solves and all(shape[-1] <= d + 1 for shape in solves + inverses + values)
+    monkeypatch.undo()
+    _assert_matches_dense_reference(EnergySpectrum(energies), jumps, steady)
 
 
 @pytest.mark.parametrize("failure", ["singular", "non-finite"])
@@ -500,6 +538,54 @@ def test_failed_certificate_inverse_falls_back_to_svd(monkeypatch, failure):
     assert values == [(1, 36, 36)] and not steady.margin_is_bound
     monkeypatch.undo()
     _assert_matches_dense_reference(spectrum, jumps, steady)
+
+
+def dense32_case(seed, lam):
+    """The model of the benchmark's compare-dense32 workload for `seed`, jumps times `lam`.
+
+    D = 32 levels in [0.5, 3] with every gap at least 1/64, and two complex
+    Gaussian jumps of spectral norm 0.005 max E.
+    """
+    d = 32
+    rng = np.random.default_rng([seed, zlib.crc32(b"compare-dense32")])
+    energies = np.sort(rng.uniform(0.5, 3.0 - (d - 1) * 0.5 / d, d)) + 0.5 / d * np.arange(d)
+    return EnergySpectrum(energies), [lam * L for L in random_jumps(rng, d, 2,
+                                                                    0.005 * energies.max())]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense32_kernel_at_weak_coupling_is_certified(monkeypatch, seed):
+    # at lambda = 0.1 sigma_2 / s_max is about 4e-7, four times the 1e-7 the
+    # certificate needs; 1 / ||S^-1||_F, a quarter of sigma_min(S), missed it
+    spectrum, jumps = dense32_case(seed, 0.1)
+    builds = _record_builds(monkeypatch)
+    steady = steady_state_basis(spectrum, jumps)
+    assert steady.margin_is_bound and steady.kernel_dim == 1 and builds == []
+    count, factor = steady.sweeps
+    assert factor < 1e-3 and count <= 8
+    assert 1e-7 < steady.kernel_margin[1] < 5e-7
+    if seed == 0:
+        monkeypatch.undo()
+        full = steady_state_basis_svd(spectrum, jumps)
+        assert full.kernel_dim == 1
+        assert full.kernel_margin[1] == pytest.approx(steady.kernel_margin[1], rel=0.05)
+        assert np.linalg.norm(full.physical_member - steady.physical_member) < 1e-12
+
+
+def test_certified_kernel_holds_no_block():
+    # one (D^2, D^2) real block at D = 24 is 2.65 MB; the sweeps hold stacks
+    # of D^3 complex entries
+    d = 24
+    spectrum, jumps = spaced_dense_case(d, 0.5 / d)
+    jumps = [0.02 * L for L in jumps]
+    tracemalloc.start()
+    try:
+        steady = steady_state_basis(spectrum, jumps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steady.margin_is_bound and steady.sweeps is not None
+    assert peak < (d * d) ** 2 * 8
 
 
 def protected_coherence_case():
