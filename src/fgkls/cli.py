@@ -20,11 +20,16 @@ integrated.
 `report.json` holds exactly the bytes of `json.dumps(report, sort_keys=True,
 indent=2) + "\n"`: sorted keys, 2-space indent, floats as `repr`, NaN and
 Infinity spelled as Python's `json` spells them, and every complex matrix as
-rows of [re, im] pairs.  `_json_chunks` produces those bytes piece by piece (a
-whole matrix in one piece, in which only the floats with nonzero bits are
-formatted and every other slot keeps the "0.0" of a cached all-zero layout);
-every output file is streamed to a temporary file in the output directory that
-then replaces the target.
+rows of [re, im] pairs.  `_json_chunks` produces those bytes piece by piece.  A
+matrix is one piece: a complex array, or a list of equal-length rows of
+[re, im] pairs of floats alone (`_float_pairs`), such as a custom model's jumps
+echoed from its config.  The layout of each shape and indent is cached as one
+string with "0.0" in every slot; only the matrix's floats with nonzero bits
+are formatted, and spliced between that string's slices around their slots.
+An int or bool entry leaves the list to the entry-by-entry path, which
+echoes it as written.  Such a list of jumps is parsed with one array
+conversion too.  Every output file is streamed to a temporary file in the
+output directory that then replaces the target.
 
 Exit codes: 0 success, 1 config error, 2 scheme failure (no solution at some
 order), 3 comparison thresholds exceeded, 4 integration step too large (the
@@ -43,6 +48,7 @@ import tempfile
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -159,7 +165,31 @@ def _as_complex(value, where: str) -> complex:
     return complex(_real(value[0], where), _real(value[1], where))
 
 
+def _float_pairs(value) -> np.ndarray | None:
+    """`value` as a (rows, cols, 2) float array, or None.
+
+    Not None exactly when `value` is a non-empty list of equal-length,
+    non-empty rows of [re, im] pairs whose every entry is a finite `float`
+    (no int, bool or str, which the conversion would accept): one
+    `np.array` call and one pass over the entries' types.
+    """
+    if not (isinstance(value, list) and value and isinstance(value[0], list) and value[0]
+            and isinstance(value[0][0], list)):
+        return None
+    try:
+        pairs = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (pairs.ndim != 3 or pairs.shape[2] != 2 or not np.isfinite(pairs).all()
+            or set(map(type, chain.from_iterable(chain.from_iterable(value)))) != {float}):
+        return None
+    return pairs
+
+
 def _as_matrix(value, where: str) -> np.ndarray:
+    pairs = _float_pairs(value)
+    if pairs is not None and pairs.shape[0] == pairs.shape[1]:
+        return pairs.view(complex)[..., 0]
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config error at {where}: expected a matrix (list of rows)")
     rows = []
@@ -625,21 +655,21 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
     return (EXIT_OK if within else EXIT_THRESHOLD), report
 
 
-def _matrix_layout(rows: int, cols: int, level: int) -> np.ndarray:
+def _matrix_layout(rows: int, cols: int, level: int) -> tuple[str, int, np.ndarray]:
     """`json`'s indent=2 layout of a rows x cols list of [re, im] pairs at
-    nesting `level`: an object array whose odd entries are the floats' slots,
-    each holding "0.0", and whose even entries are the separators between them.
-    Every entry refers to one of six strings."""
+    nesting `level`, with "0.0" in every float's slot.
+
+    Returns (the layout as one string, the offset in it of the first slot,
+    and the strides from a slot to the next row's, the next pair's and its
+    pair's im slot).
+    """
     i1, i2, i3, i4 = ("\n" + "  " * (level + k) for k in range(4))
-    layout = np.empty(4 * rows * cols + 1, dtype=object)
-    layout[:] = "0.0"  # one object (np.full would make one string per slot)
-    before = layout[:-1:2].reshape(rows, cols, 2)  # the separator before each slot
-    before[:, :, 1] = f",{i4}"
-    before[:, 1:, 0] = f"{i3}],{i3}[{i4}"
-    before[1:, 0, 0] = f"{i3}]{i2}],{i2}[{i3}[{i4}"
-    before[0, 0, 0] = f"[{i2}[{i3}[{i4}"
-    layout[-1] = f"{i3}]{i2}]{i1}]"
-    return layout
+    head, pair_sep, row_sep = f"[{i2}[{i3}[{i4}", f"{i3}],{i3}[{i4}", f"{i3}]{i2}],{i2}[{i3}[{i4}"
+    pair = f"0.0,{i4}0.0"
+    row = pair_sep.join([pair] * cols)
+    template = head + row_sep.join([row] * rows) + f"{i3}]{i2}]{i1}]"
+    strides = np.array([len(row) + len(row_sep), len(pair) + len(pair_sep), len(pair) - 3])
+    return template, len(head), strides
 
 
 def _json_chunks(obj) -> Iterator[str]:
@@ -648,14 +678,33 @@ def _json_chunks(obj) -> Iterator[str]:
     Takes what `json` takes (dicts with str keys, lists, tuples, str, int,
     float, bool, None), tested in `json`'s order so that float subclasses such
     as `np.float64` print as `float.__repr__`, plus 2-D complex arrays, written
-    as the nested list of [re, im] pairs in one piece.  Anything else raises
-    `TypeError`, as `json` does.
+    as the nested list of [re, im] pairs.  Anything else raises `TypeError`,
+    as `json` does.
 
-    A finite matrix is written into a layout cached per (rows, cols, level)
+    A finite complex matrix, and a list that `_float_pairs` reads as one,
+    is written in one piece from a layout cached per (rows, cols, level)
     whose every slot holds "0.0": only the floats whose bits are nonzero (so
-    -0.0 too) are formatted and put in their slots.
+    -0.0 too) are formatted, and spliced between the layout's slices around
+    their slots.
     """
-    layouts: dict[tuple[int, int, int], np.ndarray] = {}
+    layouts: dict[tuple[int, int, int], tuple[str, int, np.ndarray]] = {}
+
+    def matrix(pairs: np.ndarray, level: int) -> str:
+        """The finite (rows, cols, 2) float array `pairs` as nested lists."""
+        key = (*pairs.shape[:2], level)
+        if key not in layouts:
+            layouts[key] = _matrix_layout(*key)
+        template, first, strides = layouts[key]
+        floats = pairs.ravel()
+        # nonzero bits, so that -0.0 is written as itself
+        nonzero = np.flatnonzero(floats.view(np.int64))
+        starts = first + strides @ np.unravel_index(nonzero, pairs.shape)
+        # the template from past each written slot's "0.0" to the next one
+        parts = [None] * (2 * nonzero.size + 1)
+        parts[::2] = map(template.__getitem__,
+                         map(slice, [0, *(starts + 3).tolist()], [*starts.tolist(), None]))
+        parts[1::2] = map(float.__repr__, floats[nonzero].tolist())
+        return "".join(parts)
 
     def chunks(value, level: int) -> Iterator[str]:
         if isinstance(value, str):
@@ -674,6 +723,10 @@ def _json_chunks(obj) -> Iterator[str]:
         elif isinstance(value, (list, tuple)):
             if not value:
                 yield "[]"
+                return
+            pairs = _float_pairs(value)
+            if pairs is not None:
+                yield matrix(pairs, level)
                 return
             inner = "\n" + "  " * (level + 1)
             yield "["
@@ -699,15 +752,7 @@ def _json_chunks(obj) -> Iterator[str]:
                 # json's spelling of NaN and Infinity, one float at a time
                 yield from chunks(pairs.tolist(), level)
                 return
-            key = (*value.shape, level)
-            if key not in layouts:
-                layouts[key] = _matrix_layout(*key)
-            floats = pairs.ravel()
-            # nonzero bits, so that -0.0 is written as itself
-            nonzero = np.flatnonzero(floats.view(np.int64))
-            parts = layouts[key].copy()
-            parts[2 * nonzero + 1] = list(map(float.__repr__, floats[nonzero].tolist()))
-            yield "".join(parts.tolist())
+            yield matrix(pairs, level)
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

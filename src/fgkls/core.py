@@ -213,25 +213,41 @@ def _as_operator(op, dim: int, stack: bool = False) -> np.ndarray:
     return arr
 
 
+def _stacked_dissipator(decay: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                        rho: np.ndarray, out: np.ndarray, first: np.ndarray,
+                        second: np.ndarray) -> np.ndarray:
+    """sum_a A_a rho B_a - 1/2 (K rho + rho K) on a (k, D, D) stack, written into `out`.
+
+    `pairs` (A_a, B_a) are (L_a, L_a^dag) for the dissipator and
+    (L_a^dag, L_a) for its adjoint, `decay` = K = sum_a L_a^dag L_a for both.
+    `first` and `second` are scratch of `rho`'s shape, so nothing of that
+    size is allocated.  The order is K rho, + rho K, * -0.5, then
+    + (A_a rho) B_a per pair.  Returns `out`.
+    """
+    np.matmul(decay, rho, out=out)
+    out += np.matmul(rho, decay, out=first)
+    out *= -0.5
+    for a, b in pairs:
+        out += np.matmul(np.matmul(a, rho, out=first), b, out=second)
+    return out
+
+
 def dissipator(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     """Jump-operator part of the generator: sum_a L_a rho L_a^dag - 1/2 {L_a^dag L_a, rho}.
 
     `rho` is one (D, D) matrix or a (k, D, D) stack, mapped member by member
-    with batched products.  A stack sums K = sum_a L_a^dag L_a first, two
-    products fewer per jump, so its members agree with single calls to
-    rounding; one matrix keeps the per-jump sum and its bits.
+    with batched products (`_stacked_dissipator`).  A stack sums
+    K = sum_a L_a^dag L_a first, two products fewer per jump, so its members
+    agree with single calls to rounding; one matrix keeps the per-jump sum
+    and its bits.
     """
     rho = np.asarray(rho, dtype=complex)
     rho = _as_operator(rho, rho.shape[-1] if rho.ndim else 0, stack=True)
     jumps = [_as_operator(L, rho.shape[-1]) for L in jumps]
     if rho.ndim == 3:
         K = sum((L.conj().T @ L for L in jumps), np.zeros_like(rho[0]))
-        out = K @ rho
-        out += rho @ K
-        out *= -0.5
-        for L in jumps:
-            out += L @ rho @ L.conj().T
-        return out
+        return _stacked_dissipator(K, [(L, L.conj().T) for L in jumps], rho,
+                                   *(np.empty(rho.shape, complex) for _ in range(3)))
     out = np.zeros_like(rho)
     for L in jumps:
         K = L.conj().T @ L

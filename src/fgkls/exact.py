@@ -32,8 +32,8 @@ from .core import (
     _hermitian_block,
     _real_embed,
     _scatter,
+    _stacked_dissipator,
     _vec_coordinates,
-    dissipator,
     stationarity_residual,
 )
 from .models import build_two_level, pauli_to_offdiag
@@ -287,9 +287,11 @@ def _swept_kernel(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]
     F = B[O, I], G = B[I, O] and C = B[I, I], sweeps
     X <- Omega_O^-1 (F - P_O Diss(X)) sum the scheme's closed form to
     X = A^-1 F (Kato, Perturbation Theory for Linear Operators, ch. II).
-    Each is one `dissipator` call on the (k, D, D) stack of I's basis
-    elements less their columns of X, whose generator image holds the Schur
-    complement S = C - G X on I and the residual F - A X on O.  Exact sweeps
+    Each is one stacked dissipator product (`core._stacked_dissipator`) on
+    the (k, D, D) stack of I's basis elements less their columns of X, whose
+    generator image holds the Schur complement S = C - G X on I and the
+    residual F - A X on O.  The stack, its image, the step and the products
+    live in five (k, D, D) arrays allocated once per call.  Exact sweeps
     shrink their change by q = eta / min_O |omega| < 1/2 at least, so they
     stop at the first that does not, and after 2 + log(eps) / log(q).  Weyl
     gives sigma_min(A) >= a = min_O |omega| - eta and hi, lo =
@@ -318,19 +320,22 @@ def _swept_kernel(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]
     k = inner.size
     hamiltonian = -1j * omega
     inverse = np.divide(1.0, hamiltonian, out=np.zeros_like(hamiltonian), where=gapped)
-
-    def generator(z):
-        out = dissipator(jumps, z)
-        out += hamiltonian * z
-        return out
-
-    # z is the stack of Z_j = B_j - X_j, with X = 0 before the first sweep
+    decay = sum((L.conj().T @ L for L in jumps), np.zeros((d, d), dtype=complex))
+    pairs = [(L, L.conj().T) for L in jumps]
+    # the workspace: z is the stack of Z_j = B_j - X_j, with X = 0 before the
+    # first sweep, w its image, then the step and two product buffers
     z = _scatter(d, unknowns[inner], np.diag(scale[inner]))
-    decay = sum(L.conj().T @ L for L in jumps)
-    adjoint = sum(L.conj().T @ z @ L for L in jumps) - 0.5 * (decay @ z + z @ decay)
-    g_norm = min(float(np.linalg.norm(adjoint[:, gapped])), eta)
-    del adjoint
-    w = generator(z)
+    w, step, first, second = (np.empty_like(z) for _ in range(4))
+
+    def generator():
+        """w = the generator of z."""
+        _stacked_dissipator(decay, pairs, z, w, first, second)
+        np.add(w, np.multiply(hamiltonian, z, out=first), out=w)
+
+    # the adjoint of Diss swaps each pair's factors
+    _stacked_dissipator(decay, [(dag, L) for L, dag in pairs], z, w, first, second)
+    g_norm = min(float(np.linalg.norm(w[:, gapped])), eta)
+    generator()
     f_norm = min(float(np.linalg.norm(w[:, gapped])), eta)
     factor = eta / gap
     cap = 2 + math.ceil(math.log(eps) / math.log(max(factor, eps)))
@@ -338,12 +343,11 @@ def _swept_kernel(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]
     while sweeps < cap:
         # P_O W = F - A X, so this step is X's next sweep less X; exact
         # steps shrink by the factor at least, so one that does not is rounding
-        step = inverse * w
-        size = float(np.linalg.norm(step))
+        size = float(np.linalg.norm(np.multiply(inverse, w, out=step)))
         if not size < factor * change:
             break
         z -= step
-        w = generator(z)
+        generator()
         change, sweeps = size, sweeps + 1
     swept = sweeps, factor
     residual = float(np.linalg.norm(w[:, gapped]))

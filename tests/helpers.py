@@ -1,9 +1,12 @@
 """Shared constructions for the test suite."""
 
+import math
+import sys
+
 import numpy as np
 
 from fgkls import EnergySpectrum
-from fgkls.core import _real_embed
+from fgkls.core import _real_embed, _scatter, _vec_coordinates
 
 
 # `random_nondegenerate_model` gives up after this many draws of the energies
@@ -265,3 +268,68 @@ def connected_blocks(pattern):
             frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
         blocks.append(np.sort(np.concatenate(members)))
     return blocks
+
+
+def stacked_dissipator_reference(jumps, rho):
+    """The dissipator on a (k, D, D) stack with a new array for every product.
+
+    The stacked product's operation order: K rho, + rho K, * -0.5, then
+    + (L rho) L^dag per jump, with K = sum_a L_a^dag L_a.
+    """
+    K = sum((L.conj().T @ L for L in jumps), np.zeros_like(rho[0]))
+    out = K @ rho
+    out += rho @ K
+    out *= -0.5
+    for L in jumps:
+        out += L @ rho @ L.conj().T
+    return out
+
+
+def swept_kernel_reference(spectrum, jumps):
+    """(solved, sweeps) of `exact._swept_kernel` by its loop with a new array per product.
+
+    The same Neumann sweeps X <- Omega_O^-1 (F - P_O Diss(X)) on the stack
+    of the ungapped basis elements, the same stopping rule and the same
+    bordered Schur complement solve, with every stack allocated afresh;
+    None when no coherence is gapped.
+    """
+    d = spectrum.dim
+    eps = sys.float_info.epsilon
+    omega = spectrum.energies[:, None] - spectrum.energies[None, :]
+    eta = 2 * sum(float(np.linalg.norm(L, 2)) ** 2 for L in jumps)
+    eta *= 1 + 4 * (d + len(jumps)) * eps
+    gapped = np.abs(omega) > 2 * eta
+    if not gapped.any():
+        return None
+    unknowns, scale, alpha, mirror = _vec_coordinates(d)
+    inner = np.flatnonzero(~gapped.T.ravel())
+    k = inner.size
+    hamiltonian = -1j * omega
+    inverse = np.divide(1.0, hamiltonian, out=np.zeros_like(hamiltonian), where=gapped)
+
+    def generator(z):
+        out = stacked_dissipator_reference(jumps, z)
+        out += hamiltonian * z
+        return out
+
+    z = _scatter(d, unknowns[inner], np.diag(scale[inner]))
+    w = generator(z)
+    factor = eta / float(np.abs(omega[gapped]).min())
+    cap = 2 + math.ceil(math.log(eps) / math.log(max(factor, eps)))
+    change, sweeps = math.inf, 0
+    while sweeps < cap:
+        step = inverse * w
+        size = float(np.linalg.norm(step))
+        if not size < factor * change:
+            break
+        z -= step
+        w = generator(z)
+        change, sweeps = size, sweeps + 1
+    rows, cols = inner % d, inner // d
+    schur = np.zeros((k + 1, k + 1))
+    schur[:k, :k] = (alpha[inner].conj() * w[:, rows, cols]
+                     + alpha[inner] * w[:, cols, rows]).real.T
+    schur[:k, k] = schur[k, :k] = rows == cols
+    z_inner = np.linalg.solve(schur, np.eye(k + 1)[k])
+    v = np.tensordot(z_inner[:k], z, 1).T.ravel()
+    return (alpha.conj() * v + alpha * v[mirror]).real, sweeps

@@ -14,7 +14,9 @@ from fgkls.cli import (
     EXIT_STEP_SIZE,
     EXIT_THRESHOLD,
     ConfigError,
+    _as_matrix,
     _family_report,
+    _float_pairs,
     _json_chunks,
     _kernel_route,
     _trajectory_csvs,
@@ -522,6 +524,52 @@ def test_json_writer_splices_nonzero_floats_into_zero_layout():
         assert "".join(_json_chunks(obj)) == _dumps_nested(obj)
 
 
+# lists of rows of [re, im] pairs: the first ones of floats alone, which are
+# written through the matrix layout, then ones the generic path writes
+FLOAT_PAIR_LISTS = [
+    [[[0.5, 2.0]]],
+    [[[0.1, -0.0], [5e-324, 1.7e308]], [[-5e-324, 0.0], [-1.7e308, 1e16]]],
+    [[[0.0, 0.0], [0.0, 0.0], [0.0, -0.0]]],
+    [[[1, 2.0], [0.5, 0.25]], [[0.5, 0.5], [0.0, 3]]],
+    [[[True, 2.0]], [[0.5, False]]],
+    [[[0.5, 2.0], [1.5, 0.0]], [[0.5, 1.0]]],
+    [[[0.5, 2.0, 1.0]]],
+    [[[0.5]]],
+    [[[0.5, 2.0], "x"]],
+    [[[0.5, "2.0"]]],
+    [[[0.5, None]]],
+    [[[[0.5, 2.0]]]],
+    [[], []],
+    [[]],
+    [],
+]
+
+
+def test_json_writer_writes_float_pair_lists_as_json_does():
+    for k, value in enumerate(FLOAT_PAIR_LISTS):
+        assert (_float_pairs(value) is not None) == (k < 3), value
+        for obj in (value, {"k": [value, {"x": value}], "m": [value, value]}):
+            assert "".join(_json_chunks(obj)) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        shape = tuple(rng.integers(1, 5, size=2))
+        floats = rng.standard_normal((*shape, 2)) * (rng.random((*shape, 2)) < 0.5)
+        obj = {"a": floats.tolist(), "b": [floats.tolist(), "c"]}
+        assert "".join(_json_chunks(obj)) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_float_pair_matrix_parses_to_the_bits_of_entrywise_parsing():
+    for value in FLOAT_PAIR_LISTS[:3]:
+        parsed = _as_matrix(value, "m") if len(value) == len(value[0]) else None
+        if parsed is not None:
+            entrywise = np.array([[complex(*z) for z in row] for row in value])
+            assert parsed.shape == entrywise.shape
+            assert np.array_equal(parsed.view(np.int64), entrywise.view(np.int64))
+    # integer entries take the entrywise path, to the same values
+    assert np.array_equal(_as_matrix(FLOAT_PAIR_LISTS[3], "m"),
+                          np.array([[1 + 2j, 0.5 + 0.25j], [0.5 + 0.5j, 3j]]))
+
+
 # q = 2 at D = 16: the degenerate branch, whose free directions are mostly zeros
 DEGENERATE_D16 = {
     "model": "oscillator_spin",
@@ -744,6 +792,70 @@ def test_huge_lambda_is_a_config_error(tmp_path, capsys, lam, max_order):
     assert main(["compare", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: config error at lambda_values: {lam!r} ")
     assert not (tmp_path / "out").exists()
+
+
+def _dense_3_with(text_of_entry, where):
+    """DENSE_3's config text with the re part of jumps[0][1][0] written as `text_of_entry`."""
+    text = json.dumps(DENSE_3)
+    assert text.count("[-0.4, ") == 1
+    return text.replace("[-0.4, ", f"[{text_of_entry}, "), where
+
+
+def _dense_3_jump(jump):
+    return json.dumps(dict(DENSE_3, custom=dict(DENSE_3["custom"], jumps=[jump])))
+
+
+MALFORMED_JUMPS = [
+    _dense_3_with("NaN", "custom.jumps[0][1][0]: expected a finite real number, got nan"),
+    _dense_3_with("Infinity", "custom.jumps[0][1][0]: expected a finite real number, got inf"),
+    _dense_3_with("1e400", "custom.jumps[0][1][0]: expected a finite real number, got inf"),
+    _dense_3_with("true", "custom.jumps[0][1][0]: expected a finite real number, got True"),
+    (_dense_3_jump([[[0.5, 0.0]] * 3, [[0.5, 0.0], [0.5], [0.5, 0.0]], [[0.5, 0.0]] * 3]),
+     "custom.jumps[0][1][1]: complex numbers are [re, im] pairs of finite reals"),
+    (_dense_3_jump([[[0.5, 0.0]] * 3, [[0.5, 0.0]] * 2, [[0.5, 0.0]] * 3]),
+     "custom.jumps[0][1]: matrix must be square"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_JUMPS)
+def test_malformed_custom_jump_entry_names_its_path(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["pointer", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: config error at {message}\n"
+
+
+def test_integer_jump_entries_echo_as_integers(tmp_path):
+    jump = [row[:] for row in DENSE_3["custom"]["jumps"][0]]
+    jump[0] = [[1, 0], [0.08, -0.11], [0, -0.04]]
+    payload = dict(DENSE_3, custom=dict(DENSE_3["custom"], jumps=[jump]))
+    out = tmp_path / "out"
+    assert main(["pointer", write_config(tmp_path, "cfg.json", payload), "--out", str(out),
+                 "--json-only"]) == EXIT_OK
+    text = (out / "report.json").read_text()
+    echoed = json.loads(text)["model"]["custom"]["jumps"][0]
+    assert echoed == jump and [type(x) for x in echoed[0][0] + echoed[0][2]] == [int, int, int, float]
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_pointer_and_compare_leave_numpy_random_unimported(tmp_path):
+    # only the trajectories' random initial states need numpy.random, whose
+    # import costs about 5 MB of resident memory
+    osc_compare = dict(DEGENERATE_D16, oscillator_spin=dict(DEGENERATE_D16["oscillator_spin"],
+                                                            delta=0.3))
+    runs = [("pointer", DEGENERATE_D16), ("compare", DENSE_3), ("compare", osc_compare)]
+    argvs = [[command, write_config(tmp_path, f"cfg{k}.json", payload),
+              "--out", str(tmp_path / f"out{k}"), "--json-only"]
+             for k, (command, payload) in enumerate(runs)]
+    script = ("import sys\nfrom fgkls.cli import main\n"
+              f"print([main(argv) for argv in {argvs!r}])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str([EXIT_OK] * 3), "[]"]
 
 
 HUGE_ENTRIES_3 = [[[1e154, 0.0]] * 3] * 3  # each entry squares to 1e308, the sum to 9e308

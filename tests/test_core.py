@@ -18,11 +18,11 @@ from fgkls import (
     vectorize_liouvillian,
     weak_coupling_ratio,
 )
-from fgkls.core import InvalidStateError, _check_states
+from fgkls.core import InvalidStateError, _check_states, _stacked_dissipator
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import (component_generator, kron_liouvillian, random_hermitian,
-                     random_nondegenerate_model)
+                     random_nondegenerate_model, stacked_dissipator_reference)
 
 
 # --- generator -------------------------------------------------------------
@@ -59,6 +59,28 @@ def test_dissipator_maps_a_stack_member_by_member():
         K = L.conj().T @ L
         reference += L @ stack[0] @ L.conj().T - 0.5 * (K @ stack[0] + stack[0] @ K)
     assert np.array_equal(dissipator(jumps, stack[0]), reference)
+
+
+@pytest.mark.parametrize("n_jumps", [0, 1, 2])
+@pytest.mark.parametrize("count", [1, 3, 6])
+def test_stacked_product_in_caller_buffers_keeps_the_bits(count, n_jumps):
+    # k = 1, 3 and D members; buffers that hold stale values must not leak
+    # into the image, which keeps the bits of a fresh array per product
+    rng = np.random.default_rng(10 * count + n_jumps)
+    _, jumps = random_nondegenerate_model(rng, dim=6, n_jumps=max(n_jumps, 1), coupling=0.5)
+    jumps = jumps[:n_jumps]
+    stack = rng.standard_normal((count, 6, 6)) + 1j * rng.standard_normal((count, 6, 6))
+    K = sum((L.conj().T @ L for L in jumps), np.zeros((6, 6), dtype=complex))
+    out, first, second = (np.full(stack.shape, np.nan + 1j) for _ in range(3))
+    image = _stacked_dissipator(K, [(L, L.conj().T) for L in jumps], stack, out, first, second)
+    assert image is out
+    assert np.array_equal(out, dissipator(jumps, stack))
+    assert np.array_equal(out, stacked_dissipator_reference(jumps, stack))
+    # swapped pairs give the adjoint, sum_a L_a^dag rho L_a - {K, rho} / 2, in the same buffers
+    _stacked_dissipator(K, [(L.conj().T, L) for L in jumps], stack, out, first, second)
+    adjoint = sum((L.conj().T @ stack @ L for L in jumps), np.zeros_like(stack))
+    adjoint -= 0.5 * (K @ stack + stack @ K)
+    assert np.linalg.norm(out - adjoint) <= 1e-14 * max(1.0, np.linalg.norm(adjoint))
 
 
 @pytest.mark.parametrize("shape", [(5,), (5, 4), (2, 5, 4), (1, 2, 5, 5)])

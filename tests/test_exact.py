@@ -45,7 +45,8 @@ from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscilla
 
 from helpers import (connected_blocks, decoupled_level_model, kron_liouvillian,
                      orthonormal_hermitian_basis, orthonormal_span, protected_class_model,
-                     random_jumps, random_nondegenerate_model, rk4_reference, structural_pattern)
+                     random_jumps, random_nondegenerate_model, rk4_reference, structural_pattern,
+                     swept_kernel_reference)
 
 
 # --- null-space oracle -------------------------------------------------------
@@ -353,6 +354,21 @@ def test_gapped_certificate_bounds_are_sharp_on_known_singular_values():
     assert 0.9 * s[-2] / s[0] < rejected <= s[-2] / s[0]
     x = solved / np.linalg.norm(solved)
     assert np.linalg.norm(sub @ x) <= 1e-15 * s[0]
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.1])
+@pytest.mark.parametrize("dim", [6, 12])
+def test_swept_kernel_keeps_the_bits_of_allocating_sweeps(dim, lam):
+    # the sweeps write every stack into one workspace; the kernel vector and
+    # the sweep count are those of a loop that allocates every product, with
+    # some coherences ungapped at lambda = 1 and every one gapped at 0.1
+    spectrum, jumps = spaced_dense_case(dim, 0.5 / dim)
+    jumps = [0.2 * lam * L for L in jumps]
+    solved, _, (sweeps, _) = _swept_kernel(spectrum, jumps)
+    reference, reference_sweeps = swept_kernel_reference(spectrum, jumps)
+    assert np.array_equal(solved, reference) and sweeps == reference_sweeps > 0
+    count = gapped_coherences(spectrum, jumps)
+    assert count == dim * (dim - 1) if lam < 1 else 0 < count < dim * (dim - 1)
 
 
 def _record_solves(monkeypatch):
