@@ -241,7 +241,11 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], list
                                        jump_variant=variant)
         except ValueError as err:
             raise ConfigError(f"config error at oscillator_spin: {err}") from err
-        spectrum, jumps = build_oscillator_spin(osc)
+        try:
+            spectrum, jumps = build_oscillator_spin(osc)
+        except (MemoryError, ValueError) as err:  # e.g. numpy cannot allocate D = 2 n_levels
+            raise ConfigError(f"config error at oscillator_spin.n_levels: cannot build the "
+                              f"model at {n_levels} levels: {err}") from err
         return model, spectrum, jumps, where, osc
     if model == "custom":
         sub = _object(cfg, "custom")

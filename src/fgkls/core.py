@@ -435,7 +435,7 @@ def _check_states(arr: np.ndarray) -> None:
         return
     i = int(np.argmax(bad))
     if not finite[i]:
-        message = "non-finite entries"
+        message = "non-finite state"
     elif herm_err[i] > tol.herm:
         message = f"not Hermitian: max |rho - rho^dag| = {herm_err[i]:.3e}"
     elif trace_err[i] > tol.trace:

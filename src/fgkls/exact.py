@@ -571,12 +571,12 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     When `n_steps` is omitted it is derived from `default_step`; a `t_end`
     for which t_end / default_step is not finite raises `ValueError`.  States are
     recorded every `record_every` steps, the final state always included.
-    Each recorded state is checked for finiteness and a trace drift above
-    1e-8 as it is reached, and the records are validated as density
-    matrices `_RECORD_CHUNK` complex entries at a time.  The earliest
-    failing (record, member) pair raises `StepSizeError`, which names the
-    member and carries a suggested step size; from the default step count on,
-    its message blames rounding accumulated over `n_steps` steps instead.
+    The records are validated as density matrices (`_check_states`), in time
+    order and `_RECORD_CHUNK` complex entries at a time, before they are
+    stored.  The earliest failing (record, member) pair raises
+    `StepSizeError`, which names the member and the record's time and carries
+    a suggested step size; from the default step count on, its message blames
+    rounding accumulated over `n_steps` steps instead.
     """
     if len(rho0s) == 0:
         raise ValueError("no initial states")
@@ -623,7 +623,6 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     count = len(rho0)
     v = rho0.transpose(0, 2, 1).reshape(count, -1)
     x = (alpha.conj() * v + alpha * v[:, mirror]).real
-    diagonal = np.arange(d) * (d + 1)
 
     full, rest = divmod(n_steps, record_every)
     strides = [record_every] * full + [rest] * (rest > 0)
@@ -641,7 +640,9 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
             try:
                 _check_states(mats)
             except InvalidStateError as err:
-                raise too_large(str(err), err.index % count) from err
+                record, member = divmod(err.index, count)
+                at = times[end - len(pending) + record]
+                raise too_large(f"{err} at t = {at:.4g}", member) from err
             states[:, end - len(pending):end] = mats.reshape(-1, count, d, d).swapaxes(0, 1)
             pending.clear()
 
@@ -659,15 +660,6 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
                 block[~part.any(axis=-1)] = 0.0
                 advanced[:, idx] = block
             x = advanced
-            finite = np.isfinite(x).all(axis=1)
-            drift = np.abs(x[:, diagonal].sum(axis=1) - 1.0)
-            ok = finite & (drift <= 1e-8)
-            if not ok.all():
-                store(record)  # an invalid earlier record is reported first
-                bad = int(np.argmin(ok))
-                detail = ("non-finite state" if not finite[bad]
-                          else f"trace drift {drift[bad]:.3e}")
-                raise too_large(f"{detail} at t = {times[record]:.4g}", bad)
             pending.append(x)
             if len(pending) == chunk:
                 store(record + 1)

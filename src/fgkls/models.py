@@ -14,6 +14,7 @@ oscillator-major with the two spin states of each level adjacent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,9 @@ class OscillatorSpinConfig:
             raise ValueError("n_levels must be at least 2")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
+        if not math.isfinite(self.q):
+            raise ValueError(f"q = 2*delta/omega is not finite (delta {self.delta:g}, "
+                             f"omega {self.omega:g})")
 
     @property
     def dim(self) -> int:

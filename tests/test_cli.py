@@ -652,6 +652,12 @@ def test_invalid_json_is_line_anchored(tmp_path, capsys):
         assert where in capsys.readouterr().err
 
 
+def _oscillator_spin(n_levels, omega, delta):
+    return {"model": "oscillator_spin",
+            "oscillator_spin": {"n_levels": n_levels, "omega": omega, "delta": delta,
+                                "jump": {"variant": "sigma_plus", "lam": [0.3, 0.0]}}}
+
+
 # (config, key path the error message must name); each case is checked
 # inside one test so the suite keeps reporting a single test per defect class
 MALFORMED_CONFIGS = [
@@ -728,6 +734,14 @@ MALFORMED_CONFIGS = [
     (dict(TWO_LEVEL, tolerances={"tol_x": 1e-9}), "tolerances.tol_x"),
     (dict(TWO_LEVEL, evolve={"t_end": 0}), "evolve.t_end"),
     (dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 0}), "evolve.n_steps"),
+    # q = 2 delta / omega is inf: round(q) raised an OverflowError traceback
+    (_oscillator_spin(2, 1e-320, 0.3), "oscillator_spin"),
+    (_oscillator_spin(2, 1.0, 1e308), "oscillator_spin"),
+    # numpy refuses both sizes before touching memory: 14.6 TiB of energies
+    # (a MemoryError traceback), and a dimension beyond its index range (a
+    # ValueError without a key path)
+    (_oscillator_spin(10 ** 12, 1.0, 0.3), "oscillator_spin.n_levels"),
+    (_oscillator_spin(10 ** 30, 1.0, 0.3), "oscillator_spin.n_levels"),
 ]
 
 
