@@ -22,8 +22,6 @@ from .core import (
     matrix_to_bloch,
     random_density_matrix,
     stationarity_residual,
-    unvec,
-    vec,
     vectorize_liouvillian,
     weak_coupling_ratio,
 )
@@ -45,7 +43,6 @@ from .exact import (
     verify_identity_72,
 )
 from .models import (
-    CompositeIndex,
     OscillatorSpinConfig,
     SigmaPlus,
     SigmaXY,

@@ -10,7 +10,7 @@ Each run writes `report.json` (machine readable, byte-stable across reruns)
 and `report.txt` (human readable, includes timing and, per lambda, the number
 of real Liouvillian blocks and the largest block the exact oracle solved, the
 route that decided the kernel (certified by Neumann sweeps, with their count
-and contraction factor; the bordered inverse of the built block; or the SVD),
+and contraction factor, or the SVD),
 and the kernel margin: the largest kept and smallest rejected singular value
 over the largest one, next to the cutoff, or "<=" and ">=" bounds on the two
 where the oracle certified a one-block kernel without singular values) into the
@@ -31,10 +31,10 @@ echoes it as written.  Such a list of jumps is parsed with one array
 conversion too.  Every output file is streamed to a temporary file in the
 output directory that then replaces the target.
 
-Exit codes: 0 success, 1 config error, 2 scheme failure (no solution at some
-order), 3 comparison thresholds exceeded, 4 integration step too large (the
-message carries a suggested step).  The environment variable LP_SEED overrides
-the configured random seeds.
+Exit codes: 0 success, 1 config or command-line error, 2 scheme failure (no
+solution at some order), 3 comparison thresholds exceeded, 4 integration step
+too large (the message carries a suggested step).  The environment variable
+LP_SEED overrides the configured random seeds.
 """
 
 from __future__ import annotations
@@ -484,9 +484,9 @@ OracleRow = tuple[float, int, int, str, float, float, float | None, bool]
 
 
 def _kernel_route(steady: SteadyStateSet) -> str:
-    """How `steady`'s kernel was decided: certified by sweeps, the bordered inverse, or the SVD."""
+    """How `steady`'s kernel was decided: certified by sweeps, or the SVD."""
     if steady.sweeps is None:
-        return "bordered inverse" if steady.margin_is_bound else "svd"
+        return "svd"
     sweeps = f"{steady.sweeps[0]} sweeps, eta/gap {steady.sweeps[1]:.2e}"
     return f"certified ({sweeps})" if steady.margin_is_bound else f"svd (after {sweeps})"
 
@@ -765,12 +765,19 @@ def _json_chunks(obj) -> Iterator[str]:
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the strings in `chunks` to a temporary file that then replaces `path`."""
+    """Write the strings in `chunks` to a temporary file that then replaces `path`.
+
+    The file gets the mode `open(path, "w")` would give it, 0o666 less the
+    umask, not the 0o600 that `tempfile.mkstemp` creates it with.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_report_")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -852,8 +859,19 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit `EXIT_CONFIG`, not argparse's 2.
+
+    Subparsers are built with the parser's own class, so theirs do too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fgkls",
         description="Pointer states of the FGKLS equation: perturbative solver and exact oracles.",
     )

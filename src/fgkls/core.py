@@ -31,8 +31,6 @@ __all__ = [
     "fgkls_generator",
     "stationarity_residual",
     "vectorize_liouvillian",
-    "vec",
-    "unvec",
     "matrix_to_bloch",
     "bloch_to_matrix",
     "random_density_matrix",
@@ -84,10 +82,6 @@ class EnergySpectrum:
     def dim(self) -> int:
         return int(self.energies.size)
 
-    def hamiltonian(self) -> np.ndarray:
-        """Dense diagonal Hamiltonian matrix."""
-        return np.diag(self.energies).astype(complex)
-
 
 def default_tol_degen(spectrum: EnergySpectrum) -> float:
     """Default degeneracy tolerance: 1e-9 times the largest energy scale."""
@@ -128,12 +122,6 @@ class DegeneracyPartition:
     @property
     def dim(self) -> int:
         return int(self.class_ids.size)
-
-    def class_of(self, m: int) -> int:
-        return int(self.class_ids[m])
-
-    def is_internal(self, m: int, n: int) -> bool:
-        return bool(self.class_ids[m] == self.class_ids[n])
 
     @property
     def has_degeneracy(self) -> bool:
@@ -341,20 +329,6 @@ def stationarity_residual(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     return float(np.linalg.norm(fgkls_generator(spectrum, jumps, rho)))
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization: vec(rho)[m + D*n] = rho[m, n]."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of `vec`."""
-    v = np.asarray(v, dtype=complex)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError("vector length is not a perfect square")
-    return v.reshape(d, d, order="F")
-
-
 @dataclass(frozen=True)
 class LiouvillianSuperoperator:
     """D^2 x D^2 matrix form of the FGKLS generator under column stacking.
@@ -365,14 +339,6 @@ class LiouvillianSuperoperator:
 
     hilbert_dim: int
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the vectorized space (D squared)."""
-        return self.hilbert_dim ** 2
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho))
 
 
 def vectorize_liouvillian(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]) -> LiouvillianSuperoperator:

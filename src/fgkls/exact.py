@@ -83,9 +83,9 @@ class SteadyStateSet:
     rejected value is None when every value is kept.  Without singular
     values (`margin_is_bound`) the pair is the certificate's bounds on the
     true values (`_certified_kernel`), whose bounds on s_max come from Weyl's
-    inequality, max |omega| -+ eta over the level gaps omega, after Neumann
-    sweeps, else from R's norms.  `sweeps` is (count, eta / min gapped
-    |omega|) of `_swept_kernel`'s sweeps when they ran, certified or not.
+    inequality, max |omega| -+ eta over the level gaps omega.  `sweeps` is
+    (count, eta / min gapped |omega|) of `_swept_kernel`'s sweeps when they
+    ran, certified or not.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -244,35 +244,12 @@ def _certified_kernel(residual: float, low: float, hi: float, lo: float,
     So R's kernel under tol_kernel * s_max is span(x) when
     low > KERNEL_MARGIN * tol_kernel * hi and ||R x|| <= tol_kernel * lo; the
     pair bounds the kept value from above and the rejected one from below,
-    over s_max.  A NaN bound, or lo = 0 (a one-level model), certifies nothing.
+    over s_max.  A NaN bound certifies nothing; lo = max |omega| - eta is
+    positive, as a gapped coherence has |omega| > 2 eta.
     """
-    if lo > 0 and low > KERNEL_MARGIN * tol_kernel * hi and residual <= tol_kernel * lo:
+    if low > KERNEL_MARGIN * tol_kernel * hi and residual <= tol_kernel * lo:
         return lo, (residual / lo, low / hi)
     return None
-
-
-def _bordered_kernel(sub: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, Bounds]:
-    """(B^-1[:n, n], `Bounds`) from one inverse of B for a built block R (n, n).
-
-    The route of a one-block model with no gapped coherence (see
-    `_swept_kernel`): x = B^-1[:n, n] normalised, low = 1 / ||B^-1||_F,
-    hi = sqrt(||R||_1 ||R||_inf) (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 6) and lo is R's largest column norm.  The
-    first is NaN and the bounds `_NO_BOUNDS` when B is singular.
-    """
-    n = sub.shape[0]
-    try:
-        inverse = np.linalg.inv(_bordered(sub[None], trace[None])[0])
-    except np.linalg.LinAlgError:
-        return np.full(n, np.nan), _NO_BOUNDS
-    solved = inverse[:n, n]
-    if not np.isfinite(solved).all():
-        return solved, _NO_BOUNDS
-    x = solved / np.linalg.norm(solved)
-    magnitude = np.abs(sub)
-    hi = math.sqrt(float(magnitude.sum(axis=0).max()) * float(magnitude.sum(axis=1).max()))
-    return solved, (float(np.linalg.norm(sub @ x)), 1.0 / float(np.linalg.norm(inverse)), hi,
-                    float(np.linalg.norm(sub, axis=0).max()))
 
 
 def _swept_kernel(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]
@@ -423,13 +400,13 @@ def steady_state_basis(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     tries to certify that its kernel is one vector without building the
     block: Neumann sweeps of the stacked dissipator on the populations (and
     ungapped coherences), then one solve and values-only SVD of their
-    bordered Schur complement, 33 x 33 at D = 32.  With no gapped coherence
-    `_bordered_kernel` inverts the built block's bordered matrix instead.  A
-    certified block takes no SVD of the Liouvillian, `singular_values` is
-    None, `kernel_margin` holds the certificate's bounds, and its lower bound
-    on s_max stands for s_max below.  Otherwise the block is built and the
-    kernel decided as in `steady_state_basis_svd`, a single block's bordered
-    solution taken from the failed certificate.  Members whose direct
+    bordered Schur complement, 33 x 33 at D = 32.  A certified block takes
+    no SVD of the Liouvillian, `singular_values` is None, `kernel_margin`
+    holds the certificate's bounds, and its lower bound on s_max stands for
+    s_max below.  Otherwise (several blocks, no gapped coherence or a failed
+    certificate) the blocks are built and the kernel decided as in
+    `steady_state_basis_svd`, a single block's bordered solution taken from
+    the failed certificate where the sweeps ran.  Members whose direct
     generator residual (`stationarity_residual`) exceeds tol_kernel times
     max(s_max, 1) are dropped.  The physical slice is the trace-1 affine
     subset of the kernel span: one member and traceless directions.
@@ -450,7 +427,7 @@ def steady_state_basis_svd(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]
     Hermitian, Frobenius-orthonormal matrices.  `singular_values` holds the
     D^2 values in descending order and `kernel_margin` the values on either
     side of the cutoff.  `fgkls exact` prints the smallest values, so it
-    takes this route, which costs what the SVD route costs and no inverse.
+    takes this route, which skips the sweeps.
     """
     return _steady_states(spectrum, jumps, tol_kernel, certify=False)
 
@@ -467,12 +444,7 @@ def _steady_states(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], tol_ke
     swept = _swept_kernel(spectrum, jumps) if one_block else None
     solved, bounds, sweeps = swept or (None, None, None)
     certificate = bounds and _certified_kernel(*bounds, tol_kernel)
-    # the block is built only for the bordered inverse and the SVD
     blocks = [] if certificate else list(_real_blocks(spectrum, jumps, labels))
-    if one_block and swept is None:
-        # the one block holds every vec index in order: positions are vec indices
-        solved, bounds = _bordered_kernel(blocks[0][1][0], (unknowns[:, 0] == 0).astype(float))
-        certificate = _certified_kernel(*bounds, tol_kernel)
     s = None
     if certificate is not None:
         smax, margin = certificate

@@ -25,7 +25,6 @@ __all__ = [
     "SigmaPlus",
     "SigmaXY",
     "OscillatorSpinConfig",
-    "CompositeIndex",
     "build_oscillator_spin",
     "build_two_level",
     "pauli_to_offdiag",
@@ -48,26 +47,6 @@ class SigmaXY:
 
     gamma1: complex = 0.1
     gamma2: complex = 0.1
-
-
-@dataclass(frozen=True)
-class CompositeIndex:
-    """Composite label (m, a): oscillator level m, spin a in {0, 1}."""
-
-    m: int
-    a: int
-
-    def __post_init__(self):
-        if self.m < 0 or self.a not in (0, 1):
-            raise ValueError(f"invalid composite index ({self.m}, {self.a})")
-
-    @property
-    def flat(self) -> int:
-        return 2 * self.m + self.a
-
-    @classmethod
-    def from_flat(cls, flat: int) -> "CompositeIndex":
-        return cls(m=flat // 2, a=flat % 2)
 
 
 @dataclass(frozen=True)

@@ -196,11 +196,25 @@ def rk4_reference(spectrum, jumps, rho0s, t_end, n_steps, record_every):
     return np.array(times), np.array(states)
 
 
+def vec(rho):
+    """Column-stacking vectorization: vec(rho)[m + D*n] = rho[m, n]."""
+    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+
+
+def unvec(v):
+    """Inverse of `vec`."""
+    v = np.asarray(v, dtype=complex)
+    d = math.isqrt(v.size)
+    if d * d != v.size:
+        raise ValueError("vector length is not a perfect square")
+    return v.reshape(d, d, order="F")
+
+
 def kron_liouvillian(spectrum, jumps):
     """Reference assembly through kron products against the identity."""
     d = spectrum.dim
     ident = np.eye(d)
-    h = spectrum.hamiltonian()
+    h = np.diag(spectrum.energies)
     mat = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
     for L in jumps:
         L = np.asarray(L, dtype=complex)

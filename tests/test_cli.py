@@ -133,6 +133,50 @@ def test_evolve_writes_trajectories_and_respects_seed_env(tmp_path, monkeypatch)
     assert (out2 / "trajectory_11.csv").exists()
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_files_get_the_mode_the_umask_sets(tmp_path, umask, mode):
+    # the mode `open(path, "w")` gives a new file, not mkstemp's 0o600
+    payload = dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 10, "seeds": [0]})
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["evolve", cfg, "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    for name in ("report.json", "report.txt", "trajectory_0.csv"):
+        assert (out / name).stat().st_mode & 0o777 == mode, name
+
+
+def _run_module(args):
+    """`python -m fgkls.cli` with `args`, on the checkout's `src`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return subprocess.run([sys.executable, "-m", "fgkls.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["pointer"], "the following arguments are required: config"),
+    (["pointer", "CFG", "--max-order", "abc"], "argument --max-order: invalid int value: 'abc'"),
+], ids=["no-arguments", "unknown-command", "missing-config", "bad-max-order"])
+def test_command_line_errors_exit_1(tmp_path, args, message):
+    # argparse alone exits 2, which README gives to a scheme failure
+    cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
+    proc = _run_module([cfg if arg == "CFG" else arg for arg in args])
+    assert proc.returncode == EXIT_CONFIG
+    assert message in proc.stderr and "usage: fgkls" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_help_exits_0():
+    proc = _run_module(["--help"])
+    assert proc.returncode == EXIT_OK and "usage: fgkls" in proc.stdout
+
+
 def test_evolve_derived_step_count_records_like_a_written_one(tmp_path):
     # default_step is 0.01 / ||L12^dag L12|| = 0.0025, so t_end 5 takes 2000
     # steps; both configs record every second step, 1000 states plus the first
@@ -257,31 +301,33 @@ def test_text_report_lists_oracle_blocks(tmp_path):
     start = lines.index(MARGIN_HEADER)
     assert [field.strip() for field in lines[start + 1].split("|")] == expected[0]
 
-    # a dense model's Liouvillian is one block, certified without singular
-    # values: its rows are bounds on the kept and rejected values
+    # a dense model's Liouvillian is one block.  lambda = 0.5 gaps some
+    # coherences, and the sweeps certify it without singular values: its row
+    # holds bounds on the kept and rejected values.  lambda = 1 gaps none, so
+    # the SVD decides, and its row holds the values themselves
     cfg = write_config(tmp_path, "dense.json", DENSE_3)
     assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "report.txt").read_text().splitlines()
     start = lines.index(MARGIN_HEADER)
     rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
-    expected = []
     model = load_config(cfg)
-    for lam in (1.0, 0.5):
-        jumps = [lam * L for L in model.jumps]
-        s = steady_state_basis(model.spectrum, jumps)
-        kept, rejected = s.kernel_margin
-        assert s.margin_is_bound and s.block_sizes == (9,)
-        values = steady_state_basis_svd(model.spectrum, jumps).singular_values
-        assert kept < 1e-10 <= rejected <= values[-2] / values[0]
-        expected.append([f"{lam:g}", "1.000e-10", f"<= {kept:.3e}", f">= {rejected:.3e}"])
+    s = steady_state_basis(model.spectrum, model.jumps)
+    assert not s.margin_is_bound and s.sweeps is None and s.block_sizes == (9,)
+    rel = s.singular_values / s.singular_values[0]
+    expected = [["1", "1.000e-10", f"{rel[-1]:.3e}", f"{rel[-2]:.3e}"]]
+    jumps = [0.5 * L for L in model.jumps]
+    s = steady_state_basis(model.spectrum, jumps)
+    kept, rejected = s.kernel_margin
+    assert s.margin_is_bound and s.block_sizes == (9,)
+    values = steady_state_basis_svd(model.spectrum, jumps).singular_values
+    assert kept < 1e-10 <= rejected <= values[-2] / values[0]
+    expected.append(["0.5", "1.000e-10", f"<= {kept:.3e}", f">= {rejected:.3e}"])
     assert rows == expected
     assert not any("within 1e3 of the kernel cutoff" in line for line in lines)
-    # lambda = 1 gaps no coherence, so the built block's bordered inverse
-    # certifies it; lambda = 0.5 gaps some, and the sweeps certify it
     start = lines.index("lambda | Liouvillian blocks | largest block | kernel route")
-    count, factor = steady_state_basis(model.spectrum, [0.5 * L for L in model.jumps]).sweeps
+    count, factor = s.sweeps
     assert [line.split(" | ")[3] for line in lines[start + 1:start + 3]] == [
-        "bordered inverse", f"certified ({count} sweeps, eta/gap {factor:.2e})"]
+        "svd", f"certified ({count} sweeps, eta/gap {factor:.2e})"]
     report = (out / "report.json").read_text()
     assert "<=" not in report and ">=" not in report and "margin" not in report
     # `exact` prints the smallest singular values, so it takes them all and

@@ -19,10 +19,9 @@ from fgkls import (
     random_density_matrix,
     run_pointer_scheme,
     stationarity_residual,
-    unvec,
-    vec,
     vectorize_liouvillian,
 )
+from fgkls.cli import _kernel_route
 from fgkls.core import _hermitian_block, _real_embed, _vec_coordinates
 from fgkls.exact import (
     EmptyKernelError,
@@ -40,13 +39,13 @@ from fgkls.exact import (
     two_level_system,
     verify_identity_72,
 )
-from fgkls.exact import _bordered, _bordered_kernel, _certified_kernel, _swept_kernel
+from fgkls.exact import _bordered, _certified_kernel, _swept_kernel
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
 from helpers import (connected_blocks, decoupled_level_model, kron_liouvillian,
                      orthonormal_hermitian_basis, orthonormal_span, protected_class_model,
                      random_jumps, random_nondegenerate_model, rk4_reference, structural_pattern,
-                     swept_kernel_reference)
+                     swept_kernel_reference, unvec, vec)
 
 
 # --- null-space oracle -------------------------------------------------------
@@ -81,7 +80,7 @@ def test_kernel_sigma_plus_spans_spin_up_diagonal():
     assert np.max(np.abs(p_have - p_want)) < 1e-10
     # every basis element is annihilated by the superoperator
     for b in steady.basis:
-        assert np.linalg.norm(superop.apply(b)) < 1e-10
+        assert np.linalg.norm(superop.matrix @ vec(b)) < 1e-10
 
 
 def test_kernel_zero_jumps_all_diagonals():
@@ -155,23 +154,30 @@ def test_block_kernel_matches_dense_reference(case):
     superop = vectorize_liouvillian(spectrum, jumps)
     steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
-    assert len(steady.block_sizes) > 1 and sum(steady.block_sizes) == superop.dim
+    assert len(steady.block_sizes) > 1 and sum(steady.block_sizes) == spectrum.dim ** 2
     assert not steady.margin_is_bound
     assert steady.kernel_dim == len(basis_ref) == expected_dim
     assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
                                      member_ref, dirs_ref) < 1e-12
     s = steady.singular_values
-    assert s.shape == (superop.dim,)
+    assert s.shape == (spectrum.dim ** 2,)
     assert np.all(np.diff(s) <= 0.0)
     assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0]
 
 
-def dense_case():
-    return random_nondegenerate_model(np.random.default_rng(4), dim=6, n_jumps=2, coupling=0.3)
+def dense_case(coupling=0.3):
+    return random_nondegenerate_model(np.random.default_rng(4), dim=6, n_jumps=2,
+                                      coupling=coupling)
+
+
+# at this coupling the sweeps gap every coherence of `dense_case`, `dense_D8_case`
+# and `spaced_dense_case(12, 0.15)` and certify their one block; at the default
+# couplings no coherence is gapped, and the SVD decides
+WEAK = 0.01
 
 
 def test_one_block_kernel_matches_dense_reference():
-    spectrum, jumps = dense_case()
+    spectrum, jumps = dense_case(WEAK)
     superop = vectorize_liouvillian(spectrum, jumps)
     steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
@@ -184,7 +190,7 @@ def test_one_block_kernel_matches_dense_reference():
 
 
 def test_one_block_dense_D12_kernel_matches_dense_reference():
-    spectrum, jumps = spaced_dense_case(12, 0.15)
+    spectrum, jumps = spaced_dense_case(12, 0.15, WEAK)
     superop = vectorize_liouvillian(spectrum, jumps)
     steady = steady_state_basis(spectrum, jumps)
     s_ref, basis_ref, member_ref, dirs_ref = dense_steady_reference(superop)
@@ -232,11 +238,11 @@ def test_one_block_kernel_takes_no_svd_with_vectors(monkeypatch):
     assert shapes == []
 
 
-def spaced_dense_case(dim, min_gap):
+def spaced_dense_case(dim, min_gap, coupling=0.3):
     """A dense model whose level gaps are at least `min_gap` by construction, without redraws."""
     rng = np.random.default_rng(dim)
     energies = np.sort(rng.uniform(0.5, 3.0 - (dim - 1) * min_gap, dim)) + min_gap * np.arange(dim)
-    return EnergySpectrum(energies), random_jumps(rng, dim, 2, 0.3 * energies.max())
+    return EnergySpectrum(energies), random_jumps(rng, dim, 2, coupling * energies.max())
 
 
 @pytest.mark.parametrize("dim", [18, 16])
@@ -248,8 +254,31 @@ def test_random_model_without_room_for_its_gaps_raises(dim):
     assert time.perf_counter() - start < 1.0
 
 
-def dense_D8_case(seed):
-    return random_nondegenerate_model(np.random.default_rng(seed), dim=8, n_jumps=1, coupling=0.5)
+def dense_D8_case(seed, coupling=0.5):
+    return random_nondegenerate_model(np.random.default_rng(seed), dim=8, n_jumps=1,
+                                      coupling=coupling)
+
+
+def zero_hamiltonian_case():
+    """H = 0 with two dense jumps: one block, and no coherence is gapped."""
+    rng = np.random.default_rng(5)
+    return EnergySpectrum(np.zeros(5)), random_jumps(rng, 5, 2, 0.5)
+
+
+@pytest.mark.parametrize("build", [dense_case, lambda: dense_D8_case(0), lambda: dense_D8_case(1),
+                                   lambda: spaced_dense_case(12, 0.15), zero_hamiltonian_case],
+                         ids=["D6", "D8_0", "D8_1", "D12", "H0"])
+def test_ungapped_one_block_kernel_takes_the_svd_route(build):
+    # no coherence is gapped, so no sweeps run, and the built block's
+    # values-only SVD decides and keeps all D^2 singular values
+    spectrum, jumps = build()
+    assert gapped_coherences(spectrum, jumps) == 0
+    steady = steady_state_basis(spectrum, jumps)
+    assert _kernel_route(steady) == "svd" and steady.sweeps is None
+    assert not steady.margin_is_bound and steady.block_sizes == (spectrum.dim ** 2,)
+    s_ref, _, _, _ = dense_steady_reference(vectorize_liouvillian(spectrum, jumps))
+    assert np.max(np.abs(steady.singular_values - s_ref)) <= 1e-12 * s_ref[0]
+    _assert_matches_dense_reference(spectrum, jumps, steady)
 
 
 def weak_dense_case():
@@ -261,20 +290,24 @@ def weak_dense_case():
     return random_nondegenerate_model(np.random.default_rng(0), dim=6, n_jumps=2, coupling=3e-5)
 
 
-@pytest.mark.parametrize("build", [dense_case, lambda: dense_D8_case(0)], ids=["D6", "D8"])
+@pytest.mark.parametrize("build", [lambda: dense_case(WEAK), lambda: dense_D8_case(0, WEAK)],
+                         ids=["D6", "D8"])
 def test_one_block_kernel_is_certified_without_svd(monkeypatch, build):
     spectrum, jumps = build()
     shapes = _record_svds(monkeypatch)
     values = _record_svds(monkeypatch, values_only=True)
     steady = steady_state_basis(spectrum, jumps)
-    assert shapes == values == [] and steady.margin_is_bound
+    # no SVD of the Liouvillian: one values-only SVD of the bordered Schur
+    # complement on the populations
+    d = spectrum.dim
+    assert shapes == [] and values == [(d + 1, d + 1)] and steady.margin_is_bound
     assert steady.singular_values is None
     monkeypatch.undo()
     _assert_matches_dense_reference(spectrum, jumps, steady)
 
 
-@pytest.mark.parametrize("build", [dense_case, lambda: dense_D8_case(0), lambda: dense_D8_case(1),
-                                   lambda: worked_case(1.0)],
+@pytest.mark.parametrize("build", [lambda: dense_case(WEAK), lambda: dense_D8_case(0, WEAK),
+                                   lambda: dense_D8_case(1, WEAK), lambda: worked_case(1.0)],
                          ids=["D6", "D8_0", "D8_1", "worked_4x4_lam_1"])
 def test_certified_margin_bounds_the_singular_values(build):
     spectrum, jumps = build()
@@ -291,45 +324,6 @@ def test_certified_margin_bounds_the_singular_values(build):
     assert rejected <= rel[-2]
     # the SVD finds the smallest value only to about n eps of s_max
     assert kept >= rel[-1] - s.size * np.finfo(float).eps
-
-
-def known_singular_block(n=8):
-    """R = U diag(s) V^T with u_n = v_n, its trace row u_n, and (v_n, s).
-
-    The bordered solution is x = v_n exactly, so ||R x|| = s_n and the
-    certificate's bounds can be checked against s.
-    """
-    rng = np.random.default_rng(0)
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    w, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
-    v = u.copy()
-    v[:, :-1] = u[:, :-1] @ w
-    s = np.array([3.0, 2.0, 1.5, 1.2, 1.0, 0.8, 1e-4, 1e-12])
-    return (u * s) @ v.T, u[:, -1], v[:, -1], s
-
-
-def residual_rounding(core, lo):
-    """Allowance for the rounding of ||R x|| / lo, for a unit x on `core`'s columns.
-
-    Each entry of R x is a sum of n products, off by at most n u (|R| |x|)_i
-    with u the unit roundoff, so ||R x|| is off by at most n u ||R||_F.  R is
-    itself U diag(s) V^T rounded, which moves s_n by about u ||R||, well inside.
-    On `known_singular_block` this is about 4e-3 of s_n / lo; without it a
-    bound check holds only when ||R x|| happens to round up.
-    """
-    return core.shape[0] * np.finfo(float).eps / 2 * np.linalg.norm(core) / lo
-
-
-def test_certificate_bounds_are_sharp_on_known_singular_values():
-    # the bordered inverse of a built block, the route without a gapped coherence
-    sub, trace, kernel, s = known_singular_block()
-    solved, bounds = _bordered_kernel(sub, trace)
-    lo, (kept, rejected) = _certified_kernel(*bounds, 1e-10)
-    assert abs(solved @ kernel) / np.linalg.norm(solved) == pytest.approx(1.0, abs=1e-12)
-    assert lo <= s[0]
-    slack = residual_rounding(sub, lo)
-    assert s[-1] / s[0] - slack <= kept <= min(s[-1] / lo + slack, 1e-10)
-    assert 1e3 * 1e-10 < rejected <= s[-2] / s[0]
 
 
 def test_gapped_certificate_bounds_are_sharp_on_known_singular_values():
@@ -440,66 +434,40 @@ def gapped_coherences(spectrum, jumps):
 @pytest.mark.parametrize("spectrum_kind", ["distinct", "degenerate", "near"])
 def test_split_certificate_is_sound_on_random_one_block_models(spectrum_kind):
     # low <= sigma_min(B) and lo <= s_max <= hi against SVDs of the built
-    # block, on every model, certified or not; a certified kernel matches the
-    # SVD route's
+    # block, on every model the sweeps run on, certified or not; a model they
+    # skip is not certified, and a certified kernel matches the SVD route's
     rng = np.random.default_rng(["distinct", "degenerate", "near"].index(spectrum_kind))
     certified = 0
     gapped = set()
     for _ in range(40):
         spectrum, jumps = one_block_case(rng, spectrum_kind)
-        sub, trace = certificate_inputs(spectrum, jumps)
         swept = _swept_kernel(spectrum, jumps)
-        _, (_, low, hi, lo) = _bordered_kernel(sub, trace) if swept is None else swept[:2]
         count = gapped_coherences(spectrum, jumps)
         assert (swept is None) == (count == 0)
         coherences = spectrum.dim * (spectrum.dim - 1)
         gapped.add("none" if count == 0 else "all" if count == coherences else "part")
+        steady = steady_state_basis(spectrum, jumps)
+        if swept is None:
+            assert not steady.margin_is_bound and steady.sweeps is None
+            continue
+        sub, trace = certificate_inputs(spectrum, jumps)
+        _, (_, low, hi, lo), _ = swept
         sigma_min = np.linalg.svd(_bordered(sub[None], trace[None])[0], compute_uv=False)[-1]
         s_max = np.linalg.svd(sub, compute_uv=False)[0]
         assert low <= sigma_min * (1 + 1e-10)
         assert lo <= s_max * (1 + 1e-12) and s_max <= hi * (1 + 1e-12)
-        steady = steady_state_basis(spectrum, jumps)
         if steady.margin_is_bound:
             certified += 1
             full = steady_state_basis_svd(spectrum, jumps)
             assert steady.kernel_dim == full.kernel_dim
             assert hermitian_affine_distance(steady.physical_member, steady.physical_directions,
                                              full.physical_member, full.physical_directions) < 1e-12
-    # a degenerate spectrum has no gap and takes the bordered inverse; a near
-    # pair is never gapped; distinct levels meet every case
+    # a degenerate spectrum has no gap, so the SVD decides every model; a
+    # near pair is never gapped; distinct levels meet every case
     expected = {"distinct": {"none", "part", "all"}, "degenerate": {"none"},
                 "near": {"none", "part"}}[spectrum_kind]
-    assert certified > 0 and gapped == expected
-
-
-def _certificate_from_bordered_inverse(sub, trace):
-    """(B^-1[:n, n], certificate) from one inverse of the whole bordered matrix B."""
-    n = sub.shape[0]
-    inverse = np.linalg.inv(_bordered(sub[None], trace[None])[0])
-    solved = inverse[:n, n]
-    x = solved / np.linalg.norm(solved)
-    low = 1.0 / float(np.linalg.norm(inverse))
-    hi = math.sqrt(float(np.linalg.norm(sub, 1)) * float(np.linalg.norm(sub, np.inf)))
-    lo = float(np.linalg.norm(sub, axis=0).max())
-    residual = float(np.linalg.norm(sub @ x))
-    return solved, (lo, (residual / lo, low / hi))
-
-
-def test_certificate_without_hamiltonian_is_the_bordered_inverse():
-    # H = 0: no gapped coherence, so no sweeps and one inverse of the whole
-    # built B, bit for bit
-    rng = np.random.default_rng(5)
-    spectrum = EnergySpectrum(np.zeros(5))
-    jumps = random_jumps(rng, 5, 2, 0.5)
-    assert _swept_kernel(spectrum, jumps) is None
-    sub, trace = certificate_inputs(spectrum, jumps)
-    solved, bounds = _bordered_kernel(sub, trace)
-    certificate = _certified_kernel(*bounds, 1e-10)
-    solved_ref, certificate_ref = _certificate_from_bordered_inverse(sub, trace)
-    assert certificate is not None
-    assert np.array_equal(solved, solved_ref) and certificate == certificate_ref
-    steady = steady_state_basis(spectrum, jumps)
-    assert steady.sweeps is None and steady.kernel_margin == certificate[1]
+    assert gapped == expected
+    assert (certified > 0) == (spectrum_kind != "degenerate")
 
 
 def _record_builds(monkeypatch):
@@ -534,26 +502,6 @@ def test_certificate_inverts_no_block_larger_than_the_levels(monkeypatch):
     assert solves and all(shape[-1] <= d + 1 for shape in solves + inverses + values)
     monkeypatch.undo()
     _assert_matches_dense_reference(EnergySpectrum(energies), jumps, steady)
-
-
-@pytest.mark.parametrize("failure", ["singular", "non-finite"])
-def test_failed_certificate_inverse_falls_back_to_svd(monkeypatch, failure):
-    spectrum, jumps = dense_case()
-    real_inv = np.linalg.inv
-
-    def failing(a):
-        if failure == "singular":
-            raise np.linalg.LinAlgError("Singular matrix")
-        inverse = real_inv(a)
-        inverse[0, -1] = np.inf
-        return inverse
-
-    monkeypatch.setattr(np.linalg, "inv", failing)
-    values = _record_svds(monkeypatch, values_only=True)
-    steady = steady_state_basis(spectrum, jumps)
-    assert values == [(1, 36, 36)] and not steady.margin_is_bound
-    monkeypatch.undo()
-    _assert_matches_dense_reference(spectrum, jumps, steady)
 
 
 def dense32_case(seed, lam):
@@ -638,19 +586,18 @@ def test_kernel_block_without_trace_coordinate_takes_full_svd(monkeypatch):
 @pytest.mark.parametrize("failure", ["residual", "singular"])
 @pytest.mark.parametrize("case", ["dense_D6", "worked_4x4_lam_1"])
 def test_kernel_failed_bordered_solve_falls_back_to_full_svd(monkeypatch, failure, case):
-    # the one-block dense case takes its bordered solution from the
-    # certificate's solve and inverse, which fail the same way
+    # no coherence of the one-block dense case is gapped, so its bordered
+    # solve is the stacked one of the SVD route, as for the blocks of the
+    # worked case
     spectrum, jumps = dense_case() if case == "dense_D6" else worked_case(1.0)
+    real_solve = np.linalg.solve
 
-    def failing(real):
-        def call(*args):
-            if failure == "singular":
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real(*args) + 1e-3
-        return call
+    def failing(*args):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(*args) + 1e-3
 
-    monkeypatch.setattr(np.linalg, "solve", failing(np.linalg.solve))
-    monkeypatch.setattr(np.linalg, "inv", failing(np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", failing)
     shapes = _record_svds(monkeypatch)
     steady = steady_state_basis(spectrum, jumps)
     assert steady.kernel_dim == 1

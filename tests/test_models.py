@@ -4,7 +4,6 @@ import pytest
 from fgkls import run_pointer_scheme, steady_state_basis
 from fgkls.exact import point_to_affine_distance
 from fgkls.models import (
-    CompositeIndex,
     OscillatorSpinConfig,
     SigmaPlus,
     SigmaXY,
@@ -62,15 +61,6 @@ def test_config_validation():
         OscillatorSpinConfig(1, 1.0, 0.1, SigmaPlus(0.1))
     with pytest.raises(ValueError):
         OscillatorSpinConfig(3, -1.0, 0.1, SigmaPlus(0.1))
-
-
-def test_composite_index_round_trip():
-    for flat in range(12):
-        idx = CompositeIndex.from_flat(flat)
-        assert idx.flat == flat
-        assert 2 * idx.m + idx.a == flat
-    with pytest.raises(ValueError):
-        CompositeIndex(m=0, a=2)
 
 
 def test_truncation_exactness():
