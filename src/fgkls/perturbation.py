@@ -35,12 +35,12 @@ each internal pair contributes a real and an imaginary part.  Each unknown is
 one (kind, m, n) row of an integer array (kind 0: f_mm; kinds 1 and 2: real
 and imaginary part of f_mn), and the system matrix is the dissipator written
 in the matching Hermitian basis E_mm, E_mn + E_nm, i(E_mn - E_nm), built in
-closed form from the jumps over those index arrays.  Solvability is decided
-per order by the Kronecker-Capelli rank comparison, with the cutoff tol_rank *
-max(s_max, sum_a ||L_a||_F^2); the null space left after the trace condition
-(trace 1 at order zero, traceless corrections above) is the pointer family's
-freedom.  It depends on the matrix alone, so every order shares one set of
-free directions.
+closed form from the jumps over those index arrays.  Ranks count singular
+values above tol_rank * max(s_max, sum_a ||L_a||_F^2); solvability (rank A =
+rank [A | b]) is read off b's component in A's cokernel.  The null space left
+after the trace condition (trace 1 at order zero, traceless corrections above)
+is the pointer family's freedom.  It depends on the matrix alone, so every
+order shares one set of free directions.
 
 Coefficients are stored lam-independent; lam enters only when a family member
 is evaluated.
@@ -92,13 +92,14 @@ class OrderCoefficients:
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         arr = np.array(self.coeff, dtype=complex)
-        tol = DEFAULT_TOLERANCES
+        # relative to the entries, which grow as powers of 1 / (smallest gap)
+        scale = max(1.0, float(np.max(np.abs(arr))))
         herm_err = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm_err > tol.herm:
+        if herm_err > DEFAULT_TOLERANCES.herm * scale:
             raise ValueError(f"order {self.order} coefficients not Hermitian ({herm_err:.3e})")
         target = 1.0 if self.order == 0 else 0.0
         trace_err = abs(arr.trace() - target)
-        if trace_err > tol.trace:
+        if trace_err > DEFAULT_TOLERANCES.trace * scale:
             raise ValueError(f"order {self.order} trace differs from {target} by {trace_err:.3e}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeff", arr)
@@ -112,7 +113,8 @@ class LinearSystem:
     diagonal entry f_mm (n = m), kinds 1 and 2 the real and imaginary parts of
     f_mn for an internal pair m < n.  Row i is the same part of entry (m, n)
     of the stationarity condition.  `scale` (sum_a ||L_a||_F^2 when assembled)
-    floors rank cutoffs.  A and its full SVD (u, s, vt) are stored read-only.
+    floors rank cutoffs.  A and its full SVD (u, s, vt) are stored read-only;
+    every order reads its rank, its consistency and its solution from them.
     """
 
     matrix: np.ndarray
@@ -219,26 +221,23 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray],
     return LinearSystem(matrix, unknowns, sum(float(np.linalg.norm(L)) ** 2 for L in jumps))
 
 
-def _rank(s: np.ndarray, tol_rank: float, scale: float) -> int:
-    """Count of singular values `s` above tol_rank times max(largest, scale)."""
-    return int(np.sum(s > tol_rank * max(s.max(initial=0.0), scale)))
-
-
 def solve_with_rank_check(system: LinearSystem, rhs: np.ndarray,
                           tol_rank: float = DEFAULT_TOLERANCES.rank):
     """Solve A x = rhs for the factorised (possibly singular) system, reporting ranks.
 
-    Rank counts singular values above tol_rank * max(s_max, system.scale),
-    for A (stored) and for [A | rhs] (values only).  Unequal ranks mean the
-    system is inconsistent and `NoSolution` is returned.  Otherwise the
-    minimum-norm particular solution and an orthonormal null-space basis
-    are produced from A's stored factors.
+    Everything is read from A's stored factors (u, s, vt).  rank(A) counts the
+    singular values above tol_rank * max(s_max, system.scale).  rhs is
+    consistent when its cokernel component ||u[:, rank:]^T rhs|| is at most
+    tol_rank * max(s_max, ||rhs||, system.scale), within sqrt(2) of the rank
+    floor of [A | rhs] (Golub & Van Loan, Matrix Computations, 5.5).  If not,
+    rank_augmented is rank + 1 and `NoSolution` is returned; if so, the
+    minimum-norm particular solution and an orthonormal null-space basis are.
     """
     b = np.asarray(rhs, dtype=float)
     u, s, vt = system.svd
-    rank = _rank(s, tol_rank, system.scale)
-    aug = np.concatenate([system.matrix, b[:, None]], axis=1)
-    rank_aug = _rank(np.linalg.svd(aug, compute_uv=False), tol_rank, system.scale)
+    rank = int(np.sum(s > tol_rank * max(s.max(initial=0.0), system.scale)))
+    floor = tol_rank * max(s.max(initial=0.0), float(np.linalg.norm(b)), system.scale)
+    rank_aug = rank + int(np.linalg.norm(u[:, rank:].T @ b) > floor)
 
     report = RankReport(rank=rank, rank_augmented=rank_aug, singular_values=s)
     if rank_aug > rank:

@@ -33,6 +33,38 @@ def random_nondegenerate_model(rng, dim=None, n_jumps=1, coupling=0.1, min_gap=0
                      f"min_gap {min_gap} in {MAX_ENERGY_DRAWS} draws")
 
 
+# the sparse D = 4 draws that expose the scheme's false `SchemeFailure`s
+SPARSE_D4_DRAWS = 875
+
+
+def sparse_d4_model(rng):
+    """Random non-degenerate D = 4 model with sparse jumps.
+
+    Energies U(0.5, 3), redrawn until every gap is at least 0.2; 1-2 jumps,
+    each with 1-3 entries 0.1 (N + iN) at uniform positions (a repeated
+    position keeps the last entry).  From `default_rng(0)`, 14 of the first
+    SPARSE_D4_DRAWS models stop at order 2 of `run_pointer_scheme`.
+    """
+    while True:
+        energies = np.sort(rng.uniform(0.5, 3.0, 4))
+        if np.min(np.diff(energies)) >= 0.2:
+            break
+    jumps = []
+    for _ in range(int(rng.integers(1, 3))):
+        L = np.zeros((4, 4), dtype=complex)
+        for _ in range(int(rng.integers(1, 4))):
+            m, n = rng.integers(0, 4, 2)
+            L[m, n] = 0.1 * (rng.standard_normal() + 1j * rng.standard_normal())
+        jumps.append(L)
+    return EnergySpectrum(energies), jumps
+
+
+def augmented_rank_reference(system, rhs, tol_rank):
+    """rank [A | rhs] from its values-only SVD, over tol_rank * max(s_max, system.scale)."""
+    s = np.linalg.svd(np.column_stack([system.matrix, rhs]), compute_uv=False)
+    return int(np.sum(s > tol_rank * max(s.max(initial=0.0), system.scale)))
+
+
 def random_jumps(rng, dim, n_jumps, scale):
     """`n_jumps` complex Gaussian jump operators of spectral norm `scale`."""
     jumps = []

@@ -1049,6 +1049,27 @@ def test_scheme_failure_exit_code(tmp_path, monkeypatch):
     assert report["scheme_failure"]["order"] == 1
 
 
+def test_pointer_with_a_small_gap_exits_0(tmp_path):
+    # energies 1e-4 apart grow the order-2 entries to about 1.8e7, and their
+    # rounding with them: the Hermiticity check is relative to the entries
+    rng = np.random.default_rng(1)
+    jumps = []
+    for _ in range(2):
+        L = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        L /= np.linalg.norm(L, 2)
+        jumps.append([[[z.real, z.imag] for z in row] for row in L])
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "custom",
+        "custom": {"energies": [1.0, 1.0001, 2.0, 3.0], "jumps": jumps},
+    })
+    out = tmp_path / "out"
+    proc = _run_module(["pointer", cfg, "--out", str(out), "--json-only"])
+    assert proc.returncode == EXIT_OK and "Traceback" not in proc.stderr, proc.stderr
+    orders = json.loads((out / "report.json").read_text())["pointer_family"]["orders"]
+    assert len(orders) == 4
+    assert np.max(np.abs(np.array(orders[2]["coefficients"]))) > 1e7
+
+
 def test_cli_override_flags(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
     out = tmp_path / "out"

@@ -481,17 +481,15 @@ def _record_builds(monkeypatch):
     return builds
 
 
-def test_certificate_inverts_no_block_larger_than_the_levels(monkeypatch):
+def test_certificate_factors_no_block_larger_than_the_levels(monkeypatch):
     # weak coupling gaps every coherence of a dense D = 12 model: the sweeps
-    # build no block, and no solve, inverse or SVD is larger than the 12
-    # populations and the border, never the 145 x 145 bordered matrix
+    # build no block, and their one solve and one values-only SVD factor the
+    # (D + 1) x (D + 1) Schur complement of the 12 populations and the border,
+    # never the 145 x 145 bordered matrix
     rng = np.random.default_rng(12)
     d = 12
     energies = np.sort(rng.uniform(0.5, 3.0 - 0.15 * (d - 1), d)) + 0.15 * np.arange(d)
     jumps = random_jumps(rng, d, 2, 0.05)
-    inverses = []
-    real_inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(np.shape(a)) or real_inv(a))
     solves = _record_solves(monkeypatch)
     values = _record_svds(monkeypatch, values_only=True)
     vectors = _record_svds(monkeypatch)
@@ -499,7 +497,7 @@ def test_certificate_inverts_no_block_larger_than_the_levels(monkeypatch):
     steady = steady_state_basis(EnergySpectrum(energies), jumps)
     assert steady.margin_is_bound and steady.block_sizes == (d * d,) and steady.sweeps[0] > 0
     assert builds == [] and vectors == []
-    assert solves and all(shape[-1] <= d + 1 for shape in solves + inverses + values)
+    assert solves == [(d + 1, d + 1)] and values == [(d + 1, d + 1)]
     monkeypatch.undo()
     _assert_matches_dense_reference(EnergySpectrum(energies), jumps, steady)
 
@@ -627,14 +625,14 @@ def test_kernel_one_level_model_is_not_certified():
     assert steady.kernel_margin == (0.0, None)
 
 
-def test_svd_route_takes_no_inverse(monkeypatch):
+def test_svd_route_takes_one_values_svd_and_one_stacked_solve(monkeypatch):
     # `steady_state_basis_svd` keeps every singular value: one values-only
-    # SVD of the one block and one bordered solve, and no certificate
+    # SVD of the one block and one stacked bordered solve, and no certificate
     spectrum, jumps = dense_case()
-    monkeypatch.setattr(np.linalg, "inv", None)
     values = _record_svds(monkeypatch, values_only=True)
+    solves = _record_solves(monkeypatch)
     steady = steady_state_basis_svd(spectrum, jumps)
-    assert values == [(1, 36, 36)] and not steady.margin_is_bound
+    assert values == [(1, 36, 36)] and solves == [(37, 37)] and not steady.margin_is_bound
     assert steady.singular_values.shape == (36,)
     monkeypatch.undo()
     _assert_matches_dense_reference(spectrum, jumps, steady)

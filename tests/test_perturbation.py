@@ -16,6 +16,7 @@ from fgkls.perturbation import (
     AffineSolution,
     LinearSystem,
     NoSolution,
+    OrderCoefficients,
     PointerFamily,
     RankReport,
     SchemeFailure,
@@ -27,8 +28,9 @@ from fgkls.perturbation import (
     solve_with_rank_check,
 )
 
-from helpers import (dissipator_columns, protected_class_model, random_hermitian,
-                     random_nondegenerate_model, span_gap)
+from helpers import (SPARSE_D4_DRAWS, augmented_rank_reference, dissipator_columns,
+                     protected_class_model, random_hermitian, random_nondegenerate_model,
+                     span_gap, sparse_d4_model)
 
 
 def _zero(dim):
@@ -42,6 +44,33 @@ def _diag_unknowns(dim):
 
 def _solve_homogeneous(system):
     return solve_with_rank_check(system, np.zeros(len(system.unknowns)))
+
+
+# --- order coefficients ------------------------------------------------------
+
+def _traceless_hermitian(scale, seed=3):
+    h = random_hermitian(np.random.default_rng(seed), 4)
+    return scale * (h - np.trace(h).real / 4 * np.eye(4))
+
+
+def test_order_coefficients_accept_rounding_of_large_entries():
+    # an error of 5e-17 relative to entries of 1e7 is rounding, not asymmetry
+    coeff = _traceless_hermitian(1e7)
+    coeff[0, 1] += 1e-9
+    coeff[2, 2] += 1e-9
+    assert OrderCoefficients(order=2, coeff=coeff).coeff[0, 1] == coeff[0, 1]
+
+
+@pytest.mark.parametrize("scale, error", [(1e7, 1e-2), (1.0, 1e-9)], ids=["large", "small"])
+def test_order_coefficients_reject_asymmetry_and_trace(scale, error):
+    coeff = _traceless_hermitian(scale)
+    coeff[0, 1] += error
+    with pytest.raises(ValueError, match="order 2 coefficients not Hermitian"):
+        OrderCoefficients(order=2, coeff=coeff)
+    coeff = _traceless_hermitian(scale)
+    coeff[2, 2] += error
+    with pytest.raises(ValueError, match="order 2 trace differs from 0.0"):
+        OrderCoefficients(order=2, coeff=coeff)
 
 
 # --- off-diagonal closed form ---------------------------------------------
@@ -393,7 +422,8 @@ def test_scheme_assembles_system_once(monkeypatch):
 
 def test_scheme_factorises_its_matrix_once(monkeypatch):
     # every order solves with the same matrix: one full SVD per run, read-only,
-    # and per order only the values-only SVD of the augmented matrix
+    # and no order factorises anything (its consistency is a projection onto
+    # the stored cokernel)
     import fgkls.perturbation as pert
 
     cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.3, 0.2))
@@ -410,7 +440,7 @@ def test_scheme_factorises_its_matrix_once(monkeypatch):
         calls.clear()
         assert isinstance(pert.run_pointer_scheme(spectrum, jumps, max_order=max_order),
                           PointerFamily)
-        assert calls.count(True) == 1 and calls.count(False) == max_order + 1
+        assert calls == [True]
     monkeypatch.undo()
 
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
@@ -418,6 +448,30 @@ def test_scheme_factorises_its_matrix_once(monkeypatch):
     for arr in (system.matrix, u, s, vt):
         assert not arr.flags.writeable
     assert np.allclose((u * s) @ vt, system.matrix, atol=1e-14)
+
+
+def test_augmented_rank_matches_the_augmented_svd_on_sparse_draws(monkeypatch):
+    # the projection onto A's stored cokernel decides every solve of the sparse
+    # D = 4 draws as the values-only SVD of [A | b] does, the 14 false
+    # failures at order 2 included
+    import fgkls.perturbation as pert
+
+    real_solve = pert.solve_with_rank_check
+    decisions = []
+
+    def checking(system, rhs, tol_rank):
+        sol = real_solve(system, rhs, tol_rank)
+        decisions.append((sol.rank_report.rank, sol.rank_report.rank_augmented,
+                          augmented_rank_reference(system, rhs, tol_rank)))
+        return sol
+
+    monkeypatch.setattr(pert, "solve_with_rank_check", checking)
+    rng = np.random.default_rng(0)
+    for _ in range(SPARSE_D4_DRAWS):
+        pert.run_pointer_scheme(*sparse_d4_model(rng), max_order=3)
+    assert len(decisions) == 3486
+    assert all(aug == reference for _, aug, reference in decisions)
+    assert sum(aug > rank for rank, aug, _ in decisions) == 14
 
 
 def test_pure_dephasing_keeps_every_free_direction():
