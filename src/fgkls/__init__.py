@@ -32,14 +32,12 @@ from .exact import (
     Trajectory,
     TwoLevelParams,
     default_step,
-    fit_exponential_rate,
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
     steady_state_basis,
     steady_state_basis_svd,
     two_level_bloch_exact,
-    two_level_system,
     verify_identity_72,
 )
 from .models import (
@@ -52,13 +50,12 @@ from .models import (
     pauli_to_offdiag,
 )
 from .perturbation import (
-    AffineSolution,
     LinearSystem,
-    NoSolution,
     OrderCoefficients,
     PointerFamily,
     RankReport,
     SchemeFailure,
+    TraceCondition,
     apply_trace_condition,
     assemble_internal_system_deg,
     offdiag_next_deg,

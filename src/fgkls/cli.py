@@ -107,7 +107,6 @@ class EvolveConfig:
 
 @dataclass
 class RunConfig:
-    model: str
     spectrum: EnergySpectrum
     jumps: list[np.ndarray]
     max_order: int
@@ -375,7 +374,7 @@ def load_config(path: str, max_order_override: int | None = None,
     endpoint_max = float(thresholds.get("endpoint_distance", DEFAULT_ENDPOINT_DISTANCE_MAX))
 
     return RunConfig(
-        model=model, spectrum=spectrum, jumps=jumps, max_order=max_order,
+        spectrum=spectrum, jumps=jumps, max_order=max_order,
         lambda_values=lambda_values, partition=partition,
         tol_rank=tols.get("tol_rank", DEFAULT_TOLERANCES.rank),
         tol_kernel=tols.get("tol_kernel", DEFAULT_TOLERANCES.kernel),
@@ -419,6 +418,21 @@ def _oscillator_structure_notes(family: PointerFamily) -> list[str]:
     return notes
 
 
+def _growth_notes(family: PointerFamily) -> list[str]:
+    """A note when some order's largest entry exceeds the previous order's.
+
+    With r = max|f^(s)| / max|f^(s-1)|, the term lam^(2s) f^(s) outgrows the
+    one before it for lam > 1 / sqrt(r); the note names the largest r.
+    """
+    peaks = [float(np.max(np.abs(oc.coeff))) for oc in family.orders]
+    ratio, order = max(((b / a, s) for s, (a, b) in enumerate(zip(peaks, peaks[1:]), 1) if a > 0),
+                       default=(0.0, 0))
+    if ratio <= 1.0:
+        return []
+    return [f"series growth: max|f^({order})| / max|f^({order - 1})| = {ratio:.3g}; "
+            f"the terms at lambda grow for lambda > {1.0 / math.sqrt(ratio):.3g}"]
+
+
 def _base_report(command: str, config: RunConfig) -> dict:
     report = {
         "command": command,
@@ -445,13 +459,14 @@ def _pointer_into_report(config: RunConfig, report: dict):
         report["scheme_failure"] = {
             "order": result.order,
             "reason": result.reason,
-            "rank": result.rank_report.rank if result.rank_report else None,
-            "rank_augmented": result.rank_report.rank_augmented if result.rank_report else None,
+            "rank": result.rank_report.rank,
+            "rank_augmented": result.rank_report.rank_augmented,
         }
         return EXIT_NO_SOLUTION, None
     report["pointer_family"] = _family_report(result)
     if config.oscillator is not None:
         report["notes"].extend(_oscillator_structure_notes(result))
+    report["notes"].extend(_growth_notes(result))
     return EXIT_OK, result
 
 

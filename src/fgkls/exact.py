@@ -36,7 +36,7 @@ from .core import (
     _vec_coordinates,
     stationarity_residual,
 )
-from .models import build_two_level, pauli_to_offdiag
+from .models import pauli_to_offdiag
 
 __all__ = [
     "SteadyStateSet",
@@ -49,11 +49,9 @@ __all__ = [
     "integrate_trajectory",
     "default_step",
     "two_level_bloch_exact",
-    "two_level_system",
     "verify_identity_72",
     "point_to_affine_distance",
     "hermitian_affine_distance",
-    "fit_exponential_rate",
 ]
 
 
@@ -670,12 +668,6 @@ class TwoLevelParams:
         return self.a1 * self.b2 - self.a2 * self.b1
 
 
-def two_level_system(params: TwoLevelParams) -> tuple[EnergySpectrum, list[np.ndarray]]:
-    """Energy-basis form of the two-level model described by `params`."""
-    l12, l21 = pauli_to_offdiag(params.a1, params.b1, params.a2, params.b2)
-    return build_two_level(params.eps0 + params.eps3, params.eps0 - params.eps3, l12, l21)
-
-
 def two_level_bloch_exact(params: TwoLevelParams, bloch0, t):
     """Closed-form Bloch vector (r1, r2, r3)(t) of the dissipative two-level model.
 
@@ -771,22 +763,3 @@ def hermitian_affine_distance(point_a: np.ndarray, dirs_a: Sequence[np.ndarray],
     """
     return max(point_to_affine_distance(point_a, point_b, dirs_b),
                point_to_affine_distance(point_b, point_a, dirs_a))
-
-
-def fit_exponential_rate(times: np.ndarray, values: np.ndarray, asymptote: float,
-                         window: tuple[float, float] = (0.0, 0.5),
-                         floor: float = 1e-12) -> float:
-    """Least-squares decay rate of |values - asymptote| ~ exp(-rate t).
-
-    Only samples inside the relative time `window` and above `floor` enter the
-    fit, keeping late-time roundoff out.
-    """
-    times = np.asarray(times, dtype=float)
-    resid = np.abs(np.asarray(values, dtype=float) - asymptote)
-    t0 = times[0] + window[0] * (times[-1] - times[0])
-    t1 = times[0] + window[1] * (times[-1] - times[0])
-    mask = (times >= t0) & (times <= t1) & (resid > floor)
-    if np.sum(mask) < 2:
-        raise ValueError("not enough usable samples to fit a decay rate")
-    slope, _ = np.polyfit(times[mask], np.log(resid[mask]), 1)
-    return float(-slope)

@@ -26,9 +26,7 @@ each order s:
 A non-degenerate spectrum needs no separate scheme: its classes are
 singletons, every off-diagonal pair is external and only the diagonal
 unknowns remain.  One path serves every spectrum, and the "branch" label of a
-family is read off its partition.  The system matrix depends only on the jumps
-and the partition, so it is assembled and factorised (one SVD) once per run;
-each order builds only its right-hand side and reads the stored factors.
+family is read off its partition.
 
 The linear systems are real: diagonal unknowns are real by Hermiticity and
 each internal pair contributes a real and an imaginary part.  Each unknown is
@@ -39,8 +37,17 @@ closed form from the jumps over those index arrays.  Ranks count singular
 values above tol_rank * max(s_max, sum_a ||L_a||_F^2); solvability (rank A =
 rank [A | b]) is read off b's component in A's cokernel.  The null space left
 after the trace condition (trace 1 at order zero, traceless corrections above)
-is the pointer family's freedom.  It depends on the matrix alone, so every
-order shares one set of free directions.
+is the pointer family's freedom.
+
+The system matrix A depends only on the jumps and the partition, so all that
+does not change between orders is worked out once per run: A's full SVD, its
+rank and null space (`assemble_internal_system_deg`); the trace condition's
+pivot, its trace component and the free directions, with one weighted QR
+(`apply_trace_condition`); and the closed form's table of external pairs and
+gaps (`_external_pairs`).  Each order then does four steps: the closed form,
+the right-hand side, the cokernel projection and particular solution read from
+the stored factors (`solve_with_rank_check`), and one trace shift along the
+stored pivot.  Every order shares the one set of free directions.
 
 Coefficients are stored lam-independent; lam enters only when a family member
 is evaluated.
@@ -69,8 +76,7 @@ __all__ = [
     "OrderCoefficients",
     "LinearSystem",
     "RankReport",
-    "AffineSolution",
-    "NoSolution",
+    "TraceCondition",
     "SchemeFailure",
     "PointerFamily",
     "offdiag_next_deg",
@@ -112,23 +118,34 @@ class LinearSystem:
     `unknowns` is an (N, 3) integer array of rows (kind, m, n): kind 0 is the
     diagonal entry f_mm (n = m), kinds 1 and 2 the real and imaginary parts of
     f_mn for an internal pair m < n.  Row i is the same part of entry (m, n)
-    of the stationarity condition.  `scale` (sum_a ||L_a||_F^2 when assembled)
-    floors rank cutoffs.  A and its full SVD (u, s, vt) are stored read-only;
-    every order reads its rank, its consistency and its solution from them.
+    of the stationarity condition.  `rank` counts the singular values above
+    tol_rank * max(s_max, scale), where `scale` (sum_a ||L_a||_F^2 when
+    assembled) floors the cutoff.  A, its full SVD (u, s, vt) and its rank
+    are computed once and stored read-only; `nullspace` is vt[rank:].
     """
 
     matrix: np.ndarray
     unknowns: np.ndarray
     scale: float = 0.0
+    tol_rank: float = DEFAULT_TOLERANCES.rank
     svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    rank: int = field(init=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float)
         svd = np.linalg.svd(matrix, full_matrices=True)
         for arr in (matrix, *svd):
             arr.flags.writeable = False
+        s = svd[1]
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "svd", tuple(svd))
+        object.__setattr__(self, "rank", int(np.sum(
+            s > self.tol_rank * max(s.max(initial=0.0), self.scale))))
+
+    @property
+    def nullspace(self) -> np.ndarray:
+        """Orthonormal basis of A's null space, one vector per row."""
+        return self.svd[2][self.rank:]
 
 
 @dataclass(frozen=True)
@@ -139,20 +156,19 @@ class RankReport:
 
 
 @dataclass(frozen=True)
-class AffineSolution:
-    """Particular solution plus a null-space basis (see `apply_trace_condition` for its metric)."""
+class TraceCondition:
+    """The trace condition on A's null space; it depends on A alone, so every order shares it.
 
-    particular: np.ndarray
-    nullspace_basis: tuple[np.ndarray, ...]
-    rank_report: RankReport
+    The trace of x is `diagonal @ x`, `diagonal` marking the kind-0 unknowns.
+    Each order moves its particular solution along `pivot`, the null vector
+    whose trace is `component`, onto its trace target.  `pivot` is None when
+    no null vector moves the trace.  `free` holds one free direction per row.
+    """
 
-
-@dataclass(frozen=True)
-class NoSolution:
-    """Kronecker-Capelli failure (or unsatisfiable trace condition): the scheme stops."""
-
-    rank_report: RankReport | None
-    reason: str
+    diagonal: np.ndarray
+    pivot: np.ndarray | None
+    component: float
+    free: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -161,12 +177,12 @@ class SchemeFailure:
 
     order: int
     reason: str
-    rank_report: RankReport | None
+    rank_report: RankReport
 
 
-def offdiag_next_deg(jumps: Sequence[np.ndarray], spectrum: EnergySpectrum,
-                     partition: DegeneracyPartition, prev) -> np.ndarray:
-    """External entries of order s, -i Diss(prev)_mn / (eps_m - eps_n); the rest is left zero."""
+def _external_pairs(spectrum: EnergySpectrum,
+                    partition: DegeneracyPartition) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, gaps): the closed form's external entries and their eps_m - eps_n, in mask order."""
     if partition.dim != spectrum.dim:
         raise ValueError("partition does not match spectrum dimension")
     ids = partition.class_ids
@@ -175,6 +191,16 @@ def offdiag_next_deg(jumps: Sequence[np.ndarray], spectrum: EnergySpectrum,
     gaps = (e[:, None] - e[None, :])[mask]
     if np.any(np.abs(gaps) <= partition.tol_degen):
         raise ValueError("internal pair routed to the external closed form")
+    return mask, gaps
+
+
+def offdiag_next_deg(jumps: Sequence[np.ndarray], external: tuple[np.ndarray, np.ndarray],
+                     prev) -> np.ndarray:
+    """External entries of order s, -i Diss(prev)_mn / (eps_m - eps_n); the rest is left zero.
+
+    `external` is the (mask, gaps) table of `_external_pairs`.
+    """
+    mask, gaps = external
     diss = dissipator(jumps, np.asarray(prev, dtype=complex))
     out = np.zeros_like(diss)
     out[mask] = -1j * diss[mask] / gaps
@@ -188,8 +214,8 @@ def _rhs(jumps, known, rows: np.ndarray) -> np.ndarray:
     return -np.where(kind == 2, image.imag, image.real)
 
 
-def assemble_internal_system_deg(jumps: Sequence[np.ndarray],
-                                 partition: DegeneracyPartition) -> LinearSystem:
+def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: DegeneracyPartition,
+                                 tol_rank: float = DEFAULT_TOLERANCES.rank) -> LinearSystem:
     """Factorised system matrix for the diagonal and internal-pair entries of every order.
 
     The unknowns are (kind, m, n) rows (see `LinearSystem`): the diagonal
@@ -198,10 +224,11 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray],
     part.  The rows are the unknowns: the diagonal conditions and, per
     internal pair, the real and imaginary parts of [Diss(f)]_mn = 0.  The
     matrix is the dissipator in the Hermitian basis of the unknowns, built in
-    closed form by `_hermitian_block`, and factorised once; each order passes
-    its own right-hand side.  For a spectrum without degeneracy only the
-    diagonal unknowns remain: their matrix is the rate matrix whose columns
-    each sum to zero, so one singular value is structurally zero.
+    closed form by `_hermitian_block`, and factorised once, with its rank
+    under `tol_rank`; each order passes its own right-hand side.  For a
+    spectrum without degeneracy only the diagonal unknowns remain: their
+    matrix is the rate matrix whose columns each sum to zero, so one singular
+    value is structurally zero.
     """
     dim = partition.dim
     jumps = [np.asarray(L, dtype=complex) for L in jumps]
@@ -218,80 +245,57 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray],
     kind, m, n = unknowns.T
     matrix = _hermitian_block(jumps, g, (m[:, None], n[:, None], _KIND_READS[kind][:, None]),
                               (m, n, _KIND_WEIGHTS[kind]))
-    return LinearSystem(matrix, unknowns, sum(float(np.linalg.norm(L)) ** 2 for L in jumps))
+    return LinearSystem(matrix, unknowns, sum(float(np.linalg.norm(L)) ** 2 for L in jumps),
+                        tol_rank)
 
 
-def solve_with_rank_check(system: LinearSystem, rhs: np.ndarray,
-                          tol_rank: float = DEFAULT_TOLERANCES.rank):
-    """Solve A x = rhs for the factorised (possibly singular) system, reporting ranks.
+def solve_with_rank_check(system: LinearSystem, rhs: np.ndarray) -> tuple[np.ndarray, RankReport]:
+    """The minimum-norm least-squares solution of A x = rhs, and the ranks that decide it.
 
-    Everything is read from A's stored factors (u, s, vt).  rank(A) counts the
-    singular values above tol_rank * max(s_max, system.scale).  rhs is
+    Everything is read from A's stored factors (u, s, vt) and rank.  rhs is
     consistent when its cokernel component ||u[:, rank:]^T rhs|| is at most
     tol_rank * max(s_max, ||rhs||, system.scale), within sqrt(2) of the rank
-    floor of [A | rhs] (Golub & Van Loan, Matrix Computations, 5.5).  If not,
-    rank_augmented is rank + 1 and `NoSolution` is returned; if so, the
-    minimum-norm particular solution and an orthonormal null-space basis are.
+    floor of [A | rhs] (Golub & Van Loan, Matrix Computations, 5.5); if not,
+    rank_augmented is rank + 1 and the solution does not solve the system.
     """
     b = np.asarray(rhs, dtype=float)
     u, s, vt = system.svd
-    rank = int(np.sum(s > tol_rank * max(s.max(initial=0.0), system.scale)))
-    floor = tol_rank * max(s.max(initial=0.0), float(np.linalg.norm(b)), system.scale)
+    rank = system.rank
+    floor = system.tol_rank * max(s.max(initial=0.0), float(np.linalg.norm(b)), system.scale)
     rank_aug = rank + int(np.linalg.norm(u[:, rank:].T @ b) > floor)
-
-    report = RankReport(rank=rank, rank_augmented=rank_aug, singular_values=s)
-    if rank_aug > rank:
-        return NoSolution(rank_report=report, reason="rank(matrix) < rank(augmented)")
-
     # rank 0 leaves an empty sum: the zero vector
     particular = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    return AffineSolution(particular, tuple(vt[rank:]), report)
+    return particular, RankReport(rank=rank, rank_augmented=rank_aug, singular_values=s)
 
 
-def apply_trace_condition(sol: AffineSolution, order: int, unknowns: np.ndarray):
-    """Impose the per-order trace target, eliminating one free parameter.
+def apply_trace_condition(system: LinearSystem) -> TraceCondition:
+    """Split A's null space into the trace condition's pivot and the free directions.
 
-    The target is 1 at order zero and 0 above.  The free direction with the
-    largest diagonal-sum component absorbs the constraint.  The remaining
-    directions, which have zero diagonal sum, are orthonormalised (one QR) in
-    the metric sum_j w_j x_j y_j, with w_j the Frobenius norm squared of
-    unknown j's basis element (1 for kind 0, 2 for kinds 1 and 2), so that
-    their `_scatter`ed matrices are Frobenius-orthonormal and traceless.  If
-    no direction can move the trace, `sol` is returned unchanged when it
-    meets the target; otherwise the scheme has failed.
+    The null vector with the largest diagonal-sum component is the pivot,
+    along which each order meets its trace target (1 at order zero, 0
+    above).  The other null vectors, less their pivot multiples, have zero
+    diagonal sum; they are orthonormalised (one QR) in the metric
+    sum_j w_j x_j y_j, with w_j the Frobenius norm squared of unknown j's
+    basis element (1 for kind 0, 2 for kinds 1 and 2), so that their
+    `_scatter`ed matrices are Frobenius-orthonormal and traceless.  If no
+    null vector moves the trace, there is no pivot and the null space is left
+    as it is: each order must then meet its target as solved.
     """
-    t = (np.asarray(unknowns)[:, 0] == 0).astype(float)
-    target = 1.0 if order == 0 else 0.0
-    components = np.array([float(t @ v) for v in sol.nullspace_basis])
-    current = float(t @ sol.particular)
-
+    t = (system.unknowns[:, 0] == 0).astype(float)
+    null = system.nullspace
+    components = np.array([float(t @ v) for v in null])
     dir_tol = 1e-12 * max(1.0, float(np.linalg.norm(t)))
     if components.size == 0 or np.max(np.abs(components)) <= dir_tol:
-        if abs(current - target) <= DEFAULT_TOLERANCES.trace:
-            return sol
-        return NoSolution(
-            rank_report=sol.rank_report,
-            reason=f"trace condition unsatisfiable at order {order}: "
-                   f"trace {current:.3e}, target {target}",
-        )
+        return TraceCondition(t, None, 0.0, null)
 
     j = int(np.argmax(np.abs(components)))
-    pivot = sol.nullspace_basis[j]
-    particular = sol.particular + ((target - current) / components[j]) * pivot
-    remaining = [
-        v - (components[i] / components[j]) * pivot
-        for i, v in enumerate(sol.nullspace_basis)
-        if i != j
-    ]
-    if remaining:
+    others = np.arange(len(null)) != j
+    free = null[others] - np.outer(components[others] / components[j], null[j])
+    if len(free):
         root_w = np.sqrt(2.0 - t)  # sqrt(w): 1 on kind 0, sqrt(2) on kinds 1 and 2
-        q, r = np.linalg.qr(root_w[:, None] * np.column_stack(remaining))
-        keep = np.abs(np.diag(r)) > 1e-12
-        basis = tuple(q[:, k] / root_w for k in range(q.shape[1]) if keep[k])
-    else:
-        basis = ()
-    return AffineSolution(particular=particular, nullspace_basis=basis,
-                          rank_report=sol.rank_report)
+        q, r = np.linalg.qr(root_w[:, None] * free.T)
+        free = (q[:, np.abs(np.diag(r)) > 1e-12] / root_w[:, None]).T
+    return TraceCondition(t, null[j], float(components[j]), free)
 
 
 @dataclass(frozen=True)
@@ -319,30 +323,15 @@ class PointerFamily:
     def max_order(self) -> int:
         return len(self.orders) - 1
 
-    def evaluate(self, lam: float = 1.0, max_order: int | None = None,
-                 direction_coefficients=None) -> np.ndarray:
-        """Member sum_s lam^(2s) (f^(s) + sum_i c_si V_i) truncated at max_order.
-
-        `direction_coefficients`, when given, maps order -> sequence of real
-        coefficients c_si, one per shared (Frobenius-orthonormal) free
-        direction V_i; omitted orders use the particular member.
-        """
+    def evaluate(self, lam: float = 1.0, max_order: int | None = None) -> np.ndarray:
+        """Particular member sum_s lam^(2s) f^(s), truncated at max_order."""
         if max_order is None:
             max_order = self.max_order
         if not 0 <= max_order <= self.max_order:
             raise ValueError(f"max_order must be in [0, {self.max_order}]")
-        coeffs = direction_coefficients or {}
-        if any(s not in range(self.max_order + 1) for s in coeffs):
-            raise ValueError(f"direction_coefficients orders must be in [0, {self.max_order}]")
-        dirs = self.free_directions
-        if any(len(c) != len(dirs) for c in coeffs.values()):
-            raise ValueError(f"expected {len(dirs)} direction coefficients per order")
         out = np.zeros_like(self.orders[0].coeff)
         for s in range(max_order + 1):
-            term = self.orders[s].coeff.copy()
-            for c, v in zip(coeffs.get(s, ()), dirs):
-                term = term + c * v
-            out = out + (lam ** (2 * s)) * term
+            out = out + (lam ** (2 * s)) * self.orders[s].coeff
         return out
 
 
@@ -352,12 +341,13 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     """Alternate the closed form and the linear solve up to `max_order`.
 
     Every spectrum takes the same path: a spectrum without degeneracy is the
-    case of singleton classes, which leaves no internal pairs.  The system
-    matrix depends only on the jumps and the partition, so it is assembled
-    and factorised once; each order then fills the external entries from the
-    previous order, builds the right-hand side from them, checks solvability,
-    and applies the trace condition.  The free directions depend on the
-    matrix alone, so only order zero scatters them.  Returns a
+    case of singleton classes, which leaves no internal pairs.  What depends
+    only on the jumps and the partition is set up once per run: the table of
+    external pairs, the system matrix with its SVD, rank and null space, and
+    the trace condition's pivot and free directions.  Each order then fills
+    the external entries from the previous order, builds the right-hand side
+    from them, checks solvability and solves from the stored factors, and
+    shifts the solution's trace along the stored pivot.  Returns a
     `PointerFamily`, or a `SchemeFailure` naming the order at which the
     construction stopped.
     """
@@ -365,32 +355,32 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
         raise ValueError("max_order must be nonnegative")
     if partition is None:
         partition = classify_pairs(spectrum)
-    if partition.dim != spectrum.dim:
-        raise ValueError("partition does not match spectrum dimension")
+    external = _external_pairs(spectrum, partition)
+    jumps = [np.asarray(L, dtype=complex) for L in jumps]
+    system = assemble_internal_system_deg(jumps, partition, tol_rank)
+    trace = apply_trace_condition(system)
 
     dim = spectrum.dim
-    jumps = [np.asarray(L, dtype=complex) for L in jumps]
     orders: list[OrderCoefficients] = []
     reports: list[RankReport] = []
     prev = np.zeros((dim, dim), dtype=complex)
-    system = assemble_internal_system_deg(jumps, partition)
-
     for s in range(max_order + 1):
         # the closed form leaves the diagonal and internal entries zero
-        offdiag = offdiag_next_deg(jumps, spectrum, partition, prev)
-        sol = solve_with_rank_check(system, _rhs(jumps, offdiag, system.unknowns), tol_rank)
-        if not isinstance(sol, NoSolution):
-            sol = apply_trace_condition(sol, s, system.unknowns)
-        if isinstance(sol, NoSolution):
-            return SchemeFailure(order=s, reason=sol.reason, rank_report=sol.rank_report)
-
-        free = sol.nullspace_basis if s == 0 else ()
-        mats = _scatter(dim, system.unknowns, np.array([sol.particular, *free]))
-        prev = offdiag + mats[0]
+        offdiag = offdiag_next_deg(jumps, external, prev)
+        particular, report = solve_with_rank_check(system, _rhs(jumps, offdiag, system.unknowns))
+        if report.rank_augmented > report.rank:
+            return SchemeFailure(s, "rank(matrix) < rank(augmented)", report)
+        target = 1.0 if s == 0 else 0.0
+        current = float(trace.diagonal @ particular)
+        if trace.pivot is not None:
+            particular = particular + ((target - current) / trace.component) * trace.pivot
+        elif abs(current - target) > DEFAULT_TOLERANCES.trace:
+            return SchemeFailure(s, f"trace condition unsatisfiable at order {s}: "
+                                    f"trace {current:.3e}, target {target}", report)
+        prev = offdiag + _scatter(dim, system.unknowns, particular[None])[0]
         orders.append(OrderCoefficients(order=s, coeff=prev))
-        if s == 0:
-            directions = tuple(mats[1:])
-        reports.append(sol.rank_report)
+        reports.append(report)
 
     return PointerFamily(spectrum=spectrum, partition=partition, orders=tuple(orders),
-                         free_directions=directions, rank_reports=tuple(reports))
+                         free_directions=tuple(_scatter(dim, system.unknowns, trace.free)),
+                         rank_reports=tuple(reports))

@@ -7,6 +7,8 @@ import numpy as np
 
 from fgkls import EnergySpectrum
 from fgkls.core import _real_embed, _scatter, _vec_coordinates
+from fgkls.exact import TwoLevelParams
+from fgkls.models import build_two_level, pauli_to_offdiag
 
 
 # `random_nondegenerate_model` gives up after this many draws of the energies
@@ -379,3 +381,28 @@ def swept_kernel_reference(spectrum, jumps):
     z_inner = np.linalg.solve(schur, np.eye(k + 1)[k])
     v = np.tensordot(z_inner[:k], z, 1).T.ravel()
     return (alpha.conj() * v + alpha * v[mirror]).real, sweeps
+
+
+def two_level_system(params: TwoLevelParams) -> tuple[EnergySpectrum, list[np.ndarray]]:
+    """Energy-basis form of the two-level model described by `params`."""
+    l12, l21 = pauli_to_offdiag(params.a1, params.b1, params.a2, params.b2)
+    return build_two_level(params.eps0 + params.eps3, params.eps0 - params.eps3, l12, l21)
+
+
+def fit_exponential_rate(times: np.ndarray, values: np.ndarray, asymptote: float,
+                         window: tuple[float, float] = (0.0, 0.5),
+                         floor: float = 1e-12) -> float:
+    """Least-squares decay rate of |values - asymptote| ~ exp(-rate t).
+
+    Only samples inside the relative time `window` and above `floor` enter the
+    fit, keeping late-time roundoff out.
+    """
+    times = np.asarray(times, dtype=float)
+    resid = np.abs(np.asarray(values, dtype=float) - asymptote)
+    t0 = times[0] + window[0] * (times[-1] - times[0])
+    t1 = times[0] + window[1] * (times[-1] - times[0])
+    mask = (times >= t0) & (times <= t1) & (resid > floor)
+    if np.sum(mask) < 2:
+        raise ValueError("not enough usable samples to fit a decay rate")
+    slope, _ = np.polyfit(times[mask], np.log(resid[mask]), 1)
+    return float(-slope)

@@ -17,17 +17,17 @@ from fgkls import (
 )
 from fgkls.exact import (
     TwoLevelParams,
-    fit_exponential_rate,
     hermitian_affine_distance,
     integrate_trajectory,
     two_level_bloch_exact,
-    two_level_system,
     verify_identity_72,
 )
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
-from fgkls.perturbation import _rhs, assemble_internal_system_deg, offdiag_next_deg
+from fgkls.perturbation import (_external_pairs, _rhs, assemble_internal_system_deg,
+                                 offdiag_next_deg)
 
-from helpers import random_hermitian, random_nondegenerate_model
+from helpers import (fit_exponential_rate, random_hermitian, random_nondegenerate_model,
+                     two_level_system)
 
 
 def _verdict(num: int, description: str, ok: bool):
@@ -216,7 +216,8 @@ def test_criterion_8_structural_invariants():
     for _ in range(5):
         spectrum, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2, coupling=0.4)
         partition = classify_pairs(spectrum)
-        offdiag = offdiag_next_deg(jumps, spectrum, partition, random_hermitian(rng, 5))
+        offdiag = offdiag_next_deg(jumps, _external_pairs(spectrum, partition),
+                                   random_hermitian(rng, 5))
         system = assemble_internal_system_deg(jumps, partition)
         ok_rows = ok_rows and float(np.max(np.abs(system.matrix.sum(axis=0)))) < 1e-12
         ok_rows = ok_rows and abs(float(_rhs(jumps, offdiag, system.unknowns).sum())) < 1e-12

@@ -1036,10 +1036,11 @@ def test_unstable_step_exits_without_float_warnings(tmp_path):
 
 def test_scheme_failure_exit_code(tmp_path, monkeypatch):
     import fgkls.cli as cli
-    from fgkls.perturbation import SchemeFailure
+    from fgkls.perturbation import RankReport, SchemeFailure
 
     def failing_scheme(*args, **kwargs):
-        return SchemeFailure(order=1, reason="rank(matrix) < rank(augmented)", rank_report=None)
+        return SchemeFailure(order=1, reason="rank(matrix) < rank(augmented)",
+                             rank_report=RankReport(1, 2, np.array([1.0])))
 
     monkeypatch.setattr(cli, "run_pointer_scheme", failing_scheme)
     cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
@@ -1047,27 +1048,58 @@ def test_scheme_failure_exit_code(tmp_path, monkeypatch):
     assert main(["pointer", cfg, "--out", str(out)]) == EXIT_NO_SOLUTION
     report = json.loads((out / "report.json").read_text())
     assert report["scheme_failure"]["order"] == 1
+    assert (report["scheme_failure"]["rank"], report["scheme_failure"]["rank_augmented"]) == (1, 2)
 
 
-def test_pointer_with_a_small_gap_exits_0(tmp_path):
-    # energies 1e-4 apart grow the order-2 entries to about 1.8e7, and their
-    # rounding with them: the Hermiticity check is relative to the entries
+def _small_gap_config(tmp_path):
+    """A custom D = 4 model whose first two energies are 1e-4 apart, with two unit-norm jumps."""
     rng = np.random.default_rng(1)
     jumps = []
     for _ in range(2):
         L = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         L /= np.linalg.norm(L, 2)
         jumps.append([[[z.real, z.imag] for z in row] for row in L])
-    cfg = write_config(tmp_path, "cfg.json", {
+    return write_config(tmp_path, "cfg.json", {
         "model": "custom",
         "custom": {"energies": [1.0, 1.0001, 2.0, 3.0], "jumps": jumps},
     })
+
+
+def test_pointer_with_a_small_gap_exits_0(tmp_path):
+    # energies 1e-4 apart grow the order-2 entries to about 1.8e7, and their
+    # rounding with them: the Hermiticity check is relative to the entries
+    cfg = _small_gap_config(tmp_path)
     out = tmp_path / "out"
     proc = _run_module(["pointer", cfg, "--out", str(out), "--json-only"])
     assert proc.returncode == EXIT_OK and "Traceback" not in proc.stderr, proc.stderr
     orders = json.loads((out / "report.json").read_text())["pointer_family"]["orders"]
     assert len(orders) == 4
     assert np.max(np.abs(np.array(orders[2]["coefficients"]))) > 1e7
+
+
+def test_pointer_notes_a_growing_series(tmp_path):
+    # each order's largest entry is about 1e4 times the previous one's (the
+    # inverse smallest gap), so no lambda near 1 sums the series: one note
+    # names the largest ratio r, its order and the bound 1 / sqrt(r)
+    out = tmp_path / "out"
+    assert main(["pointer", _small_gap_config(tmp_path), "--out", str(out), "--json-only"]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    # coefficients are written as [re, im] pairs
+    peaks = [np.max(np.hypot(*np.moveaxis(np.array(o["coefficients"]), -1, 0)))
+             for o in report["pointer_family"]["orders"]]
+    ratios = [b / a for a, b in zip(peaks, peaks[1:])]
+    assert min(ratios) > 1e3
+    order = int(np.argmax(ratios)) + 1
+    r = max(ratios)
+    growth = [note for note in report["notes"] if note.startswith("series growth")]
+    assert growth == [f"series growth: max|f^({order})| / max|f^({order - 1})| = {r:.3g}; "
+                      f"the terms at lambda grow for lambda > {1 / np.sqrt(r):.3g}"]
+
+    # a two-level model's corrections vanish: no note
+    out = tmp_path / "two_level"
+    assert main(["pointer", write_config(tmp_path, "two.json", TWO_LEVEL), "--out", str(out),
+                 "--json-only"]) == EXIT_OK
+    assert not json.loads((out / "report.json").read_text())["notes"]
 
 
 def test_cli_override_flags(tmp_path, capsys):

@@ -29,23 +29,22 @@ from fgkls.exact import (
     Trajectory,
     TwoLevelParams,
     default_step,
-    fit_exponential_rate,
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
     steady_state_basis,
     steady_state_basis_svd,
     two_level_bloch_exact,
-    two_level_system,
     verify_identity_72,
 )
 from fgkls.exact import _bordered, _certified_kernel, _swept_kernel
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 
-from helpers import (connected_blocks, decoupled_level_model, kron_liouvillian,
-                     orthonormal_hermitian_basis, orthonormal_span, protected_class_model,
-                     random_jumps, random_nondegenerate_model, rk4_reference, structural_pattern,
-                     swept_kernel_reference, unvec, vec)
+from helpers import (connected_blocks, decoupled_level_model, fit_exponential_rate,
+                     kron_liouvillian, orthonormal_hermitian_basis, orthonormal_span,
+                     protected_class_model, random_jumps, random_nondegenerate_model,
+                     rk4_reference, structural_pattern, swept_kernel_reference,
+                     two_level_system, unvec, vec)
 
 
 # --- null-space oracle -------------------------------------------------------

@@ -13,13 +13,12 @@ from fgkls.core import (_KIND_READS, _KIND_WEIGHTS, _hermitian_block, _real_embe
 from fgkls.exact import hermitian_affine_distance
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 from fgkls.perturbation import (
-    AffineSolution,
     LinearSystem,
-    NoSolution,
     OrderCoefficients,
     PointerFamily,
     RankReport,
     SchemeFailure,
+    _external_pairs,
     _rhs,
     apply_trace_condition,
     assemble_internal_system_deg,
@@ -44,6 +43,19 @@ def _diag_unknowns(dim):
 
 def _solve_homogeneous(system):
     return solve_with_rank_check(system, np.zeros(len(system.unknowns)))
+
+
+def _external(spectrum):
+    return _external_pairs(spectrum, classify_pairs(spectrum))
+
+
+def _order_solution(system, rhs, order):
+    """One order's solve as the scheme does it: the particular solution moved onto its trace target."""
+    particular, report = solve_with_rank_check(system, rhs)
+    trace = apply_trace_condition(system)
+    target = 1.0 if order == 0 else 0.0
+    shift = (target - trace.diagonal @ particular) / trace.component
+    return particular + shift * trace.pivot, report, trace
 
 
 # --- order coefficients ------------------------------------------------------
@@ -78,7 +90,7 @@ def test_order_coefficients_reject_asymmetry_and_trace(scale, error):
 def test_offdiag_order_zero_vanishes():
     rng = np.random.default_rng(0)
     spectrum, jumps = random_nondegenerate_model(rng, dim=4)
-    out = offdiag_next_deg(jumps, spectrum, classify_pairs(spectrum), _zero(4))
+    out = offdiag_next_deg(jumps, _external(spectrum), _zero(4))
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -90,14 +102,14 @@ def test_offdiag_vanishes_on_spin_up_diagonal_previous_order():
     prev = _zero(8)
     for m in range(4):
         prev[2 * m, 2 * m] = 0.25
-    out = offdiag_next_deg(jumps, spectrum, classify_pairs(spectrum), prev)
+    out = offdiag_next_deg(jumps, _external(spectrum), prev)
     assert np.max(np.abs(out)) < 1e-15
 
 
 def test_offdiag_two_level_first_order_vanishes():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
     prev = np.diag([0.2, 0.8]).astype(complex)
-    out = offdiag_next_deg(jumps, spectrum, classify_pairs(spectrum), prev)
+    out = offdiag_next_deg(jumps, _external(spectrum), prev)
     assert np.max(np.abs(out)) < 1e-15
 
 
@@ -106,7 +118,7 @@ def test_offdiag_singleton_partition_rejects_degenerate_spectrum():
     spectrum = EnergySpectrum(np.array([1.0, 1.0, 2.0]))
     singletons = DegeneracyPartition(classes=((0,), (1,), (2,)), tol_degen=1e-9)
     with pytest.raises(ValueError, match="internal pair routed to the external closed form"):
-        offdiag_next_deg([np.eye(3, dtype=complex)], spectrum, singletons, _zero(3))
+        _external_pairs(spectrum, singletons)
 
 
 def test_offdiag_deg_external_only_and_hermitian():
@@ -116,20 +128,21 @@ def test_offdiag_deg_external_only_and_hermitian():
     assert partition.has_degeneracy
 
     # order zero: everything external vanishes
-    out0 = offdiag_next_deg(jumps, spectrum, partition, _zero(8))
+    external = _external_pairs(spectrum, partition)
+    out0 = offdiag_next_deg(jumps, external, _zero(8))
     assert np.max(np.abs(out0)) == 0.0
 
     # a diagonal-only previous order leaves all external entries zero too
     prev = _zero(8)
     for k in range(8):
         prev[k, k] = 1.0 / 8
-    assert np.max(np.abs(offdiag_next_deg(jumps, spectrum, partition, prev))) < 1e-15
+    assert np.max(np.abs(offdiag_next_deg(jumps, external, prev))) < 1e-15
 
     # generic Hermitian previous order: output Hermitian entry by entry and
     # zero on diagonal and internal positions
     rng = np.random.default_rng(9)
     prev = random_hermitian(rng, 8)
-    out = offdiag_next_deg(jumps, spectrum, partition, prev)
+    out = offdiag_next_deg(jumps, external, prev)
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
     for m, n in partition.internal_pairs():
         assert out[m, n] == 0.0
@@ -159,7 +172,8 @@ def test_equation_rows_sum_to_identity():
     rng = np.random.default_rng(23)
     spectrum, jumps = random_nondegenerate_model(rng, dim=5, n_jumps=2, coupling=0.5)
     partition = classify_pairs(spectrum)
-    offdiag = offdiag_next_deg(jumps, spectrum, partition, random_hermitian(rng, 5))
+    offdiag = offdiag_next_deg(jumps, _external_pairs(spectrum, partition),
+                               random_hermitian(rng, 5))
     system = assemble_internal_system_deg(jumps, partition)
     assert np.max(np.abs(system.matrix.sum(axis=0))) < 1e-12
     assert abs(_rhs(jumps, offdiag, system.unknowns).sum()) < 1e-12
@@ -178,19 +192,20 @@ def test_internal_system_structure_sigma_xy():
     assert pairs == [(0, 5), (2, 7)]
 
     rng = np.random.default_rng(31)
-    external = offdiag_next_deg(jumps, spectrum, partition, random_hermitian(rng, 8))
+    external = offdiag_next_deg(jumps, _external_pairs(spectrum, partition),
+                                random_hermitian(rng, 8))
     system = assemble_internal_system_deg(jumps, partition)
     rhs = _rhs(jumps, external, system.unknowns)
     n_diag = 8
     assert np.array_equal(system.unknowns[:n_diag], _diag_unknowns(n_diag))
     assert np.array_equal(system.unknowns[n_diag:], [[1, 0, 5], [2, 0, 5], [1, 2, 7], [2, 2, 7]])
 
-    sol = apply_trace_condition(solve_with_rank_check(system, rhs), 0, system.unknowns)
-    assert isinstance(sol, AffineSolution)
-    assert np.linalg.norm(system.matrix @ sol.particular - rhs) < 1e-10
-    for v in sol.nullspace_basis:
+    particular, report, trace = _order_solution(system, rhs, 0)
+    assert report.rank_augmented == report.rank and trace.pivot is not None
+    assert np.linalg.norm(system.matrix @ particular - rhs) < 1e-10
+    for v in system.nullspace:
         assert np.linalg.norm(system.matrix @ v) < 1e-10
-    values = dict(zip(map(tuple, system.unknowns.tolist()), sol.particular))
+    values = dict(zip(map(tuple, system.unknowns.tolist()), particular))
     for m in range(4):
         assert values[(0, 2 * m, 2 * m)] == pytest.approx(values[(0, 2 * m + 1, 2 * m + 1)],
                                                           abs=1e-12)
@@ -208,9 +223,9 @@ def test_internal_system_all_zero_jumps():
     partition = classify_pairs(spectrum)
     system = assemble_internal_system_deg([_zero(2)], partition)
     assert np.max(np.abs(system.matrix)) == 0.0
-    sol = _solve_homogeneous(system)
-    assert sol.rank_report.rank == 0
-    assert len(sol.nullspace_basis) == len(system.unknowns)
+    _, report = _solve_homogeneous(system)
+    assert report.rank == system.rank == 0
+    assert len(system.nullspace) == len(system.unknowns)
 
 
 def test_hermitian_block_matches_dissipator_columns():
@@ -248,36 +263,35 @@ def test_hermitian_block_matches_dissipator_columns():
 def test_solve_two_level_null_space():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
-    sol = _solve_homogeneous(system)
-    assert sol.rank_report.rank == 1
-    assert len(sol.nullspace_basis) == 1
-    v = sol.nullspace_basis[0]
+    _, report = _solve_homogeneous(system)
+    assert report.rank == system.rank == 1
+    assert len(system.nullspace) == 1
+    v = system.nullspace[0]
     expected = np.array([1.0, 4.0]) / np.sqrt(17.0)
     assert min(np.linalg.norm(v - expected), np.linalg.norm(v + expected)) < 1e-12
 
 
 def test_solve_zero_system_everything_free():
     system = LinearSystem(matrix=np.zeros((3, 3)), unknowns=_diag_unknowns(3))
-    sol = _solve_homogeneous(system)
-    assert sol.rank_report.rank == 0
-    assert np.max(np.abs(sol.particular)) == 0.0
-    assert len(sol.nullspace_basis) == 3
+    particular, report = _solve_homogeneous(system)
+    assert report.rank == 0
+    assert np.max(np.abs(particular)) == 0.0
+    assert len(system.nullspace) == 3
 
 
 def test_solve_identity_system_unique():
     system = LinearSystem(matrix=np.eye(2), unknowns=_diag_unknowns(2))
-    sol = solve_with_rank_check(system, np.array([1.0, 1.0]))
-    assert np.allclose(sol.particular, [1.0, 1.0])
-    assert sol.nullspace_basis == ()
-    assert sol.rank_report.rank == sol.rank_report.rank_augmented == 2
+    particular, report = solve_with_rank_check(system, np.array([1.0, 1.0]))
+    assert np.allclose(particular, [1.0, 1.0])
+    assert len(system.nullspace) == 0
+    assert report.rank == report.rank_augmented == 2
 
 
-def test_solve_inconsistent_reports_no_solution():
+def test_solve_inconsistent_reports_the_augmented_rank():
     system = LinearSystem(matrix=np.array([[1.0, 0.0], [1.0, 0.0]]), unknowns=_diag_unknowns(2))
-    out = solve_with_rank_check(system, np.array([1.0, 2.0]))
-    assert isinstance(out, NoSolution)
-    assert out.rank_report.rank == 1
-    assert out.rank_report.rank_augmented == 2
+    _, report = solve_with_rank_check(system, np.array([1.0, 2.0]))
+    assert report.rank == 1
+    assert report.rank_augmented == 2
 
 
 # --- trace condition ------------------------------------------------------------
@@ -285,37 +299,45 @@ def test_solve_inconsistent_reports_no_solution():
 def test_trace_condition_two_level_order_zero():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
-    sol = apply_trace_condition(_solve_homogeneous(system), 0, system.unknowns)
-    assert isinstance(sol, AffineSolution)
-    assert np.allclose(sol.particular, [0.2, 0.8], atol=1e-14)
-    assert sol.nullspace_basis == ()
+    particular, _, trace = _order_solution(system, np.zeros(2), 0)
+    assert trace.pivot is not None
+    assert np.allclose(particular, [0.2, 0.8], atol=1e-14)
+    assert len(trace.free) == 0
 
 
 def test_trace_condition_higher_order_keeps_zero():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
-    sol = apply_trace_condition(_solve_homogeneous(system), 1, system.unknowns)
-    assert np.max(np.abs(sol.particular)) < 1e-15
-    assert sol.nullspace_basis == ()
+    particular, _, trace = _order_solution(system, np.zeros(2), 1)
+    assert np.max(np.abs(particular)) < 1e-15
+    assert len(trace.free) == 0
 
 
 def test_trace_condition_remaining_directions_traceless():
     system = LinearSystem(matrix=np.zeros((4, 4)), unknowns=_diag_unknowns(4))
-    sol = apply_trace_condition(_solve_homogeneous(system), 0, system.unknowns)
-    assert len(sol.nullspace_basis) == 3
-    assert abs(sol.particular.sum() - 1.0) < 1e-14
-    for v in sol.nullspace_basis:
+    particular, _, trace = _order_solution(system, np.zeros(4), 0)
+    assert len(trace.free) == 3
+    assert abs(particular.sum() - 1.0) < 1e-14
+    for v in trace.free:
         assert abs(v.sum()) < 1e-12
     # orthonormality of the remaining directions
-    g = np.array([[float(a @ b) for b in sol.nullspace_basis] for a in sol.nullspace_basis])
+    g = np.array([[float(a @ b) for b in trace.free] for a in trace.free])
     assert np.allclose(g, np.eye(3), atol=1e-12)
 
 
-def test_trace_condition_unsatisfiable():
-    unique = AffineSolution(particular=np.array([0.3, 0.3]), nullspace_basis=(),
-                            rank_report=RankReport(2, 2, np.array([1.0, 1.0])))
-    out = apply_trace_condition(unique, 0, _diag_unknowns(2))
-    assert isinstance(out, NoSolution)
+def test_trace_condition_unsatisfiable(monkeypatch):
+    # a system without null space leaves no pivot, and order zero's particular
+    # solution, zero, cannot meet trace 1
+    import fgkls.perturbation as pert
+
+    unique = LinearSystem(matrix=np.eye(2), unknowns=_diag_unknowns(2))
+    trace = apply_trace_condition(unique)
+    assert trace.pivot is None and len(trace.free) == 0
+    monkeypatch.setattr(pert, "assemble_internal_system_deg", lambda *args: unique)
+    spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
+    out = pert.run_pointer_scheme(spectrum, jumps, max_order=3)
+    assert isinstance(out, SchemeFailure)
+    assert out.order == 0
     assert "trace condition" in out.reason
 
 
@@ -378,12 +400,12 @@ def test_scheme_failure_propagates_order(monkeypatch):
     calls = {"n": 0}
     real_solve = pert.solve_with_rank_check
 
-    def failing_solve(system, rhs, tol_rank=None):
+    def failing_solve(system, rhs):
         calls["n"] += 1
+        particular, report = real_solve(system, rhs)
         if calls["n"] == 3:  # fail at order 2
-            return NoSolution(rank_report=RankReport(1, 2, np.array([1.0])),
-                              reason="rank(matrix) < rank(augmented)")
-        return real_solve(system, rhs, tol_rank)
+            return particular, RankReport(1, 2, np.array([1.0]))
+        return particular, report
 
     monkeypatch.setattr(pert, "solve_with_rank_check", failing_solve)
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
@@ -459,11 +481,11 @@ def test_augmented_rank_matches_the_augmented_svd_on_sparse_draws(monkeypatch):
     real_solve = pert.solve_with_rank_check
     decisions = []
 
-    def checking(system, rhs, tol_rank):
-        sol = real_solve(system, rhs, tol_rank)
-        decisions.append((sol.rank_report.rank, sol.rank_report.rank_augmented,
-                          augmented_rank_reference(system, rhs, tol_rank)))
-        return sol
+    def checking(system, rhs):
+        particular, report = real_solve(system, rhs)
+        decisions.append((report.rank, report.rank_augmented,
+                          augmented_rank_reference(system, rhs, system.tol_rank)))
+        return particular, report
 
     monkeypatch.setattr(pert, "solve_with_rank_check", checking)
     rng = np.random.default_rng(0)
@@ -531,9 +553,8 @@ def test_family_evaluate_members_and_direction_parameters():
     cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=0.3, jump_variant=SigmaPlus(0.4))
     spectrum, jumps = build_oscillator_spin(cfg)
     family = run_pointer_scheme(spectrum, jumps, max_order=1)
-    n_free = len(family.free_directions)
-    assert n_free == 3
-    member = family.evaluate(0.2, direction_coefficients={0: 0.05 * np.ones(n_free)})
+    assert len(family.free_directions) == 3
+    member = family.evaluate(0.2) + sum(0.05 * v for v in family.free_directions)
     assert abs(member.trace() - 1.0) < 1e-12
     assert np.max(np.abs(member - member.conj().T)) < 1e-13
     # moved members stay stationary: the whole affine set solves the conditions
@@ -547,21 +568,6 @@ def test_family_evaluate_validates_arguments():
         family.evaluate(1.0, max_order=5)
     with pytest.raises(ValueError):
         run_pointer_scheme(spectrum, jumps, max_order=-1)
-
-
-def test_family_evaluate_rejects_direction_orders_outside_family():
-    cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=0.3, jump_variant=SigmaPlus(0.4))
-    spectrum, jumps = build_oscillator_spin(cfg)
-    family = run_pointer_scheme(spectrum, jumps, max_order=3)
-    ones = np.ones(len(family.free_directions))
-    for order in (4, -1):
-        with pytest.raises(ValueError, match="orders must be in"):
-            family.evaluate(1.0, direction_coefficients={order: ones})
-    with pytest.raises(ValueError, match="coefficients per order"):
-        family.evaluate(1.0, direction_coefficients={1: ones[:-1]})
-    # an order past the truncation but inside the family is a valid key
-    assert np.array_equal(family.evaluate(1.0, max_order=1, direction_coefficients={3: ones}),
-                          family.evaluate(1.0, max_order=1))
 
 
 def test_scheme_holds_one_set_of_free_directions_at_D64():
@@ -594,7 +600,7 @@ def test_scheme_holds_one_set_of_free_directions_at_D64():
 def _unweighted_free_span(spectrum, jumps):
     """The free directions before orthonormalisation: order zero's null space less pivot multiples."""
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
-    null = _solve_homogeneous(system).nullspace_basis
+    null = system.nullspace
     components = [float((system.unknowns[:, 0] == 0) @ v) for v in null]
     j = int(np.argmax(np.abs(components)))
     remaining = [v - (c / components[j]) * null[j]
@@ -647,26 +653,31 @@ def test_scheme_reaches_each_layer_through_module_globals(monkeypatch):
     spectrum, jumps = build_oscillator_spin(cfg)
     assert isinstance(run_pointer_scheme(spectrum, jumps, max_order=3), PointerFamily)
     assert calls == {"offdiag_next_deg": 4, "assemble_internal_system_deg": 1,
-                     "solve_with_rank_check": 4, "apply_trace_condition": 4}
+                     "solve_with_rank_check": 4, "apply_trace_condition": 1}
 
 
-def test_every_order_leaves_the_same_free_span(monkeypatch):
-    # one shared set of directions is right only while each order's trace
-    # condition leaves the same null-space basis
+def test_scheme_sets_up_its_trace_condition_once(monkeypatch):
+    # every order shares the pivot and the free directions: one weighted QR and
+    # one full SVD per run, whatever the number of orders
     import fgkls.perturbation as pert
 
-    bases = []
-    real = pert.apply_trace_condition
+    real_qr, real_svd = np.linalg.qr, np.linalg.svd
+    calls = []
 
-    def recording(*args):
-        sol = real(*args)
-        bases.append(np.array(sol.nullspace_basis))
-        return sol
+    def counting_qr(*args, **kwargs):
+        calls.append("qr")
+        return real_qr(*args, **kwargs)
 
-    monkeypatch.setattr(pert, "apply_trace_condition", recording)
+    def counting_svd(a, *args, compute_uv=True, **kwargs):
+        calls.append(("svd", compute_uv))
+        return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     cfg = OscillatorSpinConfig(n_levels=6, omega=1.0, delta=1.0, jump_variant=SigmaPlus(0.35))
     spectrum, jumps = build_oscillator_spin(cfg)
-    family = run_pointer_scheme(spectrum, jumps, max_order=3)
-    assert len(bases) == 4 and len(family.free_directions) == len(bases[0]) == 5
-    for basis in bases[1:]:
-        assert np.array_equal(basis, bases[0])
+    for max_order in (0, 3):
+        calls.clear()
+        family = pert.run_pointer_scheme(spectrum, jumps, max_order=max_order)
+        assert len(family.orders) == max_order + 1 and len(family.free_directions) == 5
+        assert calls == [("svd", True), "qr"]
