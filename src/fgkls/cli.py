@@ -32,7 +32,8 @@ conversion too.  Every output file is streamed to a temporary file in the
 output directory that then replaces the target.
 
 Exit codes: 0 success, 1 config or command-line error, 2 scheme failure (no
-solution at some order), 3 comparison thresholds exceeded, 4 integration step
+solution, or coefficients that are not finite, at some order), 3 comparison
+thresholds exceeded (a NaN distance exceeds them), 4 integration step
 too large (the message carries a suggested step).  The environment variable
 LP_SEED overrides the configured random seeds.
 """
@@ -88,6 +89,9 @@ DEFAULT_ENDPOINT_DISTANCE_MAX = 1e-6
 # a jump's squared Frobenius norm bounds ||L||^2 in the weak-coupling ratio
 # and every entry of L^dag L
 JUMP_NORM_MAX = math.sqrt(sys.float_info.max)
+# records per block of a trajectory CSV; at D = 32 a block is about 2.6 MB of
+# text, and its table and strings take about seven times that while formatted
+CSV_BLOCK_RECORDS = 64
 
 
 class ConfigError(ValueError):
@@ -550,33 +554,43 @@ def _run_trajectories(config: RunConfig) -> dict:
     return dict(zip(seeds, trajectories))
 
 
-def _trajectory_csvs(trajectories) -> Iterator[list[str]]:
-    """Each trajectory's CSV file, in order, as a list of lines ending in a newline.
+def _trajectory_csvs(trajectories) -> Iterator[Iterator[str]]:
+    """Each trajectory's CSV file, in order, as an iterator of text blocks.
 
     Columns t, re(rho_mn)..., im(rho_mn)... (rho_m_n from D = 11 on).  Row k
     is t_k, then record k's real and imaginary parts in row-major order, every
-    float as `repr`.  A time column shared with the previous file is
-    formatted once, and a file's other floats once per distinct magnitude:
-    for finite x, -0.0 included, repr(-x) is "-" + repr(x).
+    float as `repr`.  The header is the first block; each further block holds
+    the rows of at most `CSV_BLOCK_RECORDS` records, so a writer holds one
+    block's table and text, never a whole file's.  A time column shared with
+    the previous file is formatted once, and a block's other floats once per
+    distinct magnitude: for finite x, -0.0 included, repr(-x) is "-" + repr(x).
     """
     times = times_text = None
     for traj in trajectories:
         if traj.times is not times:
             times = traj.times
             times_text = list(map(repr, times.tolist()))
-        count, d, _ = traj.states.shape
-        sep = "_" if d >= 11 else ""  # rho_1_10 and rho_11_0 stay apart
-        header = ["t"] + [f"{part}(rho_{m}{sep}{n})" for part in ("re", "im")
-                          for m in range(d) for n in range(d)]
-        flat = traj.states.reshape(count, -1)
-        table = np.concatenate([flat.real, flat.imag], axis=1)
+        yield _csv_blocks(traj, times_text)
+
+
+def _csv_blocks(traj, times_text: list[str]) -> Iterator[str]:
+    """The header, then the rows of `traj` in blocks of `CSV_BLOCK_RECORDS` records."""
+    count, d, _ = traj.states.shape
+    sep = "_" if d >= 11 else ""  # rho_1_10 and rho_11_0 stay apart
+    header = ["t"] + [f"{part}(rho_{m}{sep}{n})" for part in ("re", "im")
+                      for m in range(d) for n in range(d)]
+    yield ",".join(header) + "\n"
+    flat = traj.states.reshape(count, -1)
+    for start in range(0, count, CSV_BLOCK_RECORDS):
+        stop = start + CSV_BLOCK_RECORDS
+        table = np.concatenate([flat[start:stop].real, flat[start:stop].imag], axis=1)
         magnitudes, slots = np.unique(np.abs(table), return_inverse=True)
         texts = np.array(list(map(repr, magnitudes.tolist())), dtype=object)
         texts = texts[slots.reshape(table.shape)]
         negative = np.signbit(table)
         texts[negative] = "-" + texts[negative]
-        yield [",".join(header) + "\n"] + [f"{t},{','.join(row)}\n"
-                                           for t, row in zip(times_text, texts.tolist())]
+        yield "".join([f"{t},{','.join(row)}\n"
+                       for t, row in zip(times_text[start:stop], texts.tolist())])
 
 
 def cmd_evolve(config: RunConfig) -> tuple[int, dict]:
@@ -625,7 +639,8 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
                                          steady.physical_directions)
-        worst_family = max(worst_family, dist)
+        # np.maximum, unlike max, keeps a NaN, which then fails the threshold
+        worst_family = float(np.maximum(worst_family, dist))
         comparisons.append({
             "lambda": lam,
             "kernel_dim": steady.kernel_dim,
@@ -652,7 +667,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
             d_exact = point_to_affine_distance(final, steady_full.physical_member,
                                                steady_full.physical_directions)
             d_family = point_to_affine_distance(final, member_full, family_dirs)
-            worst_endpoint = max(worst_endpoint, d_exact, d_family)
+            worst_endpoint = float(np.max([worst_endpoint, d_exact, d_family]))
             endpoints.append({
                 "seed": seed,
                 "endpoint_vs_exact": d_exact,
@@ -930,8 +945,8 @@ def main(argv=None) -> int:
     if not args.json_only:
         _atomic_write(os.path.join(args.out, "report.txt"),
                       [_text_report(report, elapsed, oracle_blocks)])
-        for seed, lines in zip(runs, _trajectory_csvs(runs.values())):
-            _atomic_write(os.path.join(args.out, f"trajectory_{seed}.csv"), lines)
+        for seed, blocks in zip(runs, _trajectory_csvs(runs.values())):
+            _atomic_write(os.path.join(args.out, f"trajectory_{seed}.csv"), blocks)
     return code
 
 

@@ -98,6 +98,9 @@ class OrderCoefficients:
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         arr = np.array(self.coeff, dtype=complex)
+        if not np.isfinite(arr).all():
+            # every comparison below is false for NaN
+            raise ValueError(f"order {self.order} coefficients are not finite")
         # relative to the entries, which grow as powers of 1 / (smallest gap)
         scale = max(1.0, float(np.max(np.abs(arr))))
         herm_err = float(np.max(np.abs(arr - arr.conj().T)))
@@ -349,7 +352,7 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     from them, checks solvability and solves from the stored factors, and
     shifts the solution's trace along the stored pivot.  Returns a
     `PointerFamily`, or a `SchemeFailure` naming the order at which the
-    construction stopped.
+    construction stopped: no solution, or coefficients that are not finite.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -378,6 +381,8 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
             return SchemeFailure(s, f"trace condition unsatisfiable at order {s}: "
                                     f"trace {current:.3e}, target {target}", report)
         prev = offdiag + _scatter(dim, system.unknowns, particular[None])[0]
+        if not np.isfinite(prev).all():
+            return SchemeFailure(s, f"order {s} coefficients are not finite", report)
         orders.append(OrderCoefficients(order=s, coeff=prev))
         reports.append(report)
 

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fgkls.exact
 from fgkls.cli import (
+    CSV_BLOCK_RECORDS,
     EXIT_CONFIG,
     EXIT_NO_SOLUTION,
     EXIT_OK,
@@ -15,6 +17,7 @@ from fgkls.cli import (
     EXIT_THRESHOLD,
     ConfigError,
     _as_matrix,
+    _atomic_write,
     _family_report,
     _float_pairs,
     _json_chunks,
@@ -480,7 +483,8 @@ def test_trajectory_csvs_match_repr_of_every_float(tmp_path):
         assert (flat.imag < 0).any() and (flat.imag > 0).any()
     assert np.signbit(trajectories[-1].states.imag).any()
     files = _trajectory_csvs(trajectories)
-    assert [next(files) for _ in trajectories] == [_reference_csv(t) for t in trajectories]
+    assert (["".join(next(files)) for _ in trajectories]
+            == ["".join(_reference_csv(t)) for t in trajectories])
     assert next(files, None) is None
 
 
@@ -489,11 +493,52 @@ def test_trajectory_csv_header_names_are_unique_from_D11():
     for d, first in ((10, "re(rho_00)"), (11, "re(rho_0_0)")):
         states = np.broadcast_to(np.eye(d, dtype=complex) / d, (2, d, d))
         traj = Trajectory(times=np.array([0.0, 1.0]), states=states, step_size=1.0)
-        (lines,) = _trajectory_csvs([traj])
-        header = lines[0].rstrip("\n").split(",")
+        (blocks,) = _trajectory_csvs([traj])
+        text = "".join(blocks)
+        header = text[:text.index("\n")].split(",")
         assert len(set(header)) == len(header) == 1 + 2 * d * d
-        assert header[1] == first and lines == _reference_csv(traj)
+        assert header[1] == first and text == "".join(_reference_csv(traj))
     assert "re(rho_1_10)" in header and "im(rho_10_10)" in header
+
+
+@pytest.mark.parametrize("d", [2, 11])
+@pytest.mark.parametrize("count", [1, CSV_BLOCK_RECORDS - 1, CSV_BLOCK_RECORDS,
+                                   CSV_BLOCK_RECORDS + 1, 2 * CSV_BLOCK_RECORDS + 3])
+def test_trajectory_csv_blocks_at_block_boundaries(d, count):
+    # two files on one time grid, records around and across the block size;
+    # non-Hermitian states with repeated magnitudes of both signs and -0.0
+    rng = np.random.default_rng(count)
+    times = np.linspace(0.0, 1.0, count)
+    trajectories = []
+    for _ in range(2):
+        states = np.round(rng.standard_normal((count, d, d, 2)), 1).view(complex)[..., 0]
+        states.imag[:, 0, 0] = -0.0
+        trajectories.append(Trajectory(times=times, states=states, step_size=0.1))
+    for traj, blocks in zip(trajectories, _trajectory_csvs(trajectories)):
+        header, *rows = list(blocks)
+        assert len(rows) == -(-count // CSV_BLOCK_RECORDS)
+        assert all(row.count("\n") == CSV_BLOCK_RECORDS for row in rows[:-1])
+        assert header + "".join(rows) == "".join(_reference_csv(traj))
+
+
+def test_trajectory_csv_writer_holds_one_block_not_the_file(tmp_path):
+    # about 1000 records at D = 16, 10 MB of text; every magnitude distinct but
+    # for the Hermitian pairs, the most the writer has to hold per block
+    rng = np.random.default_rng(16)
+    count, d = 1001, 16
+    a = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    traj = Trajectory(times=np.linspace(0.0, 10.0, count),
+                      states=(a + a.conj().transpose(0, 2, 1)) / 2, step_size=0.01)
+    path = tmp_path / "trajectory_0.csv"
+    tracemalloc.start()
+    try:
+        for blocks in _trajectory_csvs([traj]):
+            _atomic_write(str(path), blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole file's table and strings trace about six times its text
+    assert peak < 0.75 * path.stat().st_size
 
 
 def test_json_writer_matches_json_dumps():
@@ -1075,6 +1120,49 @@ def test_pointer_with_a_small_gap_exits_0(tmp_path):
     orders = json.loads((out / "report.json").read_text())["pointer_family"]["orders"]
     assert len(orders) == 4
     assert np.max(np.abs(np.array(orders[2]["coefficients"]))) > 1e7
+
+
+# the closed form divides by the 1e-200 gap until the entries overflow
+OVERFLOWING_GAP = {
+    "model": "custom",
+    "custom": {"energies": [0.0, 1e-200, 2.0],
+               "jumps": [[[[0.5, 0.0], [0.3, 0.1], [0.0, 0.2]],
+                          [[0.1, 0.0], [0.2, 0.0], [0.4, 0.0]],
+                          [[0.3, 0.0], [0.0, 0.1], [0.1, 0.0]]]]},
+    "max_order": 3,
+    "tolerances": {"tol_degen": 1e-250},
+}
+
+
+def test_pointer_with_non_finite_coefficients_exits_2(tmp_path):
+    # run as a module: the overflow's RuntimeWarnings are errors under pytest
+    cfg = write_config(tmp_path, "cfg.json", OVERFLOWING_GAP)
+    out = tmp_path / "out"
+    proc = _run_module(["pointer", cfg, "--out", str(out), "--json-only"])
+    assert proc.returncode == EXIT_NO_SOLUTION and "Traceback" not in proc.stderr, proc.stderr
+    text = (out / "report.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    failure = json.loads(text)["scheme_failure"]
+    assert failure["order"] == 2 and failure["reason"] == "order 2 coefficients are not finite"
+
+
+@pytest.mark.parametrize("distance, table, fields, worst", [
+    ("hermitian_affine_distance", "oracle_comparison", ["family_vs_exact_distance"],
+     "worst_family_distance"),
+    ("point_to_affine_distance", "endpoints", ["endpoint_vs_exact", "endpoint_vs_family"],
+     "worst_endpoint_distance"),
+], ids=["family", "endpoint"])
+def test_compare_exits_3_on_a_nan_distance(tmp_path, monkeypatch, distance, table, fields, worst):
+    # max(0.0, nan) is 0.0: a NaN distance must fail the thresholds, not vanish
+    monkeypatch.setattr(fgkls.cli, distance, lambda *args: float("nan"))
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**TWO_LEVEL, "evolve": {"t_end": 1.0, "seeds": [0]}})
+    out = tmp_path / "out"
+    assert main(["compare", cfg, "--out", str(out), "--json-only"]) == EXIT_THRESHOLD
+    report = json.loads((out / "report.json").read_text())
+    assert all(np.isnan(row[field]) for row in report[table] for field in fields)
+    assert np.isnan(report["thresholds"][worst])
+    assert report["thresholds"]["within_thresholds"] is False
 
 
 def test_pointer_notes_a_growing_series(tmp_path):

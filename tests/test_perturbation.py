@@ -85,6 +85,15 @@ def test_order_coefficients_reject_asymmetry_and_trace(scale, error):
         OrderCoefficients(order=2, coeff=coeff)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imag-nan"])
+def test_order_coefficients_reject_non_finite_entries(value):
+    # every comparison with NaN is false, so the Hermiticity and trace checks pass it
+    coeff = _traceless_hermitian(1.0)
+    coeff[0, 1] = coeff[1, 0] = value
+    with pytest.raises(ValueError, match="order 2 coefficients are not finite"):
+        OrderCoefficients(order=2, coeff=coeff)
+
+
 # --- off-diagonal closed form ---------------------------------------------
 
 def test_offdiag_order_zero_vanishes():
