@@ -7,15 +7,17 @@ Subcommands
     compare   all three, with distances and the residual-scaling table
 
 Each run writes `report.json` (machine readable, byte-stable across reruns)
-and `report.txt` (human readable, includes timing and, per lambda, the number
-of real Liouvillian blocks and the largest block the exact oracle solved, the
-route that decided the kernel (certified by Neumann sweeps, with their count
-and contraction factor, or the SVD),
-and the kernel margin: the largest kept and smallest rejected singular value
-over the largest one, next to the cutoff, or "<=" and ">=" bounds on the two
-where the oracle certified a one-block kernel without singular values) into the
-output directory, plus `trajectory_<seed>.csv` files when trajectories are
-integrated.
+and `report.txt` (human readable: timing and, per lambda, the exact oracle's
+number of real Liouvillian blocks and largest block, the route that decided
+its kernel (certified by Neumann sweeps, with their count and contraction
+factor, or the SVD) and the kernel margin: the largest kept and smallest
+rejected singular value over the largest one, next to the cutoff, or "<="
+and ">=" bounds on the two where a one-block kernel was certified without
+singular values) into the output directory, plus `trajectory_<seed>.csv`
+files when trajectories are integrated.  Each `cmd_*` returns its exit code,
+its report (exactly what report.json holds, and nothing else), the
+(lambda, `SteadyStateSet`) pairs whose fields report.txt's per-lambda tables
+read by name, and its trajectories by seed.
 
 `report.json` holds exactly the bytes of `json.dumps(report, sort_keys=True,
 indent=2) + "\n"`: sorted keys, 2-space indent, floats as `repr`, NaN and
@@ -68,6 +70,7 @@ from .exact import (
     EmptyKernelError,
     StepSizeError,
     SteadyStateSet,
+    Trajectory,
     default_step,
     hermitian_affine_distance,
     integrate_trajectory,
@@ -92,6 +95,10 @@ JUMP_NORM_MAX = math.sqrt(sys.float_info.max)
 # records per block of a trajectory CSV; at D = 32 a block is about 2.6 MB of
 # text, and its table and strings take about seven times that while formatted
 CSV_BLOCK_RECORDS = 64
+
+# a command's exit code, report (exactly report.json's content), (lambda,
+# oracle result) pairs for report.txt, and trajectory_<seed>.csv's runs by seed
+CommandResult = tuple[int, dict, list[tuple[float, SteadyStateSet]], dict[int, Trajectory]]
 
 
 class ConfigError(ValueError):
@@ -203,9 +210,9 @@ def _as_matrix(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], list[str],
+def _build_model(cfg: dict) -> tuple[EnergySpectrum, list[np.ndarray], list[str],
                                      OscillatorSpinConfig | None]:
-    """The model, its spectrum and jumps, where[k] naming jump k's config key, and its oscillator."""
+    """The model's spectrum and jumps, where[k] naming jump k's config key, and its oscillator."""
     model = _get(cfg, "model", "")
     if model == "two_level":
         sub = _object(cfg, "two_level")
@@ -218,7 +225,7 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], list
         except ValueError as err:
             raise ConfigError(f"config error at two_level: {err}") from err
         larger = "two_level.l12" if np.abs(l12) >= np.abs(l21) else "two_level.l21"
-        return model, spectrum, jumps, [larger], None
+        return spectrum, jumps, [larger], None
     if model == "oscillator_spin":
         sub = _object(cfg, "oscillator_spin")
         jump = _object(sub, "jump", "oscillator_spin")
@@ -249,7 +256,7 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], list
         except (MemoryError, ValueError) as err:  # e.g. numpy cannot allocate D = 2 n_levels
             raise ConfigError(f"config error at oscillator_spin.n_levels: cannot build the "
                               f"model at {n_levels} levels: {err}") from err
-        return model, spectrum, jumps, where, osc
+        return spectrum, jumps, where, osc
     if model == "custom":
         sub = _object(cfg, "custom")
         energies = _get(sub, "energies", "custom")
@@ -266,7 +273,7 @@ def _build_model(cfg: dict) -> tuple[str, EnergySpectrum, list[np.ndarray], list
             if L.shape != (spectrum.dim, spectrum.dim):
                 raise ConfigError(f"config error at {at}: shape {L.shape} "
                                   f"does not match dimension {spectrum.dim}")
-        return model, spectrum, jumps, where, None
+        return spectrum, jumps, where, None
     raise ConfigError("config error at model: expected 'two_level', 'oscillator_spin' or 'custom'")
 
 
@@ -285,7 +292,7 @@ def load_config(path: str, max_order_override: int | None = None,
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}:1: top-level value must be an object")
 
-    model, spectrum, jumps, where, osc = _build_model(cfg)
+    spectrum, jumps, where, osc = _build_model(cfg)
     for L, at in zip(jumps, where):
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(L)
@@ -474,10 +481,10 @@ def _pointer_into_report(config: RunConfig, report: dict):
     return EXIT_OK, result
 
 
-def cmd_pointer(config: RunConfig) -> tuple[int, dict]:
+def cmd_pointer(config: RunConfig) -> CommandResult:
     report = _base_report("pointer", config)
     code, _ = _pointer_into_report(config, report)
-    return code, report
+    return code, report, [], {}
 
 
 def _exact_for_lambda(config: RunConfig, lam: float, oracle=None) -> SteadyStateSet:
@@ -499,9 +506,6 @@ def _exact_for_lambda(config: RunConfig, lam: float, oracle=None) -> SteadyState
         raise ConfigError(f"exact oracle at lambda {lam:g}: {err}") from err
 
 
-OracleRow = tuple[float, int, int, str, float, float, float | None, bool]
-
-
 def _kernel_route(steady: SteadyStateSet) -> str:
     """How `steady`'s kernel was decided: certified by sweeps, or the SVD."""
     if steady.sweeps is None:
@@ -510,23 +514,9 @@ def _kernel_route(steady: SteadyStateSet) -> str:
     return f"certified ({sweeps})" if steady.margin_is_bound else f"svd (after {sweeps})"
 
 
-def _oracle_blocks(lam: float, steady: SteadyStateSet) -> OracleRow:
-    """The oracle's decisions at `lam`, for report.txt.
-
-    (lambda, number of real Liouvillian blocks, largest block, `_kernel_route`,
-    kernel cutoff, then `SteadyStateSet.kernel_margin`: the largest kept and
-    smallest rejected singular value over the largest one, None when none is
-    rejected, and `margin_is_bound`: whether the two are bounds from the
-    certificate.)
-    """
-    return (lam, len(steady.block_sizes), max(steady.block_sizes), _kernel_route(steady),
-            steady.tol_kernel, *steady.kernel_margin, steady.margin_is_bound)
-
-
-def cmd_exact(config: RunConfig) -> tuple[int, dict]:
+def cmd_exact(config: RunConfig) -> CommandResult:
     report = _base_report("exact", config)
     steady = _exact_for_lambda(config, 1.0, steady_state_basis_svd)
-    report["_oracle_blocks"] = [_oracle_blocks(1.0, steady)]
     residual = stationarity_residual(config.spectrum, config.jumps, steady.physical_member)
     report["exact"] = {
         "kernel_dim": steady.kernel_dim,
@@ -535,10 +525,10 @@ def cmd_exact(config: RunConfig) -> tuple[int, dict]:
         "physical_member_residual": residual,
         "smallest_singular_values": [float(s) for s in steady.singular_values[-min(8, steady.singular_values.size):]],
     }
-    return EXIT_OK, report
+    return EXIT_OK, report, [(1.0, steady)], {}
 
 
-def _run_trajectories(config: RunConfig) -> dict:
+def _run_trajectories(config: RunConfig) -> dict[int, Trajectory]:
     """Integrate every seed's trajectory in one batch; maps seed to trajectory, in seed order."""
     seeds = config.evolve.seeds
     if not seeds:
@@ -593,7 +583,7 @@ def _csv_blocks(traj, times_text: list[str]) -> Iterator[str]:
                        for t, row in zip(times_text[start:stop], texts.tolist())])
 
 
-def cmd_evolve(config: RunConfig) -> tuple[int, dict]:
+def cmd_evolve(config: RunConfig) -> CommandResult:
     if config.evolve is None:
         raise ConfigError("config error at evolve: the 'evolve' block is required for this command")
     report = _base_report("evolve", config)
@@ -614,19 +604,18 @@ def cmd_evolve(config: RunConfig) -> tuple[int, dict]:
         "seeds": list(config.evolve.seeds),
         "trajectories": entries,
     }
-    report["_trajectories"] = runs
-    return EXIT_OK, report
+    return EXIT_OK, report, [], runs
 
 
-def cmd_compare(config: RunConfig) -> tuple[int, dict]:
+def cmd_compare(config: RunConfig) -> CommandResult:
     report = _base_report("compare", config)
     code, family = _pointer_into_report(config, report)
     if code != EXIT_OK:
-        return code, report
+        return code, report, [], {}
 
     comparisons = []
     scaling = []
-    blocks = []
+    oracle = []
     family_dirs = family.free_directions
     worst_family = 0.0
     steady_full = member_full = None
@@ -635,7 +624,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         member = family.evaluate(lam)
         if lam == 1.0:
             steady_full, member_full = steady, member
-        blocks.append(_oracle_blocks(lam, steady))
+        oracle.append((lam, steady))
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
                                          steady.physical_directions)
@@ -652,10 +641,10 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
             "residual": stationarity_residual(config.spectrum, scaled, member),
         })
     report["oracle_comparison"] = comparisons
-    report["_oracle_blocks"] = blocks
     report["residual_scaling"] = scaling
 
     worst_endpoint = 0.0
+    runs = {}
     if config.evolve is not None:
         if steady_full is None:
             steady_full = _exact_for_lambda(config, 1.0)
@@ -675,7 +664,6 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
                 "final_residual": stationarity_residual(config.spectrum, config.jumps, final),
             })
         report["endpoints"] = endpoints
-        report["_trajectories"] = runs
 
     within = (worst_family <= config.family_distance_max
               and worst_endpoint <= config.endpoint_distance_max)
@@ -686,7 +674,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, dict]:
         "worst_endpoint_distance": worst_endpoint,
         "within_thresholds": within,
     }
-    return (EXIT_OK if within else EXIT_THRESHOLD), report
+    return (EXIT_OK if within else EXIT_THRESHOLD), report, oracle, runs
 
 
 def _matrix_layout(rows: int, cols: int, level: int) -> tuple[str, int, np.ndarray]:
@@ -815,7 +803,7 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _text_report(report: dict, elapsed: float, oracle_blocks: list[OracleRow]) -> str:
+def _text_report(report: dict, elapsed: float, oracle: list[tuple[float, SteadyStateSet]]) -> str:
     lines = [f"fgkls {report['command']} report", "=" * 40]
     lines.append(f"dimension: {report['dimension']}")
     lines.append(f"energies: {report['energies']}")
@@ -842,17 +830,20 @@ def _text_report(report: dict, elapsed: float, oracle_blocks: list[OracleRow]) -
         for row in report["oracle_comparison"]:
             lines.append(f"{row['lambda']:<6g} | {row['kernel_dim']:10d} | "
                          f"{row['family_vs_exact_distance']:.3e}")
-    if oracle_blocks:
+    if oracle:
         lines.append("lambda | Liouvillian blocks | largest block | kernel route")
-        for lam, count, largest, route, *_ in oracle_blocks:
-            lines.append(f"{lam:<6g} | {count:18d} | {largest:13d} | {route}")
+        for lam, steady in oracle:
+            lines.append(f"{lam:<6g} | {len(steady.block_sizes):18d} | "
+                         f"{max(steady.block_sizes):13d} | {_kernel_route(steady)}")
         lines.append("lambda | kernel cutoff | largest kept / s_max | smallest rejected / s_max")
-        for lam, _, _, _, cutoff, kept, rejected, bound in oracle_blocks:
+        for lam, steady in oracle:
+            (kept, rejected), bound = steady.kernel_margin, steady.margin_is_bound
             kept_shown = f"<= {kept:.3e}" if bound else f"{kept:.3e}"
             shown = "-" if rejected is None else f"{'>= ' if bound else ''}{rejected:.3e}"
-            lines.append(f"{lam:<6g} | {cutoff:13.3e} | {kept_shown:>20} | {shown:>25}")
-        for lam, _, _, _, cutoff, _, rejected, _ in oracle_blocks:
-            if rejected is not None and rejected < KERNEL_MARGIN * cutoff:
+            lines.append(f"{lam:<6g} | {steady.tol_kernel:13.3e} | {kept_shown:>20} | {shown:>25}")
+        for lam, steady in oracle:
+            rejected = steady.kernel_margin[1]
+            if rejected is not None and rejected < KERNEL_MARGIN * steady.tol_kernel:
                 lines.append(f"note: at lambda {lam:g} the smallest rejected singular value is "
                              f"within 1e3 of the kernel cutoff; the kernel dimension depends on "
                              f"tol_kernel there")
@@ -929,7 +920,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        code, report = COMMANDS[args.command](config)
+        code, report, oracle, runs = COMMANDS[args.command](config)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -939,12 +930,10 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
 
     os.makedirs(args.out, exist_ok=True)
-    runs = report.pop("_trajectories", {})
-    oracle_blocks = report.pop("_oracle_blocks", [])
     _atomic_write(os.path.join(args.out, "report.json"), _json_chunks(report))
     if not args.json_only:
         _atomic_write(os.path.join(args.out, "report.txt"),
-                      [_text_report(report, elapsed, oracle_blocks)])
+                      [_text_report(report, elapsed, oracle)])
         for seed, blocks in zip(runs, _trajectory_csvs(runs.values())):
             _atomic_write(os.path.join(args.out, f"trajectory_{seed}.csv"), blocks)
     return code

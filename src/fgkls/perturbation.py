@@ -201,12 +201,13 @@ def offdiag_next_deg(jumps: Sequence[np.ndarray], external: tuple[np.ndarray, np
                      prev) -> np.ndarray:
     """External entries of order s, -i Diss(prev)_mn / (eps_m - eps_n); the rest is left zero.
 
-    `external` is the (mask, gaps) table of `_external_pairs`.
+    `external` is the (mask, gaps) table of `_external_pairs`; an overflow gives inf.
     """
     mask, gaps = external
     diss = dissipator(jumps, np.asarray(prev, dtype=complex))
     out = np.zeros_like(diss)
-    out[mask] = -1j * diss[mask] / gaps
+    with np.errstate(over="ignore"):
+        out[mask] = -1j * diss[mask] / gaps
     return out
 
 
@@ -260,12 +261,17 @@ def solve_with_rank_check(system: LinearSystem, rhs: np.ndarray) -> tuple[np.nda
     tol_rank * max(s_max, ||rhs||, system.scale), within sqrt(2) of the rank
     floor of [A | rhs] (Golub & Van Loan, Matrix Computations, 5.5); if not,
     rank_augmented is rank + 1 and the solution does not solve the system.
+    Both sides are computed on rhs / 2^e, which brings max |rhs| >= 1 into
+    [1/2, 1) (e = 0 below 1): exact scaling, where no norm's square overflows.
     """
     b = np.asarray(rhs, dtype=float)
     u, s, vt = system.svd
     rank = system.rank
-    floor = system.tol_rank * max(s.max(initial=0.0), float(np.linalg.norm(b)), system.scale)
-    rank_aug = rank + int(np.linalg.norm(u[:, rank:].T @ b) > floor)
+    e = max(int(np.frexp(np.max(np.abs(b), initial=0.0))[1]), 0)
+    unit = np.ldexp(b, -e)
+    floor = system.tol_rank * max(np.ldexp(max(s.max(initial=0.0), system.scale), -e),
+                                  float(np.linalg.norm(unit)))
+    rank_aug = rank + int(np.linalg.norm(u[:, rank:].T @ unit) > floor)
     # rank 0 leaves an empty sum: the zero vector
     particular = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     return particular, RankReport(rank=rank, rank_augmented=rank_aug, singular_values=s)
@@ -370,6 +376,9 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     for s in range(max_order + 1):
         # the closed form leaves the diagonal and internal entries zero
         offdiag = offdiag_next_deg(jumps, external, prev)
+        if not np.isfinite(offdiag).all():  # stop before its image reaches the solve
+            return SchemeFailure(s, f"order {s} coefficients are not finite",
+                                 RankReport(system.rank, system.rank, system.svd[1]))
         particular, report = solve_with_rank_check(system, _rhs(jumps, offdiag, system.unknowns))
         if report.rank_augmented > report.rank:
             return SchemeFailure(s, "rank(matrix) < rank(augmented)", report)

@@ -9,6 +9,7 @@ import pytest
 
 import fgkls.exact
 from fgkls.cli import (
+    COMMANDS,
     CSV_BLOCK_RECORDS,
     EXIT_CONFIG,
     EXIT_NO_SOLUTION,
@@ -27,8 +28,8 @@ from fgkls.cli import (
     main,
 )
 from fgkls.core import random_density_matrix
-from fgkls.exact import (Trajectory, default_step, integrate_trajectory, steady_state_basis,
-                         steady_state_basis_svd)
+from fgkls.exact import (SteadyStateSet, Trajectory, default_step, integrate_trajectory,
+                         steady_state_basis, steady_state_basis_svd)
 from fgkls.models import build_two_level
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
 
@@ -151,12 +152,12 @@ def test_output_files_get_the_mode_the_umask_sets(tmp_path, umask, mode):
         assert (out / name).stat().st_mode & 0o777 == mode, name
 
 
-def _run_module(args):
-    """`python -m fgkls.cli` with `args`, on the checkout's `src`."""
+def _run_module(args, flags=()):
+    """`python *flags -m fgkls.cli` with `args`, on the checkout's `src`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC] + env.get("PYTHONPATH", "").split(os.pathsep))
-    return subprocess.run([sys.executable, "-m", "fgkls.cli", *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-m", "fgkls.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -283,7 +284,6 @@ def test_text_report_lists_oracle_blocks(tmp_path):
     start = lines.index("lambda | Liouvillian blocks | largest block | kernel route")
     rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
     assert rows == [["1", "2", "2", "svd"], ["0.5", "2", "2", "svd"]]
-    assert "_oracle_blocks" not in (out / "report.json").read_text()
     # the kernel margin: largest kept and smallest rejected value over s_max
     start = lines.index(MARGIN_HEADER)
     rows = [[field.strip() for field in line.split("|")] for line in lines[start + 1:start + 3]]
@@ -342,6 +342,25 @@ def test_text_report_lists_oracle_blocks(tmp_path):
     rel = values / values[0]
     assert [field.strip() for field in lines[start + 1].split("|")] == [
         "1", "1.000e-10", f"{rel[-1]:.3e}", f"{rel[-2]:.3e}"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_report_json_holds_the_returned_report_and_nothing_else(tmp_path, command):
+    cfg = write_config(tmp_path, "cfg.json", {
+        **TWO_LEVEL, "evolve": {"t_end": 1.0, "n_steps": 100, "seeds": [0, 1]},
+        "thresholds": {"endpoint_distance": 1.0}})
+    code, report, oracle, runs = COMMANDS[command](load_config(cfg))
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out", str(out)]) == code == EXIT_OK
+    assert (out / "report.json").read_text() == "".join(_json_chunks(report))
+    assert not [key for key in report if key.startswith("_")]
+    lambdas = {"exact": [1.0], "compare": TWO_LEVEL["lambda_values"]}.get(command, [])
+    assert [lam for lam, _ in oracle] == lambdas
+    assert all(isinstance(steady, SteadyStateSet) for _, steady in oracle)
+    seeds = [0, 1] if command in ("evolve", "compare") else []
+    assert list(runs) == seeds
+    assert sorted(path.name for path in out.glob("trajectory_*.csv")) == [
+        f"trajectory_{seed}.csv" for seed in seeds]
 
 
 def test_kernel_route_names_a_failed_certificate():
@@ -411,6 +430,52 @@ def test_compare_kernel_dim_vs_free_parameters(tmp_path):
     free = report["pointer_family"]["orders"][0]["free_direction_count"]
     kernel = report["oracle_comparison"][0]["kernel_dim"]
     assert kernel == free + 1
+
+
+def test_compare_without_lambda_one_measures_endpoints_at_lambda_one(tmp_path, monkeypatch):
+    # the endpoints are distances to the lambda = 1 oracle and member, which
+    # are computed for them alone when lambda_values leaves 1 out, and kept
+    # out of report.txt's lambda tables
+    calls = []
+    real = fgkls.cli.steady_state_basis
+    monkeypatch.setattr(fgkls.cli, "steady_state_basis",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    payload = {**TWO_LEVEL,
+               "evolve": {"t_end": 5.0, "n_steps": 500, "seeds": [3, 4]},
+               "thresholds": {"endpoint_distance": 1.0}}
+    reports, tables = [], []
+    for name, lambdas in (("without", [0.5, 0.25]), ("with", [0.5, 0.25, 1.0])):
+        cfg = write_config(tmp_path, f"{name}.json", {**payload, "lambda_values": lambdas})
+        out = tmp_path / name
+        assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 3
+        calls.clear()
+        reports.append(json.loads((out / "report.json").read_text()))
+        lines = (out / "report.txt").read_text().splitlines()
+        starts = [k + 1 for k, line in enumerate(lines) if line.startswith("lambda |")]
+        assert len(starts) == 4
+        for k in starts:
+            assert lines[k + len(lambdas)].startswith(("lambda |", "seed |"))
+        tables.append([[row.split("|")[0].strip() for row in lines[k:k + len(lambdas)]]
+                       for k in starts])
+    assert reports[0]["endpoints"] == reports[1]["endpoints"]
+    assert tables == [[["0.5", "0.25"]] * 4, [["0.5", "0.25", "1"]] * 4]
+
+
+@pytest.mark.parametrize("delta, line", [
+    (0.3, "q = 2*delta/omega: 0.6 (integer: False)"),
+    (1.0, "q = 2*delta/omega: 2 (integer: True)"),
+])
+def test_text_report_names_the_oscillator_degeneracy_parameter(tmp_path, delta, line):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "oscillator_spin",
+        "oscillator_spin": {"n_levels": 3, "omega": 1.0, "delta": delta,
+                            "jump": {"variant": "sigma_plus", "lam": [0.3, 0.0]}},
+        "max_order": 1,
+    })
+    out = tmp_path / "out"
+    assert main(["pointer", cfg, "--out", str(out)]) == EXIT_OK
+    assert line in (out / "report.txt").read_text().splitlines()
 
 
 # Three levels with one dense jump: the order-1 family is off the exact
@@ -1135,15 +1200,18 @@ OVERFLOWING_GAP = {
 
 
 def test_pointer_with_non_finite_coefficients_exits_2(tmp_path):
-    # run as a module: the overflow's RuntimeWarnings are errors under pytest
+    # order 1's right-hand side is about 1e197, whose squared norm overflows,
+    # and order 2's closed form overflows; under -W error a numpy warning on
+    # either would end in a traceback
     cfg = write_config(tmp_path, "cfg.json", OVERFLOWING_GAP)
     out = tmp_path / "out"
-    proc = _run_module(["pointer", cfg, "--out", str(out), "--json-only"])
-    assert proc.returncode == EXIT_NO_SOLUTION and "Traceback" not in proc.stderr, proc.stderr
+    proc = _run_module(["pointer", cfg, "--out", str(out), "--json-only"], flags=["-W", "error"])
+    assert proc.returncode == EXIT_NO_SOLUTION and proc.stderr == "", proc.stderr
     text = (out / "report.json").read_text()
     assert "NaN" not in text and "Infinity" not in text
-    failure = json.loads(text)["scheme_failure"]
-    assert failure["order"] == 2 and failure["reason"] == "order 2 coefficients are not finite"
+    assert json.loads(text)["scheme_failure"] == {
+        "order": 2, "reason": "order 2 coefficients are not finite",
+        "rank": 2, "rank_augmented": 2}
 
 
 @pytest.mark.parametrize("distance, table, fields, worst", [

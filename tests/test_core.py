@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fgkls import (
+    DegeneracyPartition,
     DensityMatrix,
     EnergySpectrum,
     bloch_to_matrix,
@@ -17,7 +18,9 @@ from fgkls import (
     weak_coupling_ratio,
 )
 from fgkls.core import InvalidStateError, _check_states, _stacked_dissipator
+from fgkls.exact import integrate_trajectory
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
+from fgkls.perturbation import OrderCoefficients, assemble_internal_system_deg, run_pointer_scheme
 
 from helpers import (component_generator, kron_liouvillian, random_hermitian,
                      random_nondegenerate_model, stacked_dissipator_reference, unvec, vec)
@@ -396,3 +399,45 @@ def test_weak_coupling_ratio_beyond_the_float_range_is_inf():
     assert weak_coupling_ratio(spectrum, jumps) == float("inf")
     spectrum, jumps = build_two_level(1e-300, 0.0, 1e10, 0.2)
     assert weak_coupling_ratio(spectrum, jumps) == float("inf")
+
+
+# --- input checks --------------------------------------------------------------
+
+# a partition of two levels for a three-level model
+_THREE_LEVELS = EnergySpectrum(np.array([0.0, 1.0, 2.5]))
+_TWO_CLASSES = DegeneracyPartition(((0,), (1,)), 0.0)
+
+
+def _integrate(**kwargs):
+    spectrum, jumps = build_two_level(1.0, 2.0, 0.5, 0.2)
+    rho0 = random_density_matrix(2, np.random.default_rng(0))
+    integrate_trajectory(spectrum, jumps, [rho0], **{"t_end": 1.0, "n_steps": 10, **kwargs})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EnergySpectrum(np.array([])), ValueError, "non-empty"),
+    (lambda: EnergySpectrum(np.array([0.0, np.nan])), ValueError, "finite"),
+    (lambda: DegeneracyPartition(((0,), ()), 0.0), ValueError, "empty degeneracy class"),
+    (lambda: DegeneracyPartition(((0, 1), (1,)), 0.0), ValueError, "disjoint"),
+    (lambda: DegeneracyPartition(((0,), (2,)), 0.0), ValueError, "cover"),
+    (lambda: classify_pairs(EnergySpectrum(np.array([0.0, 1.0])), -1e-9), ValueError,
+     "tol_degen must be nonnegative"),
+    (lambda: DensityMatrix(np.eye(2, 3)), ValueError, "square"),
+    (lambda: _integrate(t_end=0.0), ValueError, "t_end must be positive"),
+    (lambda: _integrate(n_steps=0), ValueError, "n_steps must be at least 1"),
+    (lambda: _integrate(record_every=0), ValueError, "record_every must be at least 1"),
+    (lambda: OrderCoefficients(order=-1, coeff=np.eye(2)), ValueError, "nonnegative"),
+    (lambda: run_pointer_scheme(_THREE_LEVELS, [np.eye(3)], _TWO_CLASSES), ValueError,
+     "partition does not match spectrum dimension"),
+    (lambda: assemble_internal_system_deg([np.eye(3)], _TWO_CLASSES), ValueError,
+     "partition does not match operator dimension"),
+    (lambda: build_oscillator_spin(OscillatorSpinConfig(n_levels=2, omega=1.0, delta=0.5,
+                                                        jump_variant="sigma_z")),
+     TypeError, "unknown jump variant"),
+], ids=["empty energies", "non-finite energy", "empty class", "overlapping classes",
+        "non-covering classes", "negative tol_degen", "non-square state", "t_end <= 0",
+        "n_steps < 1", "record_every < 1", "negative order", "scheme partition size",
+        "assembly partition size", "unknown jump variant"])
+def test_public_constructors_reject_invalid_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -303,6 +303,18 @@ def test_solve_inconsistent_reports_the_augmented_rank():
     assert report.rank_augmented == 2
 
 
+@pytest.mark.parametrize("size", [1e200, 1e307])
+def test_rank_check_of_a_huge_right_hand_side(size):
+    # ||b||^2 overflows to inf, which made the floor infinite and let every b
+    # pass; b / 2^e decides as b does
+    system = LinearSystem(matrix=np.array([[1.0, 0.0], [1.0, 0.0]]), unknowns=_diag_unknowns(2))
+    _, report = solve_with_rank_check(system, size * np.array([1.0, 2.0]))
+    assert (report.rank, report.rank_augmented) == (1, 2)
+    particular, report = solve_with_rank_check(system, np.array([size, size]))
+    assert (report.rank, report.rank_augmented) == (1, 1)
+    assert particular == pytest.approx([size, 0.0])
+
+
 # --- trace condition ------------------------------------------------------------
 
 def test_trace_condition_two_level_order_zero():
