@@ -53,7 +53,6 @@ from .perturbation import (
     LinearSystem,
     OrderCoefficients,
     PointerFamily,
-    RankReport,
     SchemeFailure,
     TraceCondition,
     apply_trace_condition,

@@ -395,22 +395,20 @@ def load_config(path: str, max_order_override: int | None = None,
 
 
 def _family_report(family: PointerFamily) -> dict:
-    orders = []
-    for oc, rep in zip(family.orders, family.rank_reports):
-        orders.append({
-            "order": oc.order,
-            "coefficients": oc.coeff,
-            "trace": float(oc.coeff.trace().real),
-            "free_direction_count": len(family.free_directions),
-            "rank": rep.rank,
-            "rank_augmented": rep.rank_augmented,
-            "singular_values": [float(s) for s in rep.singular_values],
-        })
+    singular_values = [float(s) for s in family.singular_values]
     return {
         "branch": family.branch,
         "max_order": family.max_order,
         "free_directions": list(family.free_directions),
-        "orders": orders,
+        "orders": [{
+            "order": oc.order,
+            "coefficients": oc.coeff,
+            "trace": float(oc.coeff.trace().real),
+            "free_direction_count": len(family.free_directions),
+            "rank": family.rank,
+            "rank_augmented": family.rank,
+            "singular_values": singular_values,
+        } for oc in family.orders],
     }
 
 
@@ -470,8 +468,8 @@ def _pointer_into_report(config: RunConfig, report: dict):
         report["scheme_failure"] = {
             "order": result.order,
             "reason": result.reason,
-            "rank": result.rank_report.rank,
-            "rank_augmented": result.rank_report.rank_augmented,
+            "rank": result.rank,
+            "rank_augmented": result.rank_augmented,
         }
         return EXIT_NO_SOLUTION, None
     report["pointer_family"] = _family_report(result)

@@ -75,7 +75,6 @@ from .core import (
 __all__ = [
     "OrderCoefficients",
     "LinearSystem",
-    "RankReport",
     "TraceCondition",
     "SchemeFailure",
     "PointerFamily",
@@ -152,13 +151,6 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
-class RankReport:
-    rank: int
-    rank_augmented: int
-    singular_values: np.ndarray
-
-
-@dataclass(frozen=True)
 class TraceCondition:
     """The trace condition on A's null space; it depends on A alone, so every order shares it.
 
@@ -176,11 +168,15 @@ class TraceCondition:
 
 @dataclass(frozen=True)
 class SchemeFailure:
-    """Reported when the per-order construction stops before max_order."""
+    """Reported when the per-order construction stops before max_order.
+
+    `rank` is A's; `rank_augmented` is [A | b]'s, b the stopping order's right-hand side.
+    """
 
     order: int
     reason: str
-    rank_report: RankReport
+    rank: int
+    rank_augmented: int
 
 
 def _external_pairs(spectrum: EnergySpectrum,
@@ -253,16 +249,18 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
                         tol_rank)
 
 
-def solve_with_rank_check(system: LinearSystem, rhs: np.ndarray) -> tuple[np.ndarray, RankReport]:
-    """The minimum-norm least-squares solution of A x = rhs, and the ranks that decide it.
+def solve_with_rank_check(system: LinearSystem, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """(particular, rank_augmented): the minimum-norm least-squares solution of A x = rhs.
 
-    Everything is read from A's stored factors (u, s, vt) and rank.  rhs is
-    consistent when its cokernel component ||u[:, rank:]^T rhs|| is at most
-    tol_rank * max(s_max, ||rhs||, system.scale), within sqrt(2) of the rank
-    floor of [A | rhs] (Golub & Van Loan, Matrix Computations, 5.5); if not,
-    rank_augmented is rank + 1 and the solution does not solve the system.
-    Both sides are computed on rhs / 2^e, which brings max |rhs| >= 1 into
-    [1/2, 1) (e = 0 below 1): exact scaling, where no norm's square overflows.
+    Everything is read from A's stored factors (u, s, vt) and rank, which is
+    `system.rank` for every rhs.  rhs is consistent when its cokernel
+    component ||u[:, rank:]^T rhs|| is at most tol_rank * max(s_max, ||rhs||,
+    system.scale), within sqrt(2) of the rank floor of [A | rhs] (Golub & Van
+    Loan, Matrix Computations, 5.5); if not, rank_augmented is rank + 1 and
+    the solution does not solve the system.  Everything is computed on
+    rhs / 2^e, which brings max |rhs| >= 1 into [1/2, 1) (e = 0 below 1):
+    exact scaling, where no norm's square overflows.  The solution is scaled
+    back by 2^e without a warning; entries past the float range become inf.
     """
     b = np.asarray(rhs, dtype=float)
     u, s, vt = system.svd
@@ -273,8 +271,9 @@ def solve_with_rank_check(system: LinearSystem, rhs: np.ndarray) -> tuple[np.nda
                                   float(np.linalg.norm(unit)))
     rank_aug = rank + int(np.linalg.norm(u[:, rank:].T @ unit) > floor)
     # rank 0 leaves an empty sum: the zero vector
-    particular = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    return particular, RankReport(rank=rank, rank_augmented=rank_aug, singular_values=s)
+    with np.errstate(over="ignore"):
+        particular = np.ldexp(vt[:rank].T @ ((u[:, :rank].T @ unit) / s[:rank]), e)
+    return particular, rank_aug
 
 
 def apply_trace_condition(system: LinearSystem) -> TraceCondition:
@@ -314,14 +313,15 @@ class PointerFamily:
     `orders[s].coeff` is the lam-independent coefficient of lam^(2s) for the
     particular member; `free_directions`, shared by every order, are
     Frobenius-orthonormal traceless Hermitian matrices spanning the freedom
-    after the trace condition.
+    after the trace condition.  Every order solves with the one matrix A, of
+    `rank` and read-only `singular_values`; each order's [A | b] has that rank too.
     """
 
-    spectrum: EnergySpectrum
     partition: DegeneracyPartition
     orders: tuple[OrderCoefficients, ...]
     free_directions: tuple[np.ndarray, ...]
-    rank_reports: tuple[RankReport, ...]
+    rank: int
+    singular_values: np.ndarray
 
     @property
     def branch(self) -> str:
@@ -369,32 +369,32 @@ def run_pointer_scheme(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     system = assemble_internal_system_deg(jumps, partition, tol_rank)
     trace = apply_trace_condition(system)
 
-    dim = spectrum.dim
+    dim, rank = spectrum.dim, system.rank
     orders: list[OrderCoefficients] = []
-    reports: list[RankReport] = []
     prev = np.zeros((dim, dim), dtype=complex)
     for s in range(max_order + 1):
+        not_finite = f"order {s} coefficients are not finite"
         # the closed form leaves the diagonal and internal entries zero
         offdiag = offdiag_next_deg(jumps, external, prev)
         if not np.isfinite(offdiag).all():  # stop before its image reaches the solve
-            return SchemeFailure(s, f"order {s} coefficients are not finite",
-                                 RankReport(system.rank, system.rank, system.svd[1]))
-        particular, report = solve_with_rank_check(system, _rhs(jumps, offdiag, system.unknowns))
-        if report.rank_augmented > report.rank:
-            return SchemeFailure(s, "rank(matrix) < rank(augmented)", report)
+            return SchemeFailure(s, not_finite, rank, rank)
+        particular, rank_aug = solve_with_rank_check(system, _rhs(jumps, offdiag, system.unknowns))
+        if rank_aug > rank:
+            return SchemeFailure(s, "rank(matrix) < rank(augmented)", rank, rank_aug)
+        if not np.isfinite(particular).all():  # stop before the trace shift
+            return SchemeFailure(s, not_finite, rank, rank)
         target = 1.0 if s == 0 else 0.0
         current = float(trace.diagonal @ particular)
         if trace.pivot is not None:
             particular = particular + ((target - current) / trace.component) * trace.pivot
         elif abs(current - target) > DEFAULT_TOLERANCES.trace:
             return SchemeFailure(s, f"trace condition unsatisfiable at order {s}: "
-                                    f"trace {current:.3e}, target {target}", report)
+                                    f"trace {current:.3e}, target {target}", rank, rank)
         prev = offdiag + _scatter(dim, system.unknowns, particular[None])[0]
         if not np.isfinite(prev).all():
-            return SchemeFailure(s, f"order {s} coefficients are not finite", report)
+            return SchemeFailure(s, not_finite, rank, rank)
         orders.append(OrderCoefficients(order=s, coeff=prev))
-        reports.append(report)
 
-    return PointerFamily(spectrum=spectrum, partition=partition, orders=tuple(orders),
+    return PointerFamily(partition=partition, orders=tuple(orders),
                          free_directions=tuple(_scatter(dim, system.unknowns, trace.free)),
-                         rank_reports=tuple(reports))
+                         rank=rank, singular_values=system.svd[1])

@@ -1146,11 +1146,11 @@ def test_unstable_step_exits_without_float_warnings(tmp_path):
 
 def test_scheme_failure_exit_code(tmp_path, monkeypatch):
     import fgkls.cli as cli
-    from fgkls.perturbation import RankReport, SchemeFailure
+    from fgkls.perturbation import SchemeFailure
 
     def failing_scheme(*args, **kwargs):
         return SchemeFailure(order=1, reason="rank(matrix) < rank(augmented)",
-                             rank_report=RankReport(1, 2, np.array([1.0])))
+                             rank=1, rank_augmented=2)
 
     monkeypatch.setattr(cli, "run_pointer_scheme", failing_scheme)
     cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
@@ -1199,19 +1199,74 @@ OVERFLOWING_GAP = {
 }
 
 
-def test_pointer_with_non_finite_coefficients_exits_2(tmp_path):
-    # order 1's right-hand side is about 1e197, whose squared norm overflows,
-    # and order 2's closed form overflows; under -W error a numpy warning on
-    # either would end in a traceback
-    cfg = write_config(tmp_path, "cfg.json", OVERFLOWING_GAP)
+@pytest.mark.parametrize("gap, order", [(1e-200, 2), (4.588e-156, 3)])
+def test_pointer_with_non_finite_coefficients_exits_2(tmp_path, gap, order):
+    # at 1e-200, order 1's right-hand side is about 1e197, whose squared norm
+    # overflows, and order 2's closed form overflows.  At 4.588e-156, order 2's
+    # particular solution reaches 1.6e308 through an intermediate past the
+    # float range, and order 3's closed form overflows.  Under -W error a numpy
+    # warning on any of them would end in a traceback
+    payload = {**OVERFLOWING_GAP, "custom": {**OVERFLOWING_GAP["custom"],
+                                             "energies": [0.0, gap, 2.0]}}
+    cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     proc = _run_module(["pointer", cfg, "--out", str(out), "--json-only"], flags=["-W", "error"])
     assert proc.returncode == EXIT_NO_SOLUTION and proc.stderr == "", proc.stderr
     text = (out / "report.json").read_text()
     assert "NaN" not in text and "Infinity" not in text
     assert json.loads(text)["scheme_failure"] == {
-        "order": 2, "reason": "order 2 coefficients are not finite",
+        "order": order, "reason": f"order {order} coefficients are not finite",
         "rank": 2, "rank_augmented": 2}
+
+
+def test_compare_whose_scheme_fails_writes_the_failure_only(tmp_path, monkeypatch):
+    # a scheme failure ends compare before the oracle and the trajectories
+    def unreachable(*args):
+        raise AssertionError("compare went on past the scheme failure")
+
+    monkeypatch.setattr(fgkls.cli, "_exact_for_lambda", unreachable)
+    monkeypatch.setattr(fgkls.cli, "_run_trajectories", unreachable)
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**OVERFLOWING_GAP, "evolve": {"t_end": 1.0, "seeds": [0, 1]}})
+    out = tmp_path / "out"
+    assert main(["compare", cfg, "--out", str(out)]) == EXIT_NO_SOLUTION
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["scheme_failure"]["order"] == 2
+    assert not report.keys() & {"pointer_family", "oracle_comparison", "residual_scaling",
+                                "endpoints", "thresholds"}
+    text = (out / "report.txt").read_text()
+    assert "SCHEME FAILURE at order 2: order 2 coefficients are not finite" in text
+    assert "lambda |" not in text
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_an_empty_seed_list_integrates_nothing(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("LP_SEED", raising=False)
+    cfg = write_config(tmp_path, "cfg.json", dict(TWO_LEVEL, evolve={"t_end": 1.0, "seeds": []}))
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
+    report = json.loads((out / "report.json").read_text())
+    if command == "evolve":
+        assert report["evolve"]["trajectories"] == []
+    else:
+        assert report["endpoints"] == []
+        assert report["thresholds"]["worst_endpoint_distance"] == 0.0
+
+
+def test_atomic_write_keeps_the_target_when_its_chunks_raise(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "new"
+        raise RuntimeError("encoding failed")
+
+    with pytest.raises(RuntimeError, match="encoding failed"):
+        _atomic_write(str(target), chunks())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 @pytest.mark.parametrize("distance, table, fields, worst", [

@@ -136,6 +136,15 @@ def test_generator_preserves_hermiticity_and_annihilates_trace():
         assert abs(g.trace()) < 1e-12
 
 
+def test_generator_of_a_density_matrix_is_that_of_its_array():
+    rng = np.random.default_rng(5)
+    spectrum, jumps = random_nondegenerate_model(rng, dim=4, n_jumps=2)
+    rho = random_density_matrix(4, rng)
+    assert isinstance(rho, DensityMatrix)
+    assert np.array_equal(fgkls_generator(spectrum, jumps, rho),
+                          fgkls_generator(spectrum, jumps, rho.matrix))
+
+
 def test_generator_dimension_mismatch():
     spectrum = EnergySpectrum(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
@@ -399,6 +408,14 @@ def test_weak_coupling_ratio_beyond_the_float_range_is_inf():
     assert weak_coupling_ratio(spectrum, jumps) == float("inf")
     spectrum, jumps = build_two_level(1e-300, 0.0, 1e10, 0.2)
     assert weak_coupling_ratio(spectrum, jumps) == float("inf")
+
+
+def test_weak_coupling_ratio_of_a_zero_hamiltonian():
+    # no energy scale: any jump is infinitely strong, and no jump is no coupling
+    spectrum = EnergySpectrum(np.zeros(2))
+    jump = np.array([[0.0, 0.1], [0.0, 0.0]], dtype=complex)
+    assert weak_coupling_ratio(spectrum, [jump]) == float("inf")
+    assert weak_coupling_ratio(spectrum, [np.zeros((2, 2)), np.zeros((2, 2))]) == 0.0
 
 
 # --- input checks --------------------------------------------------------------

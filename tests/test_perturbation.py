@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from fgkls.perturbation import (
     LinearSystem,
     OrderCoefficients,
     PointerFamily,
-    RankReport,
     SchemeFailure,
     _external_pairs,
     _rhs,
@@ -51,11 +52,11 @@ def _external(spectrum):
 
 def _order_solution(system, rhs, order):
     """One order's solve as the scheme does it: the particular solution moved onto its trace target."""
-    particular, report = solve_with_rank_check(system, rhs)
+    particular, rank_aug = solve_with_rank_check(system, rhs)
     trace = apply_trace_condition(system)
     target = 1.0 if order == 0 else 0.0
     shift = (target - trace.diagonal @ particular) / trace.component
-    return particular + shift * trace.pivot, report, trace
+    return particular + shift * trace.pivot, rank_aug, trace
 
 
 # --- order coefficients ------------------------------------------------------
@@ -209,8 +210,8 @@ def test_internal_system_structure_sigma_xy():
     assert np.array_equal(system.unknowns[:n_diag], _diag_unknowns(n_diag))
     assert np.array_equal(system.unknowns[n_diag:], [[1, 0, 5], [2, 0, 5], [1, 2, 7], [2, 2, 7]])
 
-    particular, report, trace = _order_solution(system, rhs, 0)
-    assert report.rank_augmented == report.rank and trace.pivot is not None
+    particular, rank_aug, trace = _order_solution(system, rhs, 0)
+    assert rank_aug == system.rank and trace.pivot is not None
     assert np.linalg.norm(system.matrix @ particular - rhs) < 1e-10
     for v in system.nullspace:
         assert np.linalg.norm(system.matrix @ v) < 1e-10
@@ -232,8 +233,8 @@ def test_internal_system_all_zero_jumps():
     partition = classify_pairs(spectrum)
     system = assemble_internal_system_deg([_zero(2)], partition)
     assert np.max(np.abs(system.matrix)) == 0.0
-    _, report = _solve_homogeneous(system)
-    assert report.rank == system.rank == 0
+    _, rank_aug = _solve_homogeneous(system)
+    assert rank_aug == system.rank == 0
     assert len(system.nullspace) == len(system.unknowns)
 
 
@@ -272,8 +273,8 @@ def test_hermitian_block_matches_dissipator_columns():
 def test_solve_two_level_null_space():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
-    _, report = _solve_homogeneous(system)
-    assert report.rank == system.rank == 1
+    _, rank_aug = _solve_homogeneous(system)
+    assert rank_aug == system.rank == 1
     assert len(system.nullspace) == 1
     v = system.nullspace[0]
     expected = np.array([1.0, 4.0]) / np.sqrt(17.0)
@@ -282,25 +283,25 @@ def test_solve_two_level_null_space():
 
 def test_solve_zero_system_everything_free():
     system = LinearSystem(matrix=np.zeros((3, 3)), unknowns=_diag_unknowns(3))
-    particular, report = _solve_homogeneous(system)
-    assert report.rank == 0
+    particular, rank_aug = _solve_homogeneous(system)
+    assert rank_aug == system.rank == 0
     assert np.max(np.abs(particular)) == 0.0
     assert len(system.nullspace) == 3
 
 
 def test_solve_identity_system_unique():
     system = LinearSystem(matrix=np.eye(2), unknowns=_diag_unknowns(2))
-    particular, report = solve_with_rank_check(system, np.array([1.0, 1.0]))
+    particular, rank_aug = solve_with_rank_check(system, np.array([1.0, 1.0]))
     assert np.allclose(particular, [1.0, 1.0])
     assert len(system.nullspace) == 0
-    assert report.rank == report.rank_augmented == 2
+    assert system.rank == rank_aug == 2
 
 
 def test_solve_inconsistent_reports_the_augmented_rank():
     system = LinearSystem(matrix=np.array([[1.0, 0.0], [1.0, 0.0]]), unknowns=_diag_unknowns(2))
-    _, report = solve_with_rank_check(system, np.array([1.0, 2.0]))
-    assert report.rank == 1
-    assert report.rank_augmented == 2
+    _, rank_aug = solve_with_rank_check(system, np.array([1.0, 2.0]))
+    assert system.rank == 1
+    assert rank_aug == 2
 
 
 @pytest.mark.parametrize("size", [1e200, 1e307])
@@ -308,11 +309,22 @@ def test_rank_check_of_a_huge_right_hand_side(size):
     # ||b||^2 overflows to inf, which made the floor infinite and let every b
     # pass; b / 2^e decides as b does
     system = LinearSystem(matrix=np.array([[1.0, 0.0], [1.0, 0.0]]), unknowns=_diag_unknowns(2))
-    _, report = solve_with_rank_check(system, size * np.array([1.0, 2.0]))
-    assert (report.rank, report.rank_augmented) == (1, 2)
-    particular, report = solve_with_rank_check(system, np.array([size, size]))
-    assert (report.rank, report.rank_augmented) == (1, 1)
+    _, rank_aug = solve_with_rank_check(system, size * np.array([1.0, 2.0]))
+    assert (system.rank, rank_aug) == (1, 2)
+    particular, rank_aug = solve_with_rank_check(system, np.array([size, size]))
+    assert (system.rank, rank_aug) == (1, 1)
     assert particular == pytest.approx([size, 0.0])
+
+
+def test_particular_solution_past_the_float_range_is_inf_without_a_warning():
+    # 1e306 / 1e-3 overflows: the solution comes back with inf in it, for the
+    # scheme to report, and numpy raises no RuntimeWarning on the way
+    system = LinearSystem(matrix=np.diag([1.0, 1e-3]), unknowns=_diag_unknowns(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        particular, rank_aug = solve_with_rank_check(system, np.array([1e306, 1e306]))
+    assert (system.rank, rank_aug) == (2, 2)
+    assert particular[0] == 1e306 and particular[1] == np.inf
 
 
 # --- trace condition ------------------------------------------------------------
@@ -406,13 +418,27 @@ def test_scheme_sigma_xy_family_structure():
         assert np.max(np.abs(offdiag)) < 1e-12
 
 
-def test_scheme_rank_reports_recorded():
+def test_scheme_rank_reports_recorded(monkeypatch):
+    # every order solves with the one matrix A: the family keeps A's rank and
+    # its stored singular values once, and each order's [A | b] has that rank
+    import fgkls.perturbation as pert
+
+    real_solve = pert.solve_with_rank_check
+    augmented = []
+
+    def recording(system, rhs):
+        particular, rank_aug = real_solve(system, rhs)
+        augmented.append(rank_aug)
+        return particular, rank_aug
+
+    monkeypatch.setattr(pert, "solve_with_rank_check", recording)
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
-    family = run_pointer_scheme(spectrum, jumps, max_order=2)
-    assert len(family.rank_reports) == 3
-    for report in family.rank_reports:
-        assert report.rank == 1
-        assert report.rank_augmented == 1
+    family = pert.run_pointer_scheme(spectrum, jumps, max_order=2)
+    assert family.max_order == 2 and family.rank == 1
+    assert augmented == [1, 1, 1]
+    system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
+    assert np.array_equal(family.singular_values, system.svd[1])
+    assert not family.singular_values.flags.writeable
 
 
 def test_scheme_failure_propagates_order(monkeypatch):
@@ -423,10 +449,10 @@ def test_scheme_failure_propagates_order(monkeypatch):
 
     def failing_solve(system, rhs):
         calls["n"] += 1
-        particular, report = real_solve(system, rhs)
+        particular, rank_aug = real_solve(system, rhs)
         if calls["n"] == 3:  # fail at order 2
-            return particular, RankReport(1, 2, np.array([1.0]))
-        return particular, report
+            return particular, 2
+        return particular, rank_aug
 
     monkeypatch.setattr(pert, "solve_with_rank_check", failing_solve)
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
@@ -434,6 +460,30 @@ def test_scheme_failure_propagates_order(monkeypatch):
     assert isinstance(result, SchemeFailure)
     assert result.order == 2
     assert "rank" in result.reason
+    assert (result.rank, result.rank_augmented) == (1, 2)
+
+
+def test_scheme_stops_at_a_non_finite_particular_solution(monkeypatch):
+    # an overflowed particular solution ends the run before the trace shift,
+    # whose arithmetic on inf would warn
+    import fgkls.perturbation as pert
+
+    real_solve = pert.solve_with_rank_check
+    calls = {"n": 0}
+
+    def overflowing_solve(system, rhs):
+        calls["n"] += 1
+        particular, rank_aug = real_solve(system, rhs)
+        if calls["n"] == 2:  # order 1
+            particular = np.full_like(particular, np.inf)
+        return particular, rank_aug
+
+    monkeypatch.setattr(pert, "solve_with_rank_check", overflowing_solve)
+    spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = pert.run_pointer_scheme(spectrum, jumps, max_order=3)
+    assert result == SchemeFailure(1, "order 1 coefficients are not finite", 1, 1)
 
 
 def test_scheme_assembles_system_once(monkeypatch):
@@ -503,10 +553,10 @@ def test_augmented_rank_matches_the_augmented_svd_on_sparse_draws(monkeypatch):
     decisions = []
 
     def checking(system, rhs):
-        particular, report = real_solve(system, rhs)
-        decisions.append((report.rank, report.rank_augmented,
+        particular, rank_aug = real_solve(system, rhs)
+        decisions.append((system.rank, rank_aug,
                           augmented_rank_reference(system, rhs, system.tol_rank)))
-        return particular, report
+        return particular, rank_aug
 
     monkeypatch.setattr(pert, "solve_with_rank_check", checking)
     rng = np.random.default_rng(0)
@@ -528,7 +578,7 @@ def test_pure_dephasing_keeps_every_free_direction():
     jumps = [0.3 * e11, 0.1 * e11]
     family = run_pointer_scheme(spectrum, jumps, max_order=3)
     assert isinstance(family, PointerFamily)
-    assert [(r.rank, r.rank_augmented) for r in family.rank_reports] == [(0, 0)] * 4
+    assert family.rank == 0 and family.max_order == 3
     assert len(family.free_directions) == 3
     assert len(family.free_directions) + 1 == steady_state_basis(spectrum, jumps).kernel_dim
 
