@@ -35,6 +35,7 @@ from .exact import (
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
+    steady_state_bases,
     steady_state_basis,
     steady_state_basis_svd,
     two_level_bloch_exact,

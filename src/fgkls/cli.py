@@ -75,7 +75,7 @@ from .exact import (
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
-    steady_state_basis,
+    steady_state_bases,
     steady_state_basis_svd,
 )
 from .models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
@@ -485,23 +485,18 @@ def cmd_pointer(config: RunConfig) -> CommandResult:
     return code, report, [], {}
 
 
-def _exact_for_lambda(config: RunConfig, lam: float, oracle=None) -> SteadyStateSet:
-    """The exact `oracle` at `lam`, by default `steady_state_basis`; its failed checks exit 1.
+def _exact_oracle(oracle, config: RunConfig, *args):
+    """`oracle` on the config's model, then `args`; a failed check exits 1 at its `err.lam`.
 
-    The default is looked up when called, not bound at definition, so that
-    the benchmark's tracer, which rebinds the module's names, times it.  An
-    empty kernel is a tol_kernel error; the other checks name no key.
+    An empty kernel is a tol_kernel error; the other checks name no key.
     """
-    if oracle is None:
-        oracle = steady_state_basis
-    jumps = [lam * L for L in config.jumps]
     try:
-        return oracle(config.spectrum, jumps, tol_kernel=config.tol_kernel)
+        return oracle(config.spectrum, config.jumps, *args, tol_kernel=config.tol_kernel)
     except EmptyKernelError as err:
-        raise ConfigError(f"config error at tolerances.tol_kernel: at lambda {lam:g}, "
+        raise ConfigError(f"config error at tolerances.tol_kernel: at lambda {err.lam:g}, "
                           f"{err}") from err
     except RuntimeError as err:
-        raise ConfigError(f"exact oracle at lambda {lam:g}: {err}") from err
+        raise ConfigError(f"exact oracle at lambda {err.lam:g}: {err}") from err
 
 
 def _kernel_route(steady: SteadyStateSet) -> str:
@@ -514,7 +509,7 @@ def _kernel_route(steady: SteadyStateSet) -> str:
 
 def cmd_exact(config: RunConfig) -> CommandResult:
     report = _base_report("exact", config)
-    steady = _exact_for_lambda(config, 1.0, steady_state_basis_svd)
+    steady = _exact_oracle(steady_state_basis_svd, config)
     residual = stationarity_residual(config.spectrum, config.jumps, steady.physical_member)
     report["exact"] = {
         "kernel_dim": steady.kernel_dim,
@@ -611,18 +606,19 @@ def cmd_compare(config: RunConfig) -> CommandResult:
     if code != EXIT_OK:
         return code, report, [], {}
 
+    # one oracle call and one member for every lambda, and lambda = 1 for the endpoints
+    lambdas = list(config.lambda_values)
+    if config.evolve is not None and 1.0 not in lambdas:
+        lambdas.append(1.0)
+    sets = _exact_oracle(steady_state_bases, config, lambdas)
+    members = {lam: family.evaluate(lam) for lam in lambdas}
+    oracle = list(zip(config.lambda_values, sets))
     comparisons = []
     scaling = []
-    oracle = []
     family_dirs = family.free_directions
     worst_family = 0.0
-    steady_full = member_full = None
-    for lam in config.lambda_values:
-        steady = _exact_for_lambda(config, lam)
-        member = family.evaluate(lam)
-        if lam == 1.0:
-            steady_full, member_full = steady, member
-        oracle.append((lam, steady))
+    for lam, steady in oracle:
+        member = members[lam]
         dist = hermitian_affine_distance(member, family_dirs,
                                          steady.physical_member,
                                          steady.physical_directions)
@@ -644,9 +640,7 @@ def cmd_compare(config: RunConfig) -> CommandResult:
     worst_endpoint = 0.0
     runs = {}
     if config.evolve is not None:
-        if steady_full is None:
-            steady_full = _exact_for_lambda(config, 1.0)
-            member_full = family.evaluate(1.0)
+        steady_full, member_full = sets[lambdas.index(1.0)], members[1.0]
         runs = _run_trajectories(config)
         endpoints = []
         for seed, traj in runs.items():

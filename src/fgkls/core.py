@@ -13,6 +13,7 @@ spectrum, and small-dimension Bloch helpers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -293,6 +294,7 @@ def _scatter(dim: int, unknowns: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=4)
 def _vec_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(unknowns, scale, alpha, mirror) of the orthonormal Hermitian basis B_i.
 
@@ -305,7 +307,10 @@ def _vec_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     kind = np.select([m < n, m > n], [1, 2])
     scale = np.where(kind == 0, 1.0, np.sqrt(0.5))
     alpha = scale * np.where(m > n, _KIND_WEIGHTS[kind].conj(), _KIND_WEIGHTS[kind])
-    return np.stack([kind, np.minimum(m, n), np.maximum(m, n)], 1), scale, alpha, n + dim * m
+    coords = np.stack([kind, np.minimum(m, n), np.maximum(m, n)], 1), scale, alpha, n + dim * m
+    for array in coords:
+        array.flags.writeable = False
+    return coords
 
 
 def fgkls_generator(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho) -> np.ndarray:

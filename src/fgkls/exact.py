@@ -7,7 +7,8 @@ built in closed form in real Hermitian coordinates:
 * the Liouvillian's kernel, every exact steady state as an affine trace-1
   slice of the kernel span, decided per block with its cutoff and margin
   recorded, or for one block certified by Neumann sweeps of the dissipator
-  without building it (`steady_state_basis`, `steady_state_basis_svd`);
+  without building it, one series of sweeps serving every lambda of a
+  model (`steady_state_bases`, `steady_state_basis`, `steady_state_basis_svd`);
 * fixed-step RK4 integration of the FGKLS equation, confirming that pointers
   are attractors, with one propagator per real block (`integrate_trajectory`);
 * the closed-form solution of the dissipative two-level (Bloch vector)
@@ -44,6 +45,7 @@ __all__ = [
     "TwoLevelParams",
     "EmptyKernelError",
     "StepSizeError",
+    "steady_state_bases",
     "steady_state_basis",
     "steady_state_basis_svd",
     "integrate_trajectory",
@@ -83,7 +85,8 @@ class SteadyStateSet:
     true values (`_certified_kernel`), whose bounds on s_max come from Weyl's
     inequality, max |omega| -+ eta over the level gaps omega.  `sweeps` is
     (count, eta / min gapped |omega|) of `_swept_kernel`'s sweeps when they
-    ran, certified or not.
+    ran, certified or not; the count is that of the series run at the largest
+    lambda of its group, which a smaller lambda's kernel was summed from.
     """
 
     basis: tuple[np.ndarray, ...]
@@ -250,102 +253,124 @@ def _certified_kernel(residual: float, low: float, hi: float, lo: float,
     return None
 
 
-def _swept_kernel(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]
-                  ) -> tuple[np.ndarray, Bounds, tuple[int, float]] | None:
-    """A one-block model's bordered kernel and `Bounds` by Neumann sweeps, with no block built.
+Swept = tuple[np.ndarray, Bounds, tuple[int, float]]
 
-    R = Omega + E: the Hamiltonian part Omega multiplies coherence (m, n) by
-    -i omega, omega = eps_m - eps_n, and ||E||_2 = ||Diss||_2 <= eta =
-    2 sum_a ||L_a||_2^2, inflated for rounding.  O holds the gapped
-    coherences, |omega| > 2 eta, and I the rest of B's coordinates: the
-    populations, the other coherences and the border.  With A = B[O, O],
-    F = B[O, I], G = B[I, O] and C = B[I, I], sweeps
+
+def _swept_kernel(spectrum: EnergySpectrum, lambdas: Sequence[float],
+                  jump_sets: Sequence[Sequence[np.ndarray]]) -> list[Swept | None]:
+    """One-block models' bordered kernels and `Bounds` by Neumann sweeps, with no block built.
+
+    jump_sets[i] are the jumps at lambdas[i].  R = Omega + E: the Hamiltonian
+    part Omega multiplies coherence (m, n) by -i omega, omega = eps_m - eps_n,
+    and ||E||_2 = ||Diss||_2 <= eta = 2 sum_a ||L_a||_2^2, inflated for
+    rounding.  O holds the gapped coherences, |omega| > 2 eta, and I the rest
+    of B's coordinates: the populations, the other coherences and the border.
+    With A = B[O, O], F = B[O, I], G = B[I, O] and C = B[I, I], sweeps
     X <- Omega_O^-1 (F - P_O Diss(X)) sum the scheme's closed form to
     X = A^-1 F (Kato, Perturbation Theory for Linear Operators, ch. II).
     Each is one stacked dissipator product (`core._stacked_dissipator`) on
     the (k, D, D) stack of I's basis elements less their columns of X, whose
     generator image holds the Schur complement S = C - G X on I and the
-    residual F - A X on O.  The stack, its image, the step and the products
-    live in five (k, D, D) arrays allocated once per call.  Exact sweeps
-    shrink their change by q = eta / min_O |omega| < 1/2 at least, so they
-    stop at the first that does not, and after 2 + log(eps) / log(q).  Weyl
-    gives sigma_min(A) >= a = min_O |omega| - eta and hi, lo =
-    max |omega| +- eta.  The block LDU factors of B give (Higham, chs. 6 and
-    15) low = min(a, s) / ((1 + ||G|| / a) (1 + ||F|| / a)), s the smallest
-    singular value of S less (k + 1) u ||S||_F for the SVD's backward error
-    and ||G|| ||A X - F|| / a for an inexact X; ||F|| and, through Diss's
-    adjoint, ||G|| are Frobenius norms on I's basis elements, capped by eta.
-    The kernel is z_I = S^-1 e_last, z_O = -X z_I.  Returns None when no
-    coherence is gapped, else (its coordinates in vec order, the bounds,
-    (sweeps, q)), NaN coordinates and `_NO_BOUNDS` when S is singular.
+    residual F - A X on O.  Exact sweeps shrink their change by
+    q = eta / min_O |omega| < 1/2 at least, so they stop at the first that
+    does not, and after 2 + log(eps) / log(q).  The lambdas with one O share
+    the sweeps, run at their largest, lambda_max: step n scales as
+    lambda^(2(n + 1)), so another lambda's stack is z_0 - sum_n r^(n+1)
+    step_n, r = (lambda / lambda_max)^2, whose image at its own jumps gives
+    its S and residual.  The stacks, z's image and two product buffers are
+    the (k, D, D) arrays.  Weyl gives sigma_min(A) >= a = min_O |omega| - eta
+    and hi, lo = max |omega| +- eta.  The block LDU factors of B give
+    (Higham, chs. 6 and 15) low = min(a, s) / ((1 + ||G|| / a)
+    (1 + ||F|| / a)), s the smallest singular value of S less
+    (k + 1) u ||S||_F for the SVD's backward error and ||G|| ||A X - F|| / a
+    for an inexact X; ||F|| and, through Diss's adjoint, ||G|| are Frobenius
+    norms on I's basis elements at lambda_max, times r (Diss is quadratic in
+    the jumps), capped by eta.  The kernel is z_I = S^-1 e_last,
+    z_O = -X z_I.  Returns per lambda None when no coherence is gapped, else
+    (its coordinates in vec order, the bounds, (sweeps, q)), NaN coordinates
+    and `_NO_BOUNDS` when S is singular.
     """
     d = spectrum.dim
     eps = sys.float_info.epsilon
     omega = spectrum.energies[:, None] - spectrum.energies[None, :]
     # a backward-stable SVD per jump, squared, summed and doubled
-    eta = 2 * sum(float(np.linalg.norm(L, 2)) ** 2 for L in jumps)
-    eta *= 1 + 4 * (d + len(jumps)) * eps
-    gapped = np.abs(omega) > 2 * eta
-    if not gapped.any():
-        return None
-    gap, top = float(np.abs(omega[gapped]).min()), float(np.abs(omega).max())
-    a = gap - eta
+    etas = [2 * sum(float(np.linalg.norm(L, 2)) ** 2 for L in jumps)
+            * (1 + 4 * (d + len(jumps)) * eps) for jumps in jump_sets]
+    groups: dict[bytes, list[int]] = {}
+    for i, eta in enumerate(etas):
+        if (np.abs(omega) > 2 * eta).any():
+            groups.setdefault((np.abs(omega) > 2 * eta).tobytes(), []).append(i)
     unknowns, scale, alpha, mirror = _vec_coordinates(d)
-    inner = np.flatnonzero(~gapped.T.ravel())  # vec index m + D n is entry (m, n)
-    k = inner.size
     hamiltonian = -1j * omega
-    inverse = np.divide(1.0, hamiltonian, out=np.zeros_like(hamiltonian), where=gapped)
-    decay = sum((L.conj().T @ L for L in jumps), np.zeros((d, d), dtype=complex))
-    pairs = [(L, L.conj().T) for L in jumps]
-    # the workspace: z is the stack of Z_j = B_j - X_j, with X = 0 before the
-    # first sweep, w its image, then the step and two product buffers
-    z = _scatter(d, unknowns[inner], np.diag(scale[inner]))
-    w, step, first, second = (np.empty_like(z) for _ in range(4))
+    swept: list[Swept | None] = [None] * len(lambdas)
+    for members in groups.values():
+        members.sort(key=lambda i: -lambdas[i])
+        ratios = [(lambdas[i] / lambdas[members[0]]) ** 2 for i in members]
+        gapped = np.abs(omega) > 2 * etas[members[0]]
+        gap, top = float(np.abs(omega[gapped]).min()), float(np.abs(omega).max())
+        inner = np.flatnonzero(~gapped.T.ravel())  # vec index m + D n is entry (m, n)
+        k, rows, cols = inner.size, inner % d, inner // d
+        inverse = np.divide(1.0, hamiltonian, out=np.zeros_like(hamiltonian), where=gapped)
+        models = [(sum((L.conj().T @ L for L in jump_sets[i]), np.zeros((d, d), dtype=complex)),
+                   [(L, L.conj().T) for L in jump_sets[i]]) for i in members]
+        # the workspace: z is the stack of Z_j = B_j - X_j, with X = 0 before the first
+        # sweep, w its image, then two product buffers and the other lambdas' stacks
+        z = _scatter(d, unknowns[inner], np.diag(scale[inner]))
+        w, first, second = (np.empty_like(z) for _ in range(3))
+        stacks = [z] + [z.copy() for _ in members[1:]]
 
-    def generator():
-        """w = the generator of z."""
-        _stacked_dissipator(decay, pairs, z, w, first, second)
-        np.add(w, np.multiply(hamiltonian, z, out=first), out=w)
+        def generator(j: int, z: np.ndarray):
+            """w = the generator at lambdas[members[j]] of z."""
+            _stacked_dissipator(*models[j], z, w, first, second)
+            np.add(w, np.multiply(hamiltonian, z, out=first), out=w)
 
-    # the adjoint of Diss swaps each pair's factors
-    _stacked_dissipator(decay, [(dag, L) for L, dag in pairs], z, w, first, second)
-    g_norm = min(float(np.linalg.norm(w[:, gapped])), eta)
-    generator()
-    f_norm = min(float(np.linalg.norm(w[:, gapped])), eta)
-    factor = eta / gap
-    cap = 2 + math.ceil(math.log(eps) / math.log(max(factor, eps)))
-    change, sweeps = math.inf, 0
-    while sweeps < cap:
-        # P_O W = F - A X, so this step is X's next sweep less X; exact
-        # steps shrink by the factor at least, so one that does not is rounding
-        size = float(np.linalg.norm(np.multiply(inverse, w, out=step)))
-        if not size < factor * change:
-            break
-        z -= step
-        generator()
-        change, sweeps = size, sweeps + 1
-    swept = sweeps, factor
-    residual = float(np.linalg.norm(w[:, gapped]))
-    rows, cols = inner % d, inner // d
-    schur = np.zeros((k + 1, k + 1))
-    # <B_i, W_j> = Re(conj(alpha_i) W_j[m, n] + alpha_i W_j[n, m]) for i = m + D n
-    schur[:k, :k] = (alpha[inner].conj() * w[:, rows, cols]
-                     + alpha[inner] * w[:, cols, rows]).real.T
-    schur[:k, k] = schur[k, :k] = rows == cols
-    try:
-        s = float(np.linalg.svd(schur, compute_uv=False)[-1])
-        z_inner = np.linalg.solve(schur, np.eye(k + 1)[k])
-    except np.linalg.LinAlgError:
-        return np.full(d * d, np.nan), _NO_BOUNDS, swept
-    s -= (k + 1) * eps * float(np.linalg.norm(schur)) + g_norm * residual / a
-    # s first: a NaN s makes low NaN, which certifies nothing
-    low = min(s, a) / ((1.0 + g_norm / a) * (1.0 + f_norm / a))
-    v = np.tensordot(z_inner[:k], z, 1).T.ravel()
-    solved = (alpha.conj() * v + alpha * v[mirror]).real
-    if not np.isfinite(solved).all():
-        return solved, _NO_BOUNDS, swept
-    x = _scatter(d, unknowns, scale * (solved / np.linalg.norm(solved))[None])[0]
-    return solved, (stationarity_residual(spectrum, jumps, x), low, top + eta, top - eta), swept
+        # the adjoint of Diss swaps each pair's factors
+        decay, pairs = models[0]
+        _stacked_dissipator(decay, [(dag, L) for L, dag in pairs], z, w, first, second)
+        g_norm = float(np.linalg.norm(w[:, gapped]))
+        generator(0, z)
+        f_norm = float(np.linalg.norm(w[:, gapped]))
+        factor = etas[members[0]] / gap
+        cap = 2 + math.ceil(math.log(eps) / math.log(max(factor, eps)))
+        change, sweeps = math.inf, 0
+        while sweeps < cap:
+            # P_O W = F - A X, so this step is X's next sweep less X; exact
+            # steps shrink by the factor at least, so one that does not is rounding
+            size = float(np.linalg.norm(np.multiply(inverse, w, out=first)))
+            if not size < factor * change:
+                break
+            z -= first
+            for r, stack in zip(ratios[1:], stacks[1:]):
+                stack -= np.multiply(first, r ** (sweeps + 1), out=second)
+            generator(0, z)
+            change, sweeps = size, sweeps + 1
+        for j, (i, r, stack) in enumerate(zip(members, ratios, stacks)):
+            if j:
+                generator(j, stack)
+            eta, a = etas[i], gap - etas[i]
+            residual = float(np.linalg.norm(w[:, gapped]))
+            schur = np.zeros((k + 1, k + 1))
+            # <B_i, W_j> = Re(conj(alpha_i) W_j[m, n] + alpha_i W_j[n, m]) for i = m + D n
+            schur[:k, :k] = (alpha[inner].conj() * w[:, rows, cols]
+                             + alpha[inner] * w[:, cols, rows]).real.T
+            schur[:k, k] = schur[k, :k] = rows == cols
+            try:
+                s = float(np.linalg.svd(schur, compute_uv=False)[-1])
+                z_inner = np.linalg.solve(schur, np.eye(k + 1)[k])
+            except np.linalg.LinAlgError:
+                s, z_inner = math.nan, np.full(k + 1, np.nan)
+            v = np.tensordot(z_inner[:k], stack, 1).T.ravel()
+            solved = (alpha.conj() * v + alpha * v[mirror]).real
+            bounds = _NO_BOUNDS
+            if np.isfinite(solved).all():
+                g_r, f_r = min(r * g_norm, eta), min(r * f_norm, eta)
+                s -= (k + 1) * eps * float(np.linalg.norm(schur)) + g_r * residual / a
+                # s first: a NaN s makes low NaN, which certifies nothing
+                low = min(s, a) / ((1.0 + g_r / a) * (1.0 + f_r / a))
+                x = _scatter(d, unknowns, scale * (solved / np.linalg.norm(solved))[None])[0]
+                bounds = stationarity_residual(spectrum, jump_sets[i], x), low, top + eta, top - eta
+            swept[i] = solved, bounds, (sweeps, eta / gap)
+    return swept
 
 
 def _kernel_coordinates(sub: np.ndarray, trace: np.ndarray, counts: np.ndarray,
@@ -389,9 +414,24 @@ def _kernel_coordinates(sub: np.ndarray, trace: np.ndarray, counts: np.ndarray,
     return coords
 
 
+def steady_state_bases(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
+                       lambdas: Sequence[float],
+                       tol_kernel: float = DEFAULT_TOLERANCES.kernel) -> tuple[SteadyStateSet, ...]:
+    """`steady_state_basis` of the model with jumps lambda * L at each of `lambdas`, in order.
+
+    The block labels are found once per zero pattern of the scaled jumps and
+    K (a small lambda can underflow an entry), and `_swept_kernel` sweeps
+    once per group of one-block lambdas.  A failed check's error carries its
+    lambda as `lam`.
+    """
+    distinct = list(dict.fromkeys(lambdas))
+    sets = dict(zip(distinct, _steady_states(spectrum, jumps, distinct, tol_kernel, certify=True)))
+    return tuple(sets[lam] for lam in lambdas)
+
+
 def steady_state_basis(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
                        tol_kernel: float = DEFAULT_TOLERANCES.kernel) -> SteadyStateSet:
-    """Exact steady states of the model: the kernel of its Liouvillian M.
+    """Exact steady states of the model, the kernel of its Liouvillian M: `steady_state_bases` at 1.
 
     When M is a single real block (`_block_labels`) and some coherence's
     energy gap exceeds twice the dissipative part's norm, `_swept_kernel`
@@ -409,7 +449,7 @@ def steady_state_basis(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     max(s_max, 1) are dropped.  The physical slice is the trace-1 affine
     subset of the kernel span: one member and traceless directions.
     """
-    return _steady_states(spectrum, jumps, tol_kernel, certify=True)
+    return steady_state_bases(spectrum, jumps, (1.0,), tol_kernel)[0]
 
 
 def steady_state_basis_svd(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
@@ -427,19 +467,39 @@ def steady_state_basis_svd(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]
     side of the cutoff.  `fgkls exact` prints the smallest values, so it
     takes this route, which skips the sweeps.
     """
-    return _steady_states(spectrum, jumps, tol_kernel, certify=False)
+    return _steady_states(spectrum, jumps, (1.0,), tol_kernel, certify=False)[0]
 
 
-def _steady_states(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], tol_kernel: float,
-                   certify: bool) -> SteadyStateSet:
-    """The body of `steady_state_basis` (certify) and `steady_state_basis_svd`."""
+def _steady_states(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], lambdas: Sequence[float],
+                   tol_kernel: float, certify: bool) -> list[SteadyStateSet]:
+    """The body of `steady_state_bases` (certify) and `steady_state_basis_svd`."""
+    jump_sets = [[lam * np.asarray(L, dtype=complex) for L in jumps] for lam in lambdas]
+    labels, patterns = [], {}
+    for scaled in jump_sets:
+        k = sum((L.conj().T @ L for L in scaled), np.zeros((spectrum.dim,) * 2, dtype=complex))
+        pattern = np.array([L != 0 for L in scaled + [k]]).tobytes()
+        if pattern not in patterns:
+            patterns[pattern] = _block_labels(scaled, k)
+        labels.append(patterns[pattern])
+    one_block = [i for i, label in enumerate(labels) if certify and not label.any()]
+    swept = dict(zip(one_block, _swept_kernel(spectrum, [lambdas[i] for i in one_block],
+                                              [jump_sets[i] for i in one_block])))
+    sets = []
+    for i, lam in enumerate(lambdas):
+        try:
+            sets.append(_steady_state_set(spectrum, jump_sets[i], labels[i], swept.get(i),
+                                          tol_kernel))
+        except RuntimeError as err:
+            err.lam = lam
+            raise
+    return sets
+
+
+def _steady_state_set(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], labels: np.ndarray,
+                      swept: Swept | None, tol_kernel: float) -> SteadyStateSet:
+    """One lambda's set from its jumps, `_block_labels` and `_swept_kernel` result."""
     d = spectrum.dim
     unknowns, scale, _, _ = _vec_coordinates(d)
-    jumps = [np.asarray(L, dtype=complex) for L in jumps]
-    labels = _block_labels(jumps, sum((L.conj().T @ L for L in jumps),
-                                      np.zeros((d, d), dtype=complex)))
-    one_block = certify and not labels.any()
-    swept = _swept_kernel(spectrum, jumps) if one_block else None
     solved, bounds, sweeps = swept or (None, None, None)
     certificate = bounds and _certified_kernel(*bounds, tol_kernel)
     blocks = [] if certificate else list(_real_blocks(spectrum, jumps, labels))

@@ -333,18 +333,23 @@ def stacked_dissipator_reference(jumps, rho):
     return out
 
 
-def swept_kernel_reference(spectrum, jumps):
-    """(solved, sweeps) of `exact._swept_kernel` by its loop with a new array per product.
+def swept_kernel_reference(spectrum, jumps, lambdas=(1.0,)):
+    """(solved, sweeps) per lambda of `exact._swept_kernel`, with a new array per product.
 
     The same Neumann sweeps X <- Omega_O^-1 (F - P_O Diss(X)) on the stack
-    of the ungapped basis elements, the same stopping rule and the same
-    bordered Schur complement solve, with every stack allocated afresh;
-    None when no coherence is gapped.
+    of the ungapped basis elements, at the jumps times the largest lambda,
+    lambda_max, with the same stopping rule.  Each other lambda's stack is
+    z_0 - sum_n r^(n+1) step_n, r = (lambda / lambda_max)^2, and gets its
+    image at lambda times the jumps; then the same bordered Schur complement
+    solve per lambda, with every stack allocated afresh.  The lambdas must
+    gap the same coherences; None when none is gapped.
     """
     d = spectrum.dim
     eps = sys.float_info.epsilon
     omega = spectrum.energies[:, None] - spectrum.energies[None, :]
-    eta = 2 * sum(float(np.linalg.norm(L, 2)) ** 2 for L in jumps)
+    top = max(lambdas)
+    scaled = {lam: [lam * np.asarray(L, dtype=complex) for L in jumps] for lam in lambdas}
+    eta = 2 * sum(float(np.linalg.norm(L, 2)) ** 2 for L in scaled[top])
     eta *= 1 + 4 * (d + len(jumps)) * eps
     gapped = np.abs(omega) > 2 * eta
     if not gapped.any():
@@ -355,13 +360,14 @@ def swept_kernel_reference(spectrum, jumps):
     hamiltonian = -1j * omega
     inverse = np.divide(1.0, hamiltonian, out=np.zeros_like(hamiltonian), where=gapped)
 
-    def generator(z):
-        out = stacked_dissipator_reference(jumps, z)
+    def generator(lam, z):
+        out = stacked_dissipator_reference(scaled[lam], z)
         out += hamiltonian * z
         return out
 
     z = _scatter(d, unknowns[inner], np.diag(scale[inner]))
-    w = generator(z)
+    stacks = {lam: z for lam in lambdas}
+    w = generator(top, z)
     factor = eta / float(np.abs(omega[gapped]).min())
     cap = 2 + math.ceil(math.log(eps) / math.log(max(factor, eps)))
     change, sweeps = math.inf, 0
@@ -370,17 +376,23 @@ def swept_kernel_reference(spectrum, jumps):
         size = float(np.linalg.norm(step))
         if not size < factor * change:
             break
-        z -= step
-        w = generator(z)
+        stacks = {lam: stack - step if lam == top
+                  else stack - ((lam / top) ** 2) ** (sweeps + 1) * step
+                  for lam, stack in stacks.items()}
+        w = generator(top, stacks[top])
         change, sweeps = size, sweeps + 1
     rows, cols = inner % d, inner // d
-    schur = np.zeros((k + 1, k + 1))
-    schur[:k, :k] = (alpha[inner].conj() * w[:, rows, cols]
-                     + alpha[inner] * w[:, cols, rows]).real.T
-    schur[:k, k] = schur[k, :k] = rows == cols
-    z_inner = np.linalg.solve(schur, np.eye(k + 1)[k])
-    v = np.tensordot(z_inner[:k], z, 1).T.ravel()
-    return (alpha.conj() * v + alpha * v[mirror]).real, sweeps
+    results = []
+    for lam in lambdas:
+        image = w if lam == top else generator(lam, stacks[lam])
+        schur = np.zeros((k + 1, k + 1))
+        schur[:k, :k] = (alpha[inner].conj() * image[:, rows, cols]
+                         + alpha[inner] * image[:, cols, rows]).real.T
+        schur[:k, k] = schur[k, :k] = rows == cols
+        z_inner = np.linalg.solve(schur, np.eye(k + 1)[k])
+        v = np.tensordot(z_inner[:k], stacks[lam], 1).T.ravel()
+        results.append(((alpha.conj() * v + alpha * v[mirror]).real, sweeps))
+    return results
 
 
 def two_level_system(params: TwoLevelParams) -> tuple[EnergySpectrum, list[np.ndarray]]:

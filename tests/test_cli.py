@@ -23,13 +23,14 @@ from fgkls.cli import (
     _float_pairs,
     _json_chunks,
     _kernel_route,
+    _run_trajectories,
     _trajectory_csvs,
     load_config,
     main,
 )
 from fgkls.core import random_density_matrix
 from fgkls.exact import (SteadyStateSet, Trajectory, default_step, integrate_trajectory,
-                         steady_state_basis, steady_state_basis_svd)
+                         point_to_affine_distance, steady_state_basis, steady_state_basis_svd)
 from fgkls.models import build_two_level
 from fgkls.perturbation import PointerFamily, run_pointer_scheme
 
@@ -227,31 +228,37 @@ def test_evolve_zero_jumps_liouville_note(tmp_path):
     assert abs(end_01) == pytest.approx(abs(rho0[0, 1]), abs=1e-8)
 
 
+def _record_oracle_calls(monkeypatch):
+    """The lambdas of each call of the exact oracle's entry while patched."""
+    calls = []
+    real = fgkls.cli.steady_state_bases
+
+    def recording(spectrum, jumps, lambdas, *args, **kwargs):
+        calls.append(list(lambdas))
+        return real(spectrum, jumps, lambdas, *args, **kwargs)
+
+    monkeypatch.setattr(fgkls.cli, "steady_state_bases", recording)
+    return calls
+
+
 def test_compare_two_level_three_way_agreement(tmp_path, monkeypatch):
-    import fgkls.cli as cli
-
-    solved = []
     evaluated = []
-    real_exact = cli._exact_for_lambda
     real_evaluate = PointerFamily.evaluate
-
-    def recording_exact(config, lam):
-        solved.append(lam)
-        return real_exact(config, lam)
 
     def recording_evaluate(family, lam=1.0, *args, **kwargs):
         evaluated.append(lam)
         return real_evaluate(family, lam, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_exact_for_lambda", recording_exact)
+    calls = _record_oracle_calls(monkeypatch)
     monkeypatch.setattr(PointerFamily, "evaluate", recording_evaluate)
     payload = dict(TWO_LEVEL)
     payload["evolve"] = {"t_end": 25.0, "n_steps": 6000, "seeds": [7]}
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
     assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
-    # the endpoints reuse the lambda = 1 kernel and member of the comparison
-    assert solved == [1.0, 0.5]
+    # one oracle call for every lambda; the endpoints reuse the lambda = 1
+    # kernel and member of the comparison
+    assert calls == [[1.0, 0.5]]
     assert evaluated == [1.0, 0.5]
     report = json.loads((out / "report.json").read_text())
     for row in report["oracle_comparison"]:
@@ -263,16 +270,12 @@ def test_compare_two_level_three_way_agreement(tmp_path, monkeypatch):
 
 
 def test_compare_reaches_the_oracle_through_module_globals(tmp_path, monkeypatch):
-    # the benchmark times the oracle by rebinding this name
-    import fgkls.cli as cli
-
-    calls = []
-    real = cli.steady_state_basis
-    monkeypatch.setattr(cli, "steady_state_basis",
-                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    # one call of the entry, looked up in the module when called, serves
+    # every lambda
+    calls = _record_oracle_calls(monkeypatch)
     cfg = write_config(tmp_path, "cfg.json", TWO_LEVEL)
     assert main(["compare", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert len(calls) == len(TWO_LEVEL["lambda_values"])
+    assert calls == [TWO_LEVEL["lambda_values"]]
 
 
 def test_text_report_lists_oracle_blocks(tmp_path):
@@ -433,13 +436,10 @@ def test_compare_kernel_dim_vs_free_parameters(tmp_path):
 
 
 def test_compare_without_lambda_one_measures_endpoints_at_lambda_one(tmp_path, monkeypatch):
-    # the endpoints are distances to the lambda = 1 oracle and member, which
-    # are computed for them alone when lambda_values leaves 1 out, and kept
-    # out of report.txt's lambda tables
-    calls = []
-    real = fgkls.cli.steady_state_basis
-    monkeypatch.setattr(fgkls.cli, "steady_state_basis",
-                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    # the endpoints are distances to the lambda = 1 oracle and member; when
+    # lambda_values leaves 1 out, it joins the one oracle call for them alone
+    # and is kept out of report.txt's lambda tables
+    calls = _record_oracle_calls(monkeypatch)
     payload = {**TWO_LEVEL,
                "evolve": {"t_end": 5.0, "n_steps": 500, "seeds": [3, 4]},
                "thresholds": {"endpoint_distance": 1.0}}
@@ -448,7 +448,7 @@ def test_compare_without_lambda_one_measures_endpoints_at_lambda_one(tmp_path, m
         cfg = write_config(tmp_path, f"{name}.json", {**payload, "lambda_values": lambdas})
         out = tmp_path / name
         assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
-        assert len(calls) == 3
+        assert calls == [[0.5, 0.25, 1.0]]
         calls.clear()
         reports.append(json.loads((out / "report.json").read_text()))
         lines = (out / "report.txt").read_text().splitlines()
@@ -460,6 +460,56 @@ def test_compare_without_lambda_one_measures_endpoints_at_lambda_one(tmp_path, m
                        for k in starts])
     assert reports[0]["endpoints"] == reports[1]["endpoints"]
     assert tables == [[["0.5", "0.25"]] * 4, [["0.5", "0.25", "1"]] * 4]
+
+
+def test_compare_folds_the_endpoint_oracle_into_its_one_call(tmp_path, monkeypatch):
+    # lambda = 1 joins the one oracle call for the endpoints alone; they are
+    # the distances to a lambda = 1 call of its own, and the report has the
+    # keys of a run whose lambda_values hold 1
+    calls = _record_oracle_calls(monkeypatch)
+    payload = {**WEAK_DENSE_3,
+               "evolve": {"t_end": 5.0, "n_steps": 500, "seeds": [3, 4]},
+               "thresholds": {"endpoint_distance": 1.0}}
+    reports = []
+    for name, lambdas in (("without", [0.5]), ("with", [0.5, 1.0])):
+        cfg = write_config(tmp_path, f"{name}.json", {**payload, "lambda_values": lambdas})
+        assert main(["compare", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    assert calls == [[0.5, 1.0], [0.5, 1.0]]
+    assert reports[0].keys() == reports[1].keys()
+    assert [row["lambda"] for row in reports[0]["oracle_comparison"]] == [0.5]
+    config = load_config(cfg)
+    alone = steady_state_basis(config.spectrum, config.jumps)
+    runs = _run_trajectories(config)
+    for row in reports[0]["endpoints"]:
+        final = runs[row["seed"]].states[-1]
+        assert row["endpoint_vs_exact"] == pytest.approx(point_to_affine_distance(
+            final, alone.physical_member, alone.physical_directions), rel=0, abs=1e-14)
+
+
+# a one-block model whose every coherence is gapped, with one dense jump of
+# norm 0.01: the sweeps certify its kernel at each lambda
+WEAK_DENSE_3 = {
+    "model": "custom",
+    "custom": {"energies": [0.5, 1.3, 2.4],
+               "jumps": [[[[0.0043, -0.0053], [0.0008, -0.0012], [-0.0009, -0.0004]],
+                          [[-0.0042, -0.0005], [-0.0018, 0.0069], [0.0005, -0.0007]],
+                          [[-0.0006, -0.0014], [-0.0022, -0.0008], [0.001, -0.0005]]]]},
+    "lambda_values": [1.0, 0.5, 0.25],
+}
+
+
+def test_compare_certifies_every_lambda_of_one_series(tmp_path, monkeypatch):
+    # lambda = 1's sweeps serve 0.5 and 0.25, each certified by its own
+    # product and bounds; the CI's installed-command step runs this config
+    calls = _record_oracle_calls(monkeypatch)
+    cfg = write_config(tmp_path, "cfg.json", WEAK_DENSE_3)
+    out = tmp_path / "out"
+    assert main(["compare", cfg, "--out", str(out)]) == EXIT_OK
+    assert calls == [[1.0, 0.5, 0.25]]
+    routes = [line for line in (out / "report.txt").read_text().splitlines()
+              if "| certified (" in line]
+    assert [line.split("|")[0].strip() for line in routes] == ["1", "0.5", "0.25"]
 
 
 @pytest.mark.parametrize("delta, line", [
@@ -1221,10 +1271,10 @@ def test_pointer_with_non_finite_coefficients_exits_2(tmp_path, gap, order):
 
 def test_compare_whose_scheme_fails_writes_the_failure_only(tmp_path, monkeypatch):
     # a scheme failure ends compare before the oracle and the trajectories
-    def unreachable(*args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("compare went on past the scheme failure")
 
-    monkeypatch.setattr(fgkls.cli, "_exact_for_lambda", unreachable)
+    monkeypatch.setattr(fgkls.cli, "steady_state_bases", unreachable)
     monkeypatch.setattr(fgkls.cli, "_run_trajectories", unreachable)
     cfg = write_config(tmp_path, "cfg.json",
                        {**OVERFLOWING_GAP, "evolve": {"t_end": 1.0, "seeds": [0, 1]}})

@@ -32,6 +32,7 @@ from fgkls.exact import (
     hermitian_affine_distance,
     integrate_trajectory,
     point_to_affine_distance,
+    steady_state_bases,
     steady_state_basis,
     steady_state_basis_svd,
     two_level_bloch_exact,
@@ -334,7 +335,7 @@ def test_gapped_certificate_bounds_are_sharp_on_known_singular_values():
     sub, trace = certificate_inputs(spectrum, jumps)
     s = np.linalg.svd(sub, compute_uv=False)
     sigma_min = np.linalg.svd(_bordered(sub[None], trace[None])[0], compute_uv=False)[-1]
-    solved, bounds, (sweeps, factor) = _swept_kernel(spectrum, jumps)
+    solved, bounds, (sweeps, factor) = _swept_kernel(spectrum, [1.0], [jumps])[0]
     residual, low, hi, lo = bounds
     assert factor < 0.05 and 0 < sweeps <= 2 + math.ceil(math.log(np.finfo(float).eps)
                                                           / math.log(factor))
@@ -352,16 +353,110 @@ def test_gapped_certificate_bounds_are_sharp_on_known_singular_values():
 @pytest.mark.parametrize("lam", [1.0, 0.1])
 @pytest.mark.parametrize("dim", [6, 12])
 def test_swept_kernel_keeps_the_bits_of_allocating_sweeps(dim, lam):
-    # the sweeps write every stack into one workspace; the kernel vector and
-    # the sweep count are those of a loop that allocates every product, with
-    # some coherences ungapped at lambda = 1 and every one gapped at 0.1
+    # the sweeps write every stack into one workspace, and the group's other
+    # lambdas sum their stacks z(lambda) in place; each lambda's kernel
+    # vector and the sweep count are those of a loop that allocates every
+    # product, with some coherences ungapped at lambda = 1 and every one
+    # gapped at 0.1
     spectrum, jumps = spaced_dense_case(dim, 0.5 / dim)
-    jumps = [0.2 * lam * L for L in jumps]
-    solved, _, (sweeps, _) = _swept_kernel(spectrum, jumps)
-    reference, reference_sweeps = swept_kernel_reference(spectrum, jumps)
-    assert np.array_equal(solved, reference) and sweeps == reference_sweeps > 0
-    count = gapped_coherences(spectrum, jumps)
+    jumps = [0.2 * L for L in jumps]
+    # out of order, the smallest r 1/4 where every coherence is gapped
+    lambdas = [(0.5 if lam < 1 else 0.995) * lam, lam, 0.99 * lam]
+    swept = _swept_kernel(spectrum, lambdas, [[x * L for L in jumps] for x in lambdas])
+    reference = swept_kernel_reference(spectrum, jumps, lambdas)
+    for (solved, _, (sweeps, _)), (solved_ref, sweeps_ref) in zip(swept, reference, strict=True):
+        assert np.array_equal(solved, solved_ref) and sweeps == sweeps_ref > 0
+    # one group: every lambda gaps the same coherences
+    count, = {gapped_coherences(spectrum, [x * L for L in jumps]) for x in lambdas}
     assert count == dim * (dim - 1) if lam < 1 else 0 < count < dim * (dim - 1)
+
+
+def _assert_matches_one_lambda_calls(spectrum, jumps, lambdas, bitwise):
+    """`steady_state_bases` at `lambdas` against one `steady_state_basis` call per lambda.
+
+    The kernel dimension, the route (certified, swept or not) and the block
+    sizes agree, the physical members to 1e-12 relative, and at the lambdas
+    of `bitwise` the members and sweeps bit for bit.  Returns the sets.
+    """
+    sets = steady_state_bases(spectrum, jumps, lambdas)
+    assert len(sets) == len(lambdas)
+    for lam, steady in zip(lambdas, sets):
+        alone = steady_state_basis(spectrum, [lam * L for L in jumps])
+        assert steady.kernel_dim == alone.kernel_dim
+        assert steady.margin_is_bound == alone.margin_is_bound
+        assert (steady.sweeps is None) == (alone.sweeps is None)
+        assert steady.block_sizes == alone.block_sizes
+        gap = np.linalg.norm(steady.physical_member - alone.physical_member)
+        assert gap <= 1e-12 * np.linalg.norm(alone.physical_member)
+        if lam in bitwise:
+            assert np.array_equal(steady.physical_member, alone.physical_member)
+            assert steady.sweeps == alone.sweeps
+    return sets
+
+
+def weak_one_block_case(dim):
+    """A dense D = `dim` model, two jumps, whose every coherence is gapped down to lambda = 0."""
+    spectrum, jumps = random_nondegenerate_model(np.random.default_rng(dim), dim=dim, n_jumps=2,
+                                                 coupling=0.005, min_gap=0.5 / dim)
+    assert gapped_coherences(spectrum, jumps) == dim * (dim - 1)
+    return spectrum, jumps
+
+
+@pytest.mark.parametrize("lambdas", [[1.0, 0.5], [0.25, 1.0, 0.5], [0.5, 0.5]],
+                         ids=["pair", "unsorted", "repeated"])
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_multi_lambda_oracle_matches_one_lambda_calls(dim, lambdas):
+    # the lambdas form one group, whose largest keeps the bits of its own
+    # call and whose others sum their kernels from its sweeps
+    spectrum, jumps = weak_one_block_case(dim)
+    sets = _assert_matches_one_lambda_calls(spectrum, jumps, lambdas, bitwise={max(lambdas)})
+    assert all(steady.margin_is_bound for steady in sets)
+    # a smaller lambda reports the group's sweep count and its own eta / gap
+    top = sets[lambdas.index(max(lambdas))]
+    for lam, steady in zip(lambdas, sets):
+        assert steady.sweeps[0] == top.sweeps[0]
+        assert steady.sweeps[1] == pytest.approx(top.sweeps[1] * (lam / max(lambdas)) ** 2)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_multi_lambda_oracle_sweeps_once_per_group_of_gapped_coherences(dim):
+    # eta equals the smallest level gap at lambda = 1, so that gap's
+    # coherences are gapped at 0.5 and 0.4 but not at 1: two groups, each
+    # largest lambda with the bits of its own call
+    spectrum, jumps = weak_one_block_case(dim)
+    e = spectrum.energies
+    gap = np.min(np.diff(e))
+    eta = 2 * sum(np.linalg.norm(L, 2) ** 2 for L in jumps)
+    jumps = [np.sqrt(gap / eta) * L for L in jumps]
+    counts = [gapped_coherences(spectrum, [lam * L for L in jumps]) for lam in (1.0, 0.5, 0.4)]
+    assert 0 < counts[0] < counts[1] == counts[2] == dim * (dim - 1)
+    _assert_matches_one_lambda_calls(spectrum, jumps, [0.5, 1.0, 0.4], bitwise={0.5, 1.0})
+
+
+def test_multi_lambda_oracle_labels_a_multi_block_model_once(monkeypatch):
+    # the oscillator model's blocks are the same at every lambda, so one
+    # labelling serves them all, and each set keeps the bits of its own call
+    spectrum, jumps = build_oscillator_spin(OscillatorSpinConfig(
+        n_levels=6, omega=1.0, delta=0.3, jump_variant=SigmaXY(0.1 + 0.04j, 0.08 - 0.03j)))
+    labelled = []
+    real = fgkls.exact._block_labels
+    monkeypatch.setattr(fgkls.exact, "_block_labels",
+                        lambda *args: labelled.append(1) or real(*args))
+    sets = steady_state_bases(spectrum, jumps, [1.0, 0.5, 0.25])
+    assert len(labelled) == 1 and len(sets[0].block_sizes) > 1
+    monkeypatch.undo()
+    _assert_matches_one_lambda_calls(spectrum, jumps, [1.0, 0.5, 0.25], bitwise={1.0, 0.5, 0.25})
+
+
+def test_multi_lambda_oracle_labels_an_underflowed_pattern_of_its_own():
+    # level 2 is linked to the others by one entry 1e-300 of the jump, which
+    # underflows to zero at lambda = 1e-30: that lambda's Liouvillian splits
+    # into more blocks, which it must not take from lambda = 1's labels
+    spectrum = EnergySpectrum(np.array([0.5, 1.3, 2.4]))
+    L = np.array([[0.3, 0.2 - 0.1j, 0.0], [0.1j, -0.2, 0.0], [1e-300, 0.0, 0.1]], dtype=complex)
+    assert (1e-30 * L)[2, 0] == 0.0
+    sets = _assert_matches_one_lambda_calls(spectrum, [L], [1.0, 1e-30], bitwise={1.0, 1e-30})
+    assert len(sets[1].block_sizes) > len(sets[0].block_sizes)
 
 
 def _record_solves(monkeypatch):
@@ -440,7 +535,7 @@ def test_split_certificate_is_sound_on_random_one_block_models(spectrum_kind):
     gapped = set()
     for _ in range(40):
         spectrum, jumps = one_block_case(rng, spectrum_kind)
-        swept = _swept_kernel(spectrum, jumps)
+        swept = _swept_kernel(spectrum, [1.0], [jumps])[0]
         count = gapped_coherences(spectrum, jumps)
         assert (swept is None) == (count == 0)
         coherences = spectrum.dim * (spectrum.dim - 1)
