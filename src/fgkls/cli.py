@@ -20,17 +20,11 @@ its report (exactly what report.json holds, and nothing else), the
 read by name, and its trajectories by seed.
 
 `report.json` holds exactly the bytes of `json.dumps(report, sort_keys=True,
-indent=2) + "\n"`: sorted keys, 2-space indent, floats as `repr`, NaN and
-Infinity spelled as Python's `json` spells them, and every complex matrix as
-rows of [re, im] pairs.  `_json_chunks` produces those bytes piece by piece.  A
-matrix is one piece: a complex array, or a list of equal-length rows of
-[re, im] pairs of floats alone (`_float_pairs`), such as a custom model's jumps
-echoed from its config.  The layout of each shape and indent is cached as one
-string with "0.0" in every slot; only the matrix's floats with nonzero bits
-are formatted, and spliced between that string's slices around their slots.
-An int or bool entry leaves the list to the entry-by-entry path, which
-echoes it as written.  Such a list of jumps is parsed with one array
-conversion too.  Every output file is streamed to a temporary file in the
+indent=2) + "\n"`, every complex matrix as rows of [re, im] pairs:
+`_json_chunks` has `json.dumps` write each matrix as a placeholder, then
+splices the matrix's nonzero floats into a cached layout in its place.  A
+custom jump of floats alone is echoed as its parsed matrix, one with an int
+entry as written.  Every output file is streamed to a temporary file in the
 output directory that then replaces the target.
 
 Exit codes: 0 success, 1 config or command-line error, 2 scheme failure (no
@@ -52,7 +46,6 @@ import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -181,7 +174,8 @@ def _float_pairs(value) -> np.ndarray | None:
     Not None exactly when `value` is a non-empty list of equal-length,
     non-empty rows of [re, im] pairs whose every entry is a finite `float`
     (no int, bool or str, which the conversion would accept): one
-    `np.array` call and one pass over the entries' types.
+    `np.array` call and one pass over the entries' types.  `_as_matrix`
+    parses such a matrix with it.
     """
     if not (isinstance(value, list) and value and isinstance(value[0], list) and value[0]
             and isinstance(value[0][0], list)):
@@ -196,10 +190,17 @@ def _float_pairs(value) -> np.ndarray | None:
     return pairs
 
 
-def _as_matrix(value, where: str) -> np.ndarray:
+def _as_matrix(value, where: str) -> tuple[np.ndarray, object]:
+    """The square complex matrix `value` holds, and its echo in the report.
+
+    A matrix of floats alone (`_float_pairs`) is echoed as its parsed array,
+    whose floats the report writer splices; any other is parsed entry by
+    entry and echoed as written, ints included.
+    """
     pairs = _float_pairs(value)
     if pairs is not None and pairs.shape[0] == pairs.shape[1]:
-        return pairs.view(complex)[..., 0]
+        matrix = pairs.view(complex)[..., 0]
+        return matrix, matrix
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config error at {where}: expected a matrix (list of rows)")
     rows = []
@@ -207,7 +208,7 @@ def _as_matrix(value, where: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != len(value):
             raise ConfigError(f"config error at {where}[{i}]: matrix must be square")
         rows.append([_as_complex(z, f"{where}[{i}][{j}]") for j, z in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    return np.array(rows, dtype=complex), value
 
 
 def _build_model(cfg: dict) -> tuple[EnergySpectrum, list[np.ndarray], list[str],
@@ -262,13 +263,18 @@ def _build_model(cfg: dict) -> tuple[EnergySpectrum, list[np.ndarray], list[str]
         energies = _get(sub, "energies", "custom")
         if not isinstance(energies, list) or not energies:
             raise ConfigError("config error at custom.energies: expected a list of reals")
-        spectrum = EnergySpectrum(np.array([_real(e, f"custom.energies[{k}]")
-                                            for k, e in enumerate(energies)]))
+        reals = [_real(e, f"custom.energies[{k}]") for k, e in enumerate(energies)]
+        try:
+            spectrum = EnergySpectrum(np.array(reals))
+        except ValueError as err:
+            raise ConfigError(f"config error at custom.energies: {err}") from err
         raw_jumps = _get(sub, "jumps", "custom")
         if not isinstance(raw_jumps, list):
             raise ConfigError("config error at custom.jumps: expected a list of matrices")
         where = [f"custom.jumps[{k}]" for k in range(len(raw_jumps))]
-        jumps = [_as_matrix(mat, at) for mat, at in zip(raw_jumps, where)]
+        parsed = [_as_matrix(mat, at) for mat, at in zip(raw_jumps, where)]
+        jumps = [L for L, _ in parsed]
+        sub["jumps"] = [echo for _, echo in parsed]  # `sub` is part of the echoed config
         for L, at in zip(jumps, where):
             if L.shape != (spectrum.dim, spectrum.dim):
                 raise ConfigError(f"config error at {at}: shape {L.shape} "
@@ -305,6 +311,9 @@ def load_config(path: str, max_order_override: int | None = None,
         max_order = max_order_override
     if max_order < 0:
         raise ConfigError("config error at max_order: must be nonnegative")
+    # an int compares with a float exactly; a larger one cannot enter a float product
+    if max_order > sys.float_info.max:
+        raise ConfigError("config error at max_order: exceeds the float range")
 
     raw_lambdas = _get(cfg, "lambda_values", "", required=False, default=[1.0])
     lambda_values = ([_real(x, "lambda_values") for x in raw_lambdas]
@@ -353,6 +362,8 @@ def load_config(path: str, max_order_override: int | None = None,
             n_steps = _integer(n_steps, "evolve.n_steps")
             if n_steps < 1:
                 raise ConfigError("config error at evolve.n_steps: must be at least 1")
+            if n_steps > sys.float_info.max:  # t_end / n_steps would raise OverflowError
+                raise ConfigError("config error at evolve.n_steps: exceeds the float range")
         seeds = _get(sub, "seeds", "evolve", required=False, default=[0])
         if not isinstance(seeds, list) or not all(
                 isinstance(s, int) and not isinstance(s, bool) for s in seeds):
@@ -689,17 +700,17 @@ def _matrix_layout(rows: int, cols: int, level: int) -> tuple[str, int, np.ndarr
 def _json_chunks(obj) -> Iterator[str]:
     """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, piece by piece.
 
-    Takes what `json` takes (dicts with str keys, lists, tuples, str, int,
-    float, bool, None), tested in `json`'s order so that float subclasses such
-    as `np.float64` print as `float.__repr__`, plus 2-D complex arrays, written
-    as the nested list of [re, im] pairs.  Anything else raises `TypeError`,
-    as `json` does.
+    Takes what `json.dumps` takes, plus 2-D complex arrays, written as the
+    nested list of [re, im] pairs; anything else raises `TypeError`, as
+    `json` does.  `json.dumps` writes all of it, with each finite, non-empty
+    matrix as a placeholder string: its text is cut at the placeholders, and
+    each matrix spliced into its gap at the level of the indent before it.
 
-    A finite complex matrix, and a list that `_float_pairs` reads as one,
-    is written in one piece from a layout cached per (rows, cols, level)
-    whose every slot holds "0.0": only the floats whose bits are nonzero (so
-    -0.0 too) are formatted, and spliced between the layout's slices around
-    their slots.
+    A matrix is written from a layout cached per (rows, cols, level) whose
+    every slot holds "0.0": only the floats whose bits are nonzero (so -0.0
+    too) are formatted, and spliced between the layout's slices around their
+    slots.  A matrix's (rows, cols, 2) floats are made only when it is
+    spliced, so those of one matrix at a time.
     """
     layouts: dict[tuple[int, int, int], tuple[str, int, np.ndarray]] = {}
 
@@ -720,58 +731,27 @@ def _json_chunks(obj) -> Iterator[str]:
         parts[1::2] = map(float.__repr__, floats[nonzero].tolist())
         return "".join(parts)
 
-    def chunks(value, level: int) -> Iterator[str]:
-        if isinstance(value, str):
-            yield encode_basestring_ascii(value)
-        elif value is None:
-            yield "null"
-        elif value is True:
-            yield "true"
-        elif value is False:
-            yield "false"
-        elif isinstance(value, int):
-            yield int.__repr__(value)
-        elif isinstance(value, float):
-            # json spells NaN and the infinities itself
-            yield float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                yield "[]"
-                return
-            pairs = _float_pairs(value)
-            if pairs is not None:
-                yield matrix(pairs, level)
-                return
-            inner = "\n" + "  " * (level + 1)
-            yield "["
-            for k, item in enumerate(value):
-                yield inner if k == 0 else "," + inner
-                yield from chunks(item, level + 1)
-            yield "\n" + "  " * level + "]"
-        elif isinstance(value, dict):
-            if not value:
-                yield "{}"
-                return
-            inner = "\n" + "  " * (level + 1)
-            yield "{"
-            for k, (key, item) in enumerate(sorted(value.items())):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                yield (inner if k == 0 else "," + inner) + encode_basestring_ascii(key) + ": "
-                yield from chunks(item, level + 1)
-            yield "\n" + "  " * level + "}"
-        elif isinstance(value, np.ndarray) and value.ndim == 2 and np.iscomplexobj(value):
-            pairs = np.stack([value.real, value.imag], axis=-1, dtype=float)
-            if value.size == 0 or not np.isfinite(pairs).all():
-                # json's spelling of NaN and Infinity, one float at a time
-                yield from chunks(pairs.tolist(), level)
-                return
-            yield matrix(pairs, level)
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    def hook(value):
+        if isinstance(value, np.ndarray) and value.ndim == 2 and np.iscomplexobj(value):
+            if value.size and np.isfinite(value).all():
+                matrices.append(value)
+                return placeholder
+            # json's spelling of NaN and Infinity, one float at a time
+            return [[[z.real, z.imag] for z in row] for row in value.tolist()]
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    yield from chunks(obj, 0)
-    yield "\n"
+    # "\0" first, one more "\0" while some key or string of `obj` reads as it too
+    placeholder, pieces, matrices = "", [], []
+    while len(pieces) != len(matrices) + 1:
+        placeholder, matrices = placeholder + "\0", []
+        pieces = json.dumps(obj, sort_keys=True, indent=2, default=hook).split(
+            json.dumps(placeholder))
+    for piece, value in zip(pieces, matrices):
+        yield piece
+        line = piece[piece.rfind("\n") + 1:]
+        yield matrix(np.stack([value.real, value.imag], axis=-1, dtype=float),
+                     (len(line) - len(line.lstrip(" "))) // 2)
+    yield pieces[-1] + "\n"
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:

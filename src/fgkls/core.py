@@ -14,6 +14,7 @@ spectrum, and small-dimension Bloch helpers.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -76,6 +77,11 @@ class EnergySpectrum:
             raise ValueError("energies must be a non-empty 1-D real sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("all energies must be finite")
+        # every energy difference must be finite; a Python float overflows to
+        # inf without numpy's warning
+        if not math.isfinite(float(arr.max()) - float(arr.min())):
+            raise ValueError(f"energies from {arr.min():g} to {arr.max():g}: the spread "
+                             "max - min exceeds the float range")
         arr.flags.writeable = False
         object.__setattr__(self, "energies", arr)
 

@@ -626,6 +626,8 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
         n_steps = default_count
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    if n_steps > sys.float_info.max:  # an int compares with a float exactly
+        raise ValueError("n_steps exceeds the float range: t_end / n_steps overflows")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     h = t_end / n_steps

@@ -672,6 +672,7 @@ def test_json_writer_matches_json_dumps():
         {},
         "top-level string",
         3.5,
+        {1: 2},
     ]
     for obj in cases:
         assert "".join(_json_chunks(obj)) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -680,7 +681,7 @@ def test_json_writer_matches_json_dumps():
         for wrap in (lambda m: m, lambda m: {"k": [m, {"x": (m,)}]}):
             written = "".join(_json_chunks(wrap(mat)))
             assert written == json.dumps(wrap(_nested_pairs(mat)), sort_keys=True, indent=2) + "\n"
-    for bad in (np.int64(1), np.bool_(True), {1: 2}, {"s": {1, 2}}, np.zeros((2, 2)),
+    for bad in (np.int64(1), np.bool_(True), {"s": {1, 2}}, np.zeros((2, 2)),
                 np.zeros(3, complex), np.zeros((2, 2, 2), complex)):
         with pytest.raises(TypeError):
             "".join(_json_chunks(bad))
@@ -730,6 +731,41 @@ def test_json_writer_splices_nonzero_floats_into_zero_layout():
         assert "".join(_json_chunks(obj)) == _dumps_nested(obj)
 
 
+def test_json_writer_grows_the_placeholder_past_equal_keys_and_strings():
+    # json.dumps writes each matrix as the string "\0"; a key equal to it, then
+    # a string equal to "\0\0", and one whose encoding holds that of "\0"
+    # would each add a cut
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    for obj in ({"\0": [mat, "\0\0"], "k": {"x": mat}},
+                {"a": ['"\0', mat], "\0\0": mat, "z": "\0"},
+                ["\0", "\0\0", "\0\0\0", mat]):
+        assert "".join(_json_chunks(obj)) == _dumps_nested(obj)
+
+
+def test_json_writer_makes_one_matrix_pairs_at_a_time():
+    # 35 complex 64 x 64 matrices, about 90 % zeros as in a D = 64 family's
+    # report: 2.3 MB of [re, im] floats if all were made before the first
+    # splice, which traced a 3.5 MB peak instead of 1.3 MB
+    rng = np.random.default_rng(64)
+    mats = []
+    for _ in range(35):
+        mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        mat[rng.random((64, 64)) < 0.9] = 0.0
+        mats.append(mat)
+    report = {"pointer_family": {"free_directions": mats[5:],
+                                 "orders": [{"coefficients": m, "order": k}
+                                            for k, m in enumerate(mats[:5])]}}
+    tracemalloc.start()
+    try:
+        for _ in _json_chunks(report):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 # lists of rows of [re, im] pairs: the first ones of floats alone, which are
 # written through the matrix layout, then ones the generic path writes
 FLOAT_PAIR_LISTS = [
@@ -766,13 +802,13 @@ def test_json_writer_writes_float_pair_lists_as_json_does():
 
 def test_float_pair_matrix_parses_to_the_bits_of_entrywise_parsing():
     for value in FLOAT_PAIR_LISTS[:3]:
-        parsed = _as_matrix(value, "m") if len(value) == len(value[0]) else None
+        parsed = _as_matrix(value, "m")[0] if len(value) == len(value[0]) else None
         if parsed is not None:
             entrywise = np.array([[complex(*z) for z in row] for row in value])
             assert parsed.shape == entrywise.shape
             assert np.array_equal(parsed.view(np.int64), entrywise.view(np.int64))
     # integer entries take the entrywise path, to the same values
-    assert np.array_equal(_as_matrix(FLOAT_PAIR_LISTS[3], "m"),
+    assert np.array_equal(_as_matrix(FLOAT_PAIR_LISTS[3], "m")[0],
                           np.array([[1 + 2j, 0.5 + 0.25j], [0.5 + 0.5j, 3j]]))
 
 
@@ -1058,6 +1094,39 @@ def test_integer_jump_entries_echo_as_integers(tmp_path):
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
+def test_float_jump_echoes_as_its_parsed_matrix(tmp_path):
+    # a jump of floats alone is echoed as the array it parses to, whose
+    # splice writes the bytes of the config re-dumped; one with an int entry
+    # is echoed as written
+    floats = [row[:] for row in DENSE_3["custom"]["jumps"][0]]
+    floats[1] = [[-0.0, 5e-324], [0.0, -0.0], [0.25, -5e-324]]
+    mixed = [row[:] for row in floats]
+    mixed[0] = [[1, 0], [0.08, -0.11], [0, -0.04]]
+    payload = dict(DENSE_3, custom=dict(DENSE_3["custom"], jumps=[floats, mixed]))
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    config = load_config(cfg)
+    echoed = config.echo["custom"]["jumps"]
+    assert echoed[0] is config.jumps[0] and echoed[1] == mixed
+    out = tmp_path / "out"
+    assert main(["pointer", cfg, "--out", str(out), "--json-only"]) == EXIT_OK
+    text = (out / "report.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    written = json.loads(text)["model"]["custom"]["jumps"]
+    assert json.dumps(written) == json.dumps([floats, mixed])
+
+
+def test_report_echoes_keys_and_strings_equal_to_the_placeholder(tmp_path):
+    # an extra config key, echoed into the report, whose key and string read
+    # as the writer's first and second placeholder
+    out = tmp_path / "out"
+    payload = dict(DENSE_3, **{"\0": "\0\0"})
+    assert main(["pointer", write_config(tmp_path, "cfg.json", payload), "--out", str(out),
+                 "--json-only"]) == EXIT_OK
+    text = (out / "report.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert json.loads(text)["model"] == payload
+
+
 def test_pointer_and_compare_leave_numpy_random_unimported(tmp_path):
     # only the trajectories' random initial states need numpy.random, whose
     # import costs about 5 MB of resident memory
@@ -1105,6 +1174,66 @@ def test_overflowing_jump_is_a_config_error(tmp_path, capsys, kind):
         assert err.startswith(f"error: config error at {where}: jump Frobenius norm ")
         assert err.endswith(" is too large, its square exceeds the float range\n")
     assert not (tmp_path / "out").exists()
+
+
+# energies each finite, whose spread max - min is not
+SPREAD_BEYOND_FLOATS = {
+    "custom": (dict(DENSE_3, custom=dict(DENSE_3["custom"], energies=[-1e308, 0.5, 1e308])),
+               "custom.energies"),
+    "two_level": (dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps1=-1e308,
+                                                 eps2=1e308)),
+                  "two_level"),
+    "oscillator_spin": ({"model": "oscillator_spin",
+                         "oscillator_spin": {"n_levels": 2, "omega": 1e307, "delta": 8.9e307,
+                                             "jump": {"variant": "sigma_plus",
+                                                      "lam": [0.3, 0.0]}}},
+                        "oscillator_spin.n_levels"),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("kind", list(SPREAD_BEYOND_FLOATS))
+def test_energy_spread_beyond_the_float_range_is_a_config_error(tmp_path, capsys, kind, command):
+    # exact and compare ended in an SVD LinAlgError traceback, pointer in
+    # numpy overflow warnings (errors here)
+    payload, where = SPREAD_BEYOND_FLOATS[kind]
+    cfg = write_config(tmp_path, "cfg.json", dict(payload, evolve={"t_end": 1.0}))
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at {where}: ")
+    assert err.endswith(": the spread max - min exceeds the float range\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_finite_energy_spread_near_the_float_range_still_runs(tmp_path):
+    for payload in (dict(DENSE_3, custom=dict(DENSE_3["custom"], energies=[-8e307, 0.5, 8e307])),
+                    dict(TWO_LEVEL, two_level=dict(TWO_LEVEL["two_level"], eps1=-8e307,
+                                                   eps2=8e307))):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert load_config(cfg).spectrum.energies.max() == 8e307
+        assert main(["pointer", cfg, "--out", str(tmp_path / "out"), "--json-only"]) == EXIT_OK
+
+
+def test_integer_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    # (max_order + 1) * log10(lambda) and t_end / n_steps raised OverflowError
+    huge, evolve = 10 ** 400, {"t_end": 1.0}
+    cases = [(dict(TWO_LEVEL, max_order=huge, evolve=evolve), [], "max_order"),
+             (dict(TWO_LEVEL, evolve=evolve), ["--max-order", str(huge)], "max_order"),
+             (dict(TWO_LEVEL, evolve=dict(evolve, n_steps=huge)), [], "evolve.n_steps")]
+    for payload, override, where in cases:
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        for command in COMMANDS:
+            assert main([command, cfg, "--out", str(tmp_path / "out"), *override]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (f"error: config error at {where}: exceeds the "
+                                               "float range\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_finite_huge_step_count_names_accumulated_rounding(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(TWO_LEVEL, evolve={"t_end": 1.0, "n_steps": 2 ** 1023, "seeds": [0]}))
+    assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == EXIT_STEP_SIZE
+    assert capsys.readouterr().err.startswith("error: accumulated rounding over 8.99e+307 steps: ")
 
 
 def test_negative_env_seed_rejected(tmp_path, capsys, monkeypatch):

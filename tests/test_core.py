@@ -434,6 +434,8 @@ def _integrate(**kwargs):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: EnergySpectrum(np.array([])), ValueError, "non-empty"),
     (lambda: EnergySpectrum(np.array([0.0, np.nan])), ValueError, "finite"),
+    (lambda: EnergySpectrum(np.array([-1e308, 0.0, 1e308])), ValueError,
+     "spread max - min exceeds the float range"),
     (lambda: DegeneracyPartition(((0,), ()), 0.0), ValueError, "empty degeneracy class"),
     (lambda: DegeneracyPartition(((0, 1), (1,)), 0.0), ValueError, "disjoint"),
     (lambda: DegeneracyPartition(((0,), (2,)), 0.0), ValueError, "cover"),
@@ -442,6 +444,7 @@ def _integrate(**kwargs):
     (lambda: DensityMatrix(np.eye(2, 3)), ValueError, "square"),
     (lambda: _integrate(t_end=0.0), ValueError, "t_end must be positive"),
     (lambda: _integrate(n_steps=0), ValueError, "n_steps must be at least 1"),
+    (lambda: _integrate(n_steps=10 ** 400), ValueError, "n_steps exceeds the float range"),
     (lambda: _integrate(record_every=0), ValueError, "record_every must be at least 1"),
     (lambda: OrderCoefficients(order=-1, coeff=np.eye(2)), ValueError, "nonnegative"),
     (lambda: run_pointer_scheme(_THREE_LEVELS, [np.eye(3)], _TWO_CLASSES), ValueError,
@@ -451,9 +454,9 @@ def _integrate(**kwargs):
     (lambda: build_oscillator_spin(OscillatorSpinConfig(n_levels=2, omega=1.0, delta=0.5,
                                                         jump_variant="sigma_z")),
      TypeError, "unknown jump variant"),
-], ids=["empty energies", "non-finite energy", "empty class", "overlapping classes",
-        "non-covering classes", "negative tol_degen", "non-square state", "t_end <= 0",
-        "n_steps < 1", "record_every < 1", "negative order", "scheme partition size",
+], ids=["empty energies", "non-finite energy", "energy spread beyond floats", "empty class",
+        "overlapping classes", "non-covering classes", "negative tol_degen", "non-square state",
+        "t_end <= 0", "n_steps < 1", "n_steps beyond floats", "record_every < 1", "negative order", "scheme partition size",
         "assembly partition size", "unknown jump variant"])
 def test_public_constructors_reject_invalid_input(call, error, message):
     with pytest.raises(error, match=message):
