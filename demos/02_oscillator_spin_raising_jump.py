@@ -9,9 +9,9 @@ Model:
 The ratio q = 2*delta/omega decides the spectral structure: integer q makes
 level (m, 0) degenerate with (m+q, 1), otherwise every degeneracy class is a
 singleton.  The solver takes the same path for both; the degenerate pairs
-only add internal unknowns to its linear system (a real and an imaginary
-part per pair, next to one unknown per diagonal entry, each a (kind, m, n)
-row whose matrix column is built in closed form), and the family's branch
+only add internal unknowns to its linear system (two vec indices per pair,
+its real and imaginary part, next to one population per diagonal entry, each
+column built in closed form), and the family's branch
 label is read off the partition.  Either way the pointer family comes out
 the same:
 
@@ -47,9 +47,8 @@ def run_case(delta):
         print("  spectrum non-degenerate: all classes singletons")
 
     system = assemble_internal_system_deg(jumps, partition)
-    kinds = np.bincount(system.unknowns[:, 0], minlength=3)
-    print(f"  linear system: {len(system.unknowns)} (kind, m, n) unknowns = {kinds[0]} "
-          f"diagonal + {kinds[1]} real + {kinds[2]} imaginary pair parts")
+    print(f"  linear system: {len(system.unknowns)} unknowns = {cfg.dim} populations "
+          f"+ {2 * len(pairs)} pair indices")
 
     family = run_pointer_scheme(spectrum, jumps, partition, max_order=3)
     print(f"  solver branch: {family.branch}")

@@ -208,6 +208,11 @@ def _as_operator(op, dim: int, stack: bool = False) -> np.ndarray:
     return arr
 
 
+def _decay(jumps: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """K = sum_a L_a^dag L_a of complex (D, D) jumps, summed from zeros in jump order."""
+    return sum((L.conj().T @ L for L in jumps), np.zeros((dim, dim), dtype=complex))
+
+
 def _stacked_dissipator(decay: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
                         rho: np.ndarray, out: np.ndarray, first: np.ndarray,
                         second: np.ndarray) -> np.ndarray:
@@ -240,8 +245,8 @@ def dissipator(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     rho = _as_operator(rho, rho.shape[-1] if rho.ndim else 0, stack=True)
     jumps = [_as_operator(L, rho.shape[-1]) for L in jumps]
     if rho.ndim == 3:
-        K = sum((L.conj().T @ L for L in jumps), np.zeros_like(rho[0]))
-        return _stacked_dissipator(K, [(L, L.conj().T) for L in jumps], rho,
+        return _stacked_dissipator(_decay(jumps, rho.shape[-1]),
+                                   [(L, L.conj().T) for L in jumps], rho,
                                    *(np.empty(rho.shape, complex) for _ in range(3)))
     out = np.zeros_like(rho)
     for L in jumps:
@@ -250,26 +255,35 @@ def dissipator(jumps: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     return out
 
 
-# Weight w of the Hermitian basis element w E_mn + conj(w) E_nm of each kind:
-# E_mm (kind 0, n = m), E_mn + E_nm (kind 1) and i (E_mn - E_nm) (kind 2).
-_KIND_WEIGHTS = np.array([0.5, 1.0, 1.0j])
-# Weights of the elements whose Frobenius product with Hermitian X is X_mm, Re X_mn, Im X_mn.
-_KIND_READS = np.array([0.5, 0.5, 0.5j])
+@functools.lru_cache(maxsize=4)
+def _vec_coordinates(dim: int) -> np.ndarray:
+    """alpha[i] of the orthonormal Hermitian basis element B_i of each vec index i.
+
+    Vec index i = m + D n names B_i = alpha[i] E_mn + conj(alpha[i]) E_nm:
+    E_mm if m = n (alpha 1/2), (E_mn + E_nm)/sqrt(2) if m < n and
+    i(E_nm - E_mn)/sqrt(2) if m > n.  Hermitian X has coordinates
+    <B_i, X> (`_coordinates`); coordinates x give X = sum_i x_i B_i (`_scatter`).
+    """
+    n, m = np.divmod(np.arange(dim * dim), dim)
+    alpha = np.where(m == n, 0.5, np.sqrt(0.5)) * np.where(m > n, -1j, 1.0)
+    alpha.flags.writeable = False
+    return alpha
 
 
 def _hermitian_block(jumps: Sequence[np.ndarray], g: np.ndarray, rows, cols) -> np.ndarray:
-    """Real matrix of the generator between Hermitian elements, in closed form.
+    """Real matrix of the generator between the basis elements B_i, in closed form.
 
-    `rows` (m, n, v) and `cols` (p, q, w) are triples of broadcastable index
-    and weight arrays naming the elements v E_mn + conj(v) E_nm and
-    w E_pq + conj(w) E_qp.  Entry [row, col] is the Frobenius product of the
-    row's element with the column's image X, 2 Re(conj(v) X[m, n]).  Entry
-    (m, n) of the image of E_pq is sum_a L[m, p] conj(L[n, q]) +
-    G[m, p] delta_nq + delta_mp conj(G[n, q]), with `g` = G = -iH - K/2 and
-    K = sum_a L^dag L; G = -K/2 gives the dissipator.
+    `rows` and `cols` are broadcastable arrays of vec indices i = m + D n and
+    j = p + D q (`_vec_coordinates`).  Entry [i, j] is <B_i, X>,
+    2 Re(conj(alpha_i) X[m, n]), of the image X of B_j.  Entry (m, n) of the
+    image of E_pq is sum_a L[m, p] conj(L[n, q]) + G[m, p] delta_nq +
+    delta_mp conj(G[n, q]), with `g` = G = -iH - K/2 and K = sum_a L^dag L;
+    G = -K/2 gives the dissipator.
     """
-    m, n, v = rows
-    p, q, w = cols
+    d = g.shape[0]
+    alpha = _vec_coordinates(d)
+    n, m = np.divmod(rows, d)
+    q, p = np.divmod(cols, d)
 
     def image(p, q):
         """Entry (m, n) of the image of E_pq."""
@@ -279,44 +293,37 @@ def _hermitian_block(jumps: Sequence[np.ndarray], g: np.ndarray, rows, cols) -> 
             out += L[m, p] * L[n, q].conj()
         return out
 
+    w = alpha[cols]
     z = image(p, q) * w
     z += image(q, p) * w.conj()
-    z *= v.conj()
+    z *= alpha[rows].conj()
     return 2 * z.real
 
 
-def _scatter(dim: int, unknowns: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Hermitian matrices sum_j values[k, j] B_j, one per row k of `values`.
+def _coordinates(dim: int, idx: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Coordinates <B_i, X> = Re(conj(alpha_i) X[m, n] + alpha_i X[n, m]) at vec indices `idx`.
 
-    B_j is the basis element w E_mn + conj(w) E_nm of unknown j (see
-    `_KIND_WEIGHTS`).  The entries are accumulated, not assigned: the real
-    and imaginary part of a pair land on the same entry.
+    `mats` is one Hermitian (D, D) matrix X or a (k, D, D) stack; the result
+    has one row of len(idx) coordinates per matrix.
     """
-    kind, m, n = unknowns.T
-    weighted = _KIND_WEIGHTS[kind] * values
+    alpha = _vec_coordinates(dim)[idx]
+    n, m = np.divmod(idx, dim)
+    return (alpha.conj() * mats[..., m, n] + alpha * mats[..., n, m]).real
+
+
+def _scatter(dim: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian matrices sum_j values[k, j] B_idx[j], one per row k of `values`.
+
+    `idx` holds vec indices (`_vec_coordinates`).  The entries are
+    accumulated, not assigned: the elements of i = m + D n and of its mirror
+    n + D m land on the same entries.
+    """
+    n, m = np.divmod(idx, dim)
+    weighted = _vec_coordinates(dim)[idx] * values
     out = np.zeros((len(values), dim, dim), dtype=complex)
     np.add.at(out, (slice(None), m, n), weighted)
     np.add.at(out, (slice(None), n, m), weighted.conj())
     return out
-
-
-@functools.lru_cache(maxsize=4)
-def _vec_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(unknowns, scale, alpha, mirror) of the orthonormal Hermitian basis B_i.
-
-    Vec index i = m + D n names B_i = E_mm if m = n, (E_mn + E_nm)/sqrt(2) if
-    m < n and i(E_nm - E_mn)/sqrt(2) if m > n: scale[i] times the element of
-    unknowns[i], so coordinates x give `_scatter(dim, unknowns, scale * x)`.
-    vec(B_i) = alpha[i] e_i + conj(alpha[i]) e_mirror[i], mirror[m + D n] = n + D m.
-    """
-    n, m = np.divmod(np.arange(dim * dim), dim)
-    kind = np.select([m < n, m > n], [1, 2])
-    scale = np.where(kind == 0, 1.0, np.sqrt(0.5))
-    alpha = scale * np.where(m > n, _KIND_WEIGHTS[kind].conj(), _KIND_WEIGHTS[kind])
-    coords = np.stack([kind, np.minimum(m, n), np.maximum(m, n)], 1), scale, alpha, n + dim * m
-    for array in coords:
-        array.flags.writeable = False
-    return coords
 
 
 def fgkls_generator(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho) -> np.ndarray:
@@ -336,8 +343,16 @@ def fgkls_generator(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho) 
 
 
 def stationarity_residual(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], rho) -> float:
-    """Frobenius norm of the generator at `rho`; zero iff `rho` is a pointer."""
-    return float(np.linalg.norm(fgkls_generator(spectrum, jumps, rho)))
+    """Frobenius norm of the generator at `rho`; zero iff `rho` is a pointer.
+
+    Taken of the generator over 2^e, e the exponent of its largest real or
+    imaginary part (0 below 1), and scaled back: exact, and no square
+    overflows.  A norm past the float range is inf, without a warning.
+    """
+    gen = fgkls_generator(spectrum, jumps, rho)
+    e = max(int(np.frexp(np.max(np.abs(gen.view(float))))[1]), 0)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(gen * np.ldexp(1.0, -e)), e))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from .core import (
     EnergySpectrum,
     InvalidStateError,
     _check_states,
+    _coordinates,
+    _decay,
     _hermitian_block,
     _real_embed,
     _scatter,
@@ -140,9 +142,9 @@ def _real_blocks(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     """The model's Liouvillian in real Hermitian coordinates, one block size at a time.
 
     R[i, j] = <B_i, L(B_j)> in the orthonormal Hermitian basis B_i of
-    `core._vec_coordinates` (`core._hermitian_block`, G = -iH - K/2, weights
-    alpha) has the superoperator's singular values.  Yields (idx, sub) per
-    block size of `_block_labels`, increasing: idx (B, size) holds the sorted
+    `core._vec_coordinates` (`core._hermitian_block`, G = -iH - K/2) has the
+    superoperator's singular values.  Yields (idx, sub) per block size of
+    `_block_labels`, increasing: idx (B, size) holds the sorted
     vec indices of the B blocks, by smallest index, and sub (B, size, size)
     their real sub-blocks.  A block of every pair of a set of levels is built
     one row level at a time by `_grid_blocks`, any other block on its index
@@ -151,9 +153,8 @@ def _real_blocks(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
     """
     d = spectrum.dim
     jumps = [np.asarray(L, dtype=complex) for L in jumps]
-    k = sum((L.conj().T @ L for L in jumps), np.zeros((d, d), dtype=complex))
+    k = _decay(jumps, d)
     g = -0.5 * k - 1j * np.diag(spectrum.energies)
-    _, _, alpha, _ = _vec_coordinates(d)
     if labels is None:
         labels = _block_labels(jumps, k)
     _, block, sizes = np.unique(labels, return_inverse=True, return_counts=True)
@@ -165,15 +166,12 @@ def _real_blocks(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray],
         levels = idx[:, :side] % d
         if side * side == size and np.array_equal(
                 idx, (levels[:, None, :] + d * levels[:, :, None]).reshape(-1, size)):
-            yield idx, _grid_blocks(jumps, g, alpha, levels)
+            yield idx, _grid_blocks(jumps, g, levels)
         else:
-            rows = idx[:, :, None] % d, idx[:, :, None] // d, alpha[idx[:, :, None]]
-            cols = idx[:, None, :] % d, idx[:, None, :] // d, alpha[idx[:, None, :]]
-            yield idx, _hermitian_block(jumps, g, rows, cols)
+            yield idx, _hermitian_block(jumps, g, idx[:, :, None], idx[:, None, :])
 
 
-def _grid_blocks(jumps: Sequence[np.ndarray], g: np.ndarray, alpha: np.ndarray,
-                 levels: np.ndarray) -> np.ndarray:
+def _grid_blocks(jumps: Sequence[np.ndarray], g: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Real blocks of every pair (m, n) of each row of `levels` (B, s), in vec order: n major.
 
     The closed form of `core._hermitian_block` on the product grid, built one
@@ -192,7 +190,7 @@ def _grid_blocks(jumps: Sequence[np.ndarray], g: np.ndarray, alpha: np.ndarray,
     on_levels = [L[rows, cols] for L in jumps]
     g_levels = g[rows, cols]
     # weight[b, n, m] = alpha[m + D n] on the levels of block b
-    weight = alpha[cols + d * rows]
+    weight = _vec_coordinates(d)[cols + d * rows]
     diag = np.arange(s)
     out = np.empty((b, s, s, s, s))
     for n in range(s):
@@ -300,8 +298,7 @@ def _swept_kernel(spectrum: EnergySpectrum, lambdas: Sequence[float],
     for i, eta in enumerate(etas):
         if (np.abs(omega) > 2 * eta).any():
             groups.setdefault((np.abs(omega) > 2 * eta).tobytes(), []).append(i)
-    unknowns, scale, alpha, mirror = _vec_coordinates(d)
-    hamiltonian = -1j * omega
+    hamiltonian, vec = -1j * omega, np.arange(d * d)
     swept: list[Swept | None] = [None] * len(lambdas)
     for members in groups.values():
         members.sort(key=lambda i: -lambdas[i])
@@ -309,13 +306,13 @@ def _swept_kernel(spectrum: EnergySpectrum, lambdas: Sequence[float],
         gapped = np.abs(omega) > 2 * etas[members[0]]
         gap, top = float(np.abs(omega[gapped]).min()), float(np.abs(omega).max())
         inner = np.flatnonzero(~gapped.T.ravel())  # vec index m + D n is entry (m, n)
-        k, rows, cols = inner.size, inner % d, inner // d
+        k = inner.size
         inverse = np.divide(1.0, hamiltonian, out=np.zeros_like(hamiltonian), where=gapped)
-        models = [(sum((L.conj().T @ L for L in jump_sets[i]), np.zeros((d, d), dtype=complex)),
-                   [(L, L.conj().T) for L in jump_sets[i]]) for i in members]
+        models = [(_decay(jump_sets[i], d), [(L, L.conj().T) for L in jump_sets[i]])
+                  for i in members]
         # the workspace: z is the stack of Z_j = B_j - X_j, with X = 0 before the first
         # sweep, w its image, then two product buffers and the other lambdas' stacks
-        z = _scatter(d, unknowns[inner], np.diag(scale[inner]))
+        z = _scatter(d, inner, np.eye(k))
         w, first, second = (np.empty_like(z) for _ in range(3))
         stacks = [z] + [z.copy() for _ in members[1:]]
 
@@ -350,24 +347,21 @@ def _swept_kernel(spectrum: EnergySpectrum, lambdas: Sequence[float],
             eta, a = etas[i], gap - etas[i]
             residual = float(np.linalg.norm(w[:, gapped]))
             schur = np.zeros((k + 1, k + 1))
-            # <B_i, W_j> = Re(conj(alpha_i) W_j[m, n] + alpha_i W_j[n, m]) for i = m + D n
-            schur[:k, :k] = (alpha[inner].conj() * w[:, rows, cols]
-                             + alpha[inner] * w[:, cols, rows]).real.T
-            schur[:k, k] = schur[k, :k] = rows == cols
+            schur[:k, :k] = _coordinates(d, inner, w).T
+            schur[:k, k] = schur[k, :k] = inner % (d + 1) == 0
             try:
                 s = float(np.linalg.svd(schur, compute_uv=False)[-1])
                 z_inner = np.linalg.solve(schur, np.eye(k + 1)[k])
             except np.linalg.LinAlgError:
                 s, z_inner = math.nan, np.full(k + 1, np.nan)
-            v = np.tensordot(z_inner[:k], stack, 1).T.ravel()
-            solved = (alpha.conj() * v + alpha * v[mirror]).real
+            solved = _coordinates(d, vec, np.tensordot(z_inner[:k], stack, 1))
             bounds = _NO_BOUNDS
             if np.isfinite(solved).all():
                 g_r, f_r = min(r * g_norm, eta), min(r * f_norm, eta)
                 s -= (k + 1) * eps * float(np.linalg.norm(schur)) + g_r * residual / a
                 # s first: a NaN s makes low NaN, which certifies nothing
                 low = min(s, a) / ((1.0 + g_r / a) * (1.0 + f_r / a))
-                x = _scatter(d, unknowns, scale * (solved / np.linalg.norm(solved))[None])[0]
+                x = _scatter(d, vec, (solved / np.linalg.norm(solved))[None])[0]
                 bounds = stationarity_residual(spectrum, jump_sets[i], x), low, top + eta, top - eta
             swept[i] = solved, bounds, (sweeps, eta / gap)
     return swept
@@ -476,7 +470,7 @@ def _steady_states(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], lambda
     jump_sets = [[lam * np.asarray(L, dtype=complex) for L in jumps] for lam in lambdas]
     labels, patterns = [], {}
     for scaled in jump_sets:
-        k = sum((L.conj().T @ L for L in scaled), np.zeros((spectrum.dim,) * 2, dtype=complex))
+        k = _decay(scaled, spectrum.dim)
         pattern = np.array([L != 0 for L in scaled + [k]]).tobytes()
         if pattern not in patterns:
             patterns[pattern] = _block_labels(scaled, k)
@@ -499,7 +493,7 @@ def _steady_state_set(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], lab
                       swept: Swept | None, tol_kernel: float) -> SteadyStateSet:
     """One lambda's set from its jumps, `_block_labels` and `_swept_kernel` result."""
     d = spectrum.dim
-    unknowns, scale, _, _ = _vec_coordinates(d)
+    vec = np.arange(d * d)
     solved, bounds, sweeps = swept or (None, None, None)
     certificate = bounds and _certified_kernel(*bounds, tol_kernel)
     blocks = [] if certificate else list(_real_blocks(spectrum, jumps, labels))
@@ -507,7 +501,7 @@ def _steady_state_set(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], lab
     if certificate is not None:
         smax, margin = certificate
         x = solved / np.linalg.norm(solved)
-        candidates = list(_scatter(d, unknowns, scale * x[None]))
+        candidates = list(_scatter(d, vec, x[None]))
     else:
         spectra = [np.linalg.svd(sub, compute_uv=False) for _, sub in blocks]
         s = np.sort(np.concatenate([sv.ravel() for sv in spectra]))[::-1]
@@ -515,11 +509,11 @@ def _steady_state_set(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], lab
         candidates = []
         for (idx, sub), sv in zip(blocks, spectra):
             counts = _is_kernel(sv, smax, tol_kernel).sum(axis=1)
-            trace = (unknowns[idx, 0] == 0).astype(float)
+            trace = (idx % (d + 1) == 0).astype(float)
             coords = _kernel_coordinates(sub, trace, counts, tol_kernel * smax,
                                          None if solved is None else solved[None])
             for b in sorted(coords):
-                candidates += list(_scatter(d, unknowns[idx[b]], scale[idx[b]] * coords[b]))
+                candidates += list(_scatter(d, idx[b], coords[b]))
         if not candidates:
             raise EmptyKernelError(f"empty Liouvillian kernel: no singular value is below "
                                    f"tol_kernel {tol_kernel:g} times s_max; the smallest is "
@@ -573,10 +567,8 @@ class Trajectory:
 
 def default_step(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray]) -> float:
     """Conservative step 0.01 / max(energy scale, dissipative scale)."""
-    scale = float(np.max(np.abs(spectrum.energies)))
-    if jumps:
-        k = sum(np.asarray(L, complex).conj().T @ np.asarray(L, complex) for L in jumps)
-        scale = max(scale, float(np.linalg.norm(k, 2)))
+    k = _decay([np.asarray(L, complex) for L in jumps], spectrum.dim)
+    scale = max(float(np.max(np.abs(spectrum.energies))), float(np.linalg.norm(k, 2)))
     return 0.01 / scale if scale > 0 else math.inf
 
 
@@ -643,7 +635,7 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
                              h_default)
 
     d = spectrum.dim
-    unknowns, scale, alpha, mirror = _vec_coordinates(d)
+    vec = np.arange(d * d)
     steps = []
     for idx, sub in _real_blocks(spectrum, jumps):
         eye = np.eye(idx.shape[1])
@@ -653,8 +645,7 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
         steps.append((idx, step))
     rho0 = np.stack([state.matrix for state in initial])
     count = len(rho0)
-    v = rho0.transpose(0, 2, 1).reshape(count, -1)
-    x = (alpha.conj() * v + alpha * v[:, mirror]).real
+    x = _coordinates(d, vec, rho0)
 
     full, rest = divmod(n_steps, record_every)
     strides = [record_every] * full + [rest] * (rest > 0)
@@ -668,7 +659,7 @@ def integrate_trajectory(spectrum: EnergySpectrum, jumps: Sequence[np.ndarray], 
     def store(end: int):
         """Validate the pending records, in time order, and store them before record `end`."""
         if pending:
-            mats = _scatter(d, unknowns, scale * np.concatenate(pending))
+            mats = _scatter(d, vec, np.concatenate(pending))
             try:
                 _check_states(mats)
             except InvalidStateError as err:

@@ -28,21 +28,21 @@ singletons, every off-diagonal pair is external and only the diagonal
 unknowns remain.  One path serves every spectrum, and the "branch" label of a
 family is read off its partition.
 
-The linear systems are real: diagonal unknowns are real by Hermiticity and
-each internal pair contributes a real and an imaginary part.  Each unknown is
-one (kind, m, n) row of an integer array (kind 0: f_mm; kinds 1 and 2: real
-and imaginary part of f_mn), and the system matrix is the dissipator written
-in the matching Hermitian basis E_mm, E_mn + E_nm, i(E_mn - E_nm), built in
-closed form from the jumps over those index arrays.  Ranks count singular
-values above tol_rank * max(s_max, sum_a ||L_a||_F^2); solvability (rank A =
-rank [A | b]) is read off b's component in A's cokernel.  The null space left
-after the trace condition (trace 1 at order zero, traceless corrections above)
-is the pointer family's freedom.
+The linear systems are real, in the exact oracle's orthonormal Hermitian
+basis B_i (`core._vec_coordinates`): the unknowns are the vec indices
+m(D + 1) of the populations f_mm and, per internal pair m < n, m + D n and
+n + D m (sqrt(2) Re f_mn and sqrt(2) Im f_mn).  The system matrix is the
+dissipator's real block on those indices, built in closed form from the
+jumps.  Ranks count singular values above tol_rank * max(s_max,
+sum_a ||L_a||_F^2); solvability (rank A = rank [A | b]) is read off b's
+component in A's cokernel.  The null space left after the trace condition
+(trace 1 at order zero, traceless corrections above) is the pointer family's
+freedom.
 
 The system matrix A depends only on the jumps and the partition, so all that
 does not change between orders is worked out once per run: A's full SVD, its
 rank and null space (`assemble_internal_system_deg`); the trace condition's
-pivot, its trace component and the free directions, with one weighted QR
+pivot, its trace component and the free directions, with one QR
 (`apply_trace_condition`); and the closed form's table of external pairs and
 gaps (`_external_pairs`).  Each order then does four steps: the closed form,
 the right-hand side, the cokernel projection and particular solution read from
@@ -55,6 +55,7 @@ is evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,8 +65,8 @@ from .core import (
     DEFAULT_TOLERANCES,
     DegeneracyPartition,
     EnergySpectrum,
-    _KIND_READS,
-    _KIND_WEIGHTS,
+    _coordinates,
+    _decay,
     _hermitian_block,
     _scatter,
     classify_pairs,
@@ -117,10 +118,9 @@ class OrderCoefficients:
 class LinearSystem:
     """Real square system matrix A, factorised once; row and column i stand for `unknowns[i]`.
 
-    `unknowns` is an (N, 3) integer array of rows (kind, m, n): kind 0 is the
-    diagonal entry f_mm (n = m), kinds 1 and 2 the real and imaginary parts of
-    f_mn for an internal pair m < n.  Row i is the same part of entry (m, n)
-    of the stationarity condition.  `rank` counts the singular values above
+    `unknowns` is a 1-D integer array of vec indices (`core._vec_coordinates`):
+    column i is the coordinate of B_unknowns[i], row i that coordinate of the
+    stationarity condition.  `rank` counts the singular values above
     tol_rank * max(s_max, scale), where `scale` (sum_a ||L_a||_F^2 when
     assembled) floors the cutoff.  A, its full SVD (u, s, vt) and its rank
     are computed once and stored read-only; `nullspace` is vt[rank:].
@@ -154,7 +154,7 @@ class LinearSystem:
 class TraceCondition:
     """The trace condition on A's null space; it depends on A alone, so every order shares it.
 
-    The trace of x is `diagonal @ x`, `diagonal` marking the kind-0 unknowns.
+    The trace of x is `diagonal @ x`, `diagonal` marking the population unknowns.
     Each order moves its particular solution along `pivot`, the null vector
     whose trace is `component`, onto its trace target.  `pivot` is None when
     no null vector moves the trace.  `free` holds one free direction per row.
@@ -207,24 +207,22 @@ def offdiag_next_deg(jumps: Sequence[np.ndarray], external: tuple[np.ndarray, np
     return out
 
 
-def _rhs(jumps, known, rows: np.ndarray) -> np.ndarray:
-    """Right-hand side of the same-order system: minus the known entries' image."""
-    kind, m, n = rows.T
-    image = dissipator(jumps, known)[m, n]
-    return -np.where(kind == 2, image.imag, image.real)
+def _rhs(jumps, known, unknowns: np.ndarray) -> np.ndarray:
+    """Right-hand side of the same-order system: minus the known entries' image, in coordinates."""
+    return -_coordinates(known.shape[0], unknowns, dissipator(jumps, known))
 
 
 def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: DegeneracyPartition,
                                  tol_rank: float = DEFAULT_TOLERANCES.rank) -> LinearSystem:
     """Factorised system matrix for the diagonal and internal-pair entries of every order.
 
-    The unknowns are (kind, m, n) rows (see `LinearSystem`): the diagonal
-    entries first (ascending index), then the internal pairs (m, n), m < n, in
-    lexicographic order, each as a real (kind 1) and an imaginary (kind 2)
-    part.  The rows are the unknowns: the diagonal conditions and, per
-    internal pair, the real and imaginary parts of [Diss(f)]_mn = 0.  The
-    matrix is the dissipator in the Hermitian basis of the unknowns, built in
-    closed form by `_hermitian_block`, and factorised once, with its rank
+    The unknowns are vec indices (see `LinearSystem`): the populations
+    m(D + 1) first (ascending m), then the internal pairs (m, n), m < n, in
+    lexicographic order, each as m + D n and n + D m.  The rows are the
+    unknowns' coordinates of the condition Diss(f) = 0.  The matrix is the
+    principal submatrix on the unknowns of the dissipator's real block in the
+    orthonormal basis, built in closed form by `_hermitian_block` with
+    G = -K/2, and factorised once, with its rank
     under `tol_rank`; each order passes its own right-hand side.  For a
     spectrum without degeneracy only the diagonal unknowns remain: their
     matrix is the rate matrix whose columns each sum to zero, so one singular
@@ -234,17 +232,11 @@ def assemble_internal_system_deg(jumps: Sequence[np.ndarray], partition: Degener
     jumps = [np.asarray(L, dtype=complex) for L in jumps]
     if any(L.shape != (dim, dim) for L in jumps):
         raise ValueError("partition does not match operator dimension")
-    pairs = np.array(partition.internal_pairs(), dtype=int).reshape(-1, 2)
-    diag = np.arange(dim)
-    unknowns = np.concatenate([
-        np.column_stack([np.zeros(dim, dtype=int), diag, diag]),
-        np.column_stack([np.tile([1, 2], len(pairs)), np.repeat(pairs, 2, axis=0)]),
-    ])
+    m, n = np.array(partition.internal_pairs(), dtype=int).reshape(-1, 2).T
+    unknowns = np.concatenate([np.arange(dim) * (dim + 1),
+                               np.column_stack([m + dim * n, n + dim * m]).ravel()])
     # internal pairs drop the commutator, so G holds no energies
-    g = -0.5 * sum((L.conj().T @ L for L in jumps), np.zeros((dim, dim), dtype=complex))
-    kind, m, n = unknowns.T
-    matrix = _hermitian_block(jumps, g, (m[:, None], n[:, None], _KIND_READS[kind][:, None]),
-                              (m, n, _KIND_WEIGHTS[kind]))
+    matrix = _hermitian_block(jumps, -0.5 * _decay(jumps, dim), unknowns[:, None], unknowns)
     return LinearSystem(matrix, unknowns, sum(float(np.linalg.norm(L)) ** 2 for L in jumps),
                         tol_rank)
 
@@ -282,14 +274,15 @@ def apply_trace_condition(system: LinearSystem) -> TraceCondition:
     The null vector with the largest diagonal-sum component is the pivot,
     along which each order meets its trace target (1 at order zero, 0
     above).  The other null vectors, less their pivot multiples, have zero
-    diagonal sum; they are orthonormalised (one QR) in the metric
-    sum_j w_j x_j y_j, with w_j the Frobenius norm squared of unknown j's
-    basis element (1 for kind 0, 2 for kinds 1 and 2), so that their
-    `_scatter`ed matrices are Frobenius-orthonormal and traceless.  If no
-    null vector moves the trace, there is no pivot and the null space is left
-    as it is: each order must then meet its target as solved.
+    diagonal sum; one QR orthonormalises them, and as the basis is
+    orthonormal their `_scatter`ed matrices are Frobenius-orthonormal and
+    traceless.  The populations are the unknowns i with i % (D + 1) = 0, D
+    read off the largest unknown, the last population D^2 - 1.  If no null
+    vector moves the trace, there is no pivot and the null space is left as
+    it is: each order must then meet its target as solved.
     """
-    t = (system.unknowns[:, 0] == 0).astype(float)
+    dim = math.isqrt(int(system.unknowns.max()) + 1)
+    t = (system.unknowns % (dim + 1) == 0).astype(float)
     null = system.nullspace
     components = np.array([float(t @ v) for v in null])
     dir_tol = 1e-12 * max(1.0, float(np.linalg.norm(t)))
@@ -300,9 +293,8 @@ def apply_trace_condition(system: LinearSystem) -> TraceCondition:
     others = np.arange(len(null)) != j
     free = null[others] - np.outer(components[others] / components[j], null[j])
     if len(free):
-        root_w = np.sqrt(2.0 - t)  # sqrt(w): 1 on kind 0, sqrt(2) on kinds 1 and 2
-        q, r = np.linalg.qr(root_w[:, None] * free.T)
-        free = (q[:, np.abs(np.diag(r)) > 1e-12] / root_w[:, None]).T
+        q, r = np.linalg.qr(free.T)
+        free = q[:, np.abs(np.diag(r)) > 1e-12].T
     return TraceCondition(t, null[j], float(components[j]), free)
 
 

@@ -172,25 +172,21 @@ def component_generator(energies, jumps, rho):
 
 
 def dissipator_columns(jumps, unknowns):
-    """Per-column reference for the scheme's system matrix.
+    """Per-column reference for the scheme's system matrix, <B_i, Diss(B_j)> over the unknowns.
 
-    Builds each (kind, m, n) unknown's Hermitian basis matrix (E_mm,
-    E_mn + E_nm or i(E_mn - E_nm)), applies `dissipator` to it and reads the
-    image at every row: the real part of entry (m, n) for kinds 0 and 1, the
-    imaginary part for kind 2.  One dissipator call per column.
+    Takes each vec index's basis matrix B_j from `orthonormal_hermitian_basis`,
+    applies `dissipator` to it and reads the image's Frobenius product with
+    every row's B_i.  One dissipator call per column.
     """
     from fgkls import dissipator
 
     unknowns = np.asarray(unknowns)
     dim = np.asarray(jumps[0]).shape[0]
+    basis = orthonormal_hermitian_basis(dim)[:, unknowns]
     out = np.empty((len(unknowns), len(unknowns)))
-    for j, (kind, p, q) in enumerate(unknowns):
-        basis = np.zeros((dim, dim), dtype=complex)
-        basis[p, q] = (1.0, 1.0, 1.0j)[kind]
-        if kind:
-            basis[q, p] = (1.0, 1.0, -1.0j)[kind]
-        image = dissipator(jumps, basis)
-        out[:, j] = [image[m, n].imag if k == 2 else image[m, n].real for k, m, n in unknowns]
+    for j in range(len(unknowns)):
+        image = dissipator(jumps, unvec(basis[:, j]))
+        out[:, j] = (basis.conj().T @ vec(image)).real
     return out
 
 
@@ -354,7 +350,9 @@ def swept_kernel_reference(spectrum, jumps, lambdas=(1.0,)):
     gapped = np.abs(omega) > 2 * eta
     if not gapped.any():
         return None
-    unknowns, scale, alpha, mirror = _vec_coordinates(d)
+    alpha = _vec_coordinates(d)
+    n, m = np.divmod(np.arange(d * d), d)
+    mirror = n + d * m
     inner = np.flatnonzero(~gapped.T.ravel())
     k = inner.size
     hamiltonian = -1j * omega
@@ -365,7 +363,7 @@ def swept_kernel_reference(spectrum, jumps, lambdas=(1.0,)):
         out += hamiltonian * z
         return out
 
-    z = _scatter(d, unknowns[inner], np.diag(scale[inner]))
+    z = _scatter(d, inner, np.eye(k))
     stacks = {lam: z for lam in lambdas}
     w = generator(top, z)
     factor = eta / float(np.abs(omega[gapped]).min())

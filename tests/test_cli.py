@@ -1214,6 +1214,16 @@ def test_finite_energy_spread_near_the_float_range_still_runs(tmp_path):
         assert main(["pointer", cfg, "--out", str(tmp_path / "out"), "--json-only"]) == EXIT_OK
 
 
+def test_exact_near_the_float_range_keeps_every_kernel_vector(tmp_path):
+    # the residual of the third kernel vector overflowed to inf, with a
+    # RuntimeWarning (an error here), so it was dropped
+    payload = dict(DENSE_3, custom=dict(DENSE_3["custom"], energies=[-8e307, 0.5, 8e307]))
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main(["exact", cfg, "--out", str(tmp_path / "out"), "--json-only"]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exact"]["kernel_dim"] == 3
+
+
 def test_integer_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
     # (max_order + 1) * log10(lambda) and t_end / n_steps raised OverflowError
     huge, evolve = 10 ** 400, {"t_end": 1.0}

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,23 @@ def test_residual_mixed_state_matches_brute_force():
     value = stationarity_residual(spectrum, jumps, rho)
     assert value > 0.1
     assert abs(value - expected) < 1e-12
+
+
+def test_residual_near_the_float_range_is_finite_without_a_warning():
+    # the commutator entries (e_m - e_n) rho_mn are finite but their squares
+    # are not: the unscaled norm overflowed to inf with a RuntimeWarning
+    spectrum = EnergySpectrum(np.array([-8e307, 0.5, 8e307]))
+    jumps = [np.array([[0.41 - 0.51j, 0.08 - 0.11j, -0.09 - 0.04j],
+                       [-0.4 - 0.05j, -0.17 + 0.66j, 0.05 - 0.07j],
+                       [-0.06 - 0.13j, -0.21 - 0.08j, 0.1 - 0.05j]])]
+    rho = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = stationarity_residual(spectrum, jumps, rho)
+    generator = fgkls_generator(spectrum, jumps, rho)
+    reference = float(np.linalg.norm(generator * 2.0 ** -1020)) * 2.0 ** 1020
+    assert np.isfinite(value) and value > 1e307
+    assert value == pytest.approx(reference, rel=1e-15)
 
 
 # --- degeneracy classification ----------------------------------------------

@@ -10,9 +10,8 @@ from fgkls import (
     stationarity_residual,
     steady_state_basis,
 )
-from fgkls.core import (_KIND_READS, _KIND_WEIGHTS, _hermitian_block, _real_embed, _scatter,
-                        dissipator)
-from fgkls.exact import hermitian_affine_distance
+from fgkls.core import _hermitian_block, _real_embed, _scatter, dissipator
+from fgkls.exact import _real_blocks, hermitian_affine_distance
 from fgkls.models import OscillatorSpinConfig, SigmaPlus, SigmaXY, build_oscillator_spin, build_two_level
 from fgkls.perturbation import (
     LinearSystem,
@@ -38,8 +37,8 @@ def _zero(dim):
 
 
 def _diag_unknowns(dim):
-    """(kind, m, n) rows of the diagonal unknowns f_00 ... f_(dim-1)(dim-1)."""
-    return np.column_stack([np.zeros(dim, dtype=int), np.arange(dim), np.arange(dim)])
+    """Vec indices m + dim m of the populations f_00 ... f_(dim-1)(dim-1)."""
+    return np.arange(dim) * (dim + 1)
 
 
 def _solve_homogeneous(system):
@@ -164,7 +163,7 @@ def test_offdiag_deg_external_only_and_hermitian():
 def test_diagonal_system_two_level_matrix():
     spectrum, jumps = build_two_level(1.0, 2.0, 1.0, 2.0)
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
-    assert np.array_equal(system.unknowns, _diag_unknowns(2))
+    assert np.array_equal(system.unknowns, [0, 3])
     assert np.allclose(system.matrix, [[-4.0, 1.0], [4.0, -1.0]])
     assert np.max(np.abs(_rhs(jumps, _zero(2), system.unknowns))) == 0.0
 
@@ -207,24 +206,25 @@ def test_internal_system_structure_sigma_xy():
     system = assemble_internal_system_deg(jumps, partition)
     rhs = _rhs(jumps, external, system.unknowns)
     n_diag = 8
-    assert np.array_equal(system.unknowns[:n_diag], _diag_unknowns(n_diag))
-    assert np.array_equal(system.unknowns[n_diag:], [[1, 0, 5], [2, 0, 5], [1, 2, 7], [2, 2, 7]])
+    assert np.array_equal(system.unknowns[:n_diag], 9 * np.arange(n_diag))
+    # each internal pair (m, n) as vec indices m + 8 n and n + 8 m
+    assert np.array_equal(system.unknowns[n_diag:], [40, 5, 58, 23])
 
     particular, rank_aug, trace = _order_solution(system, rhs, 0)
     assert rank_aug == system.rank and trace.pivot is not None
     assert np.linalg.norm(system.matrix @ particular - rhs) < 1e-10
     for v in system.nullspace:
         assert np.linalg.norm(system.matrix @ v) < 1e-10
-    values = dict(zip(map(tuple, system.unknowns.tolist()), particular))
+    values = dict(zip(system.unknowns.tolist(), particular))
     for m in range(4):
-        assert values[(0, 2 * m, 2 * m)] == pytest.approx(values[(0, 2 * m + 1, 2 * m + 1)],
-                                                          abs=1e-12)
+        assert values[18 * m] == pytest.approx(values[18 * m + 9], abs=1e-12)
 
     # internal unknowns are proportional to the (already known) external
     # entries with ratio (|g1|^2 - |g2|^2) / (|g1|^2 + |g2|^2)
     ratio = (abs(g1) ** 2 - abs(g2) ** 2) / (abs(g1) ** 2 + abs(g2) ** 2)
     for m, n in pairs:
-        got = values[(1, m, n)] + 1j * values[(2, m, n)]
+        # the coordinates of m + 8 n and n + 8 m are sqrt(2) Re f_mn and sqrt(2) Im f_mn
+        got = (values[m + 8 * n] + 1j * values[n + 8 * m]) / np.sqrt(2.0)
         assert got == pytest.approx(ratio * external[m + 1, n - 1], abs=1e-12)
 
 
@@ -255,17 +255,36 @@ def test_hermitian_block_matches_dissipator_columns():
         system = assemble_internal_system_deg(jumps, partition)
         unknowns = system.unknowns
         if partition.has_degeneracy:
-            assert set(unknowns[:, 0]) == {0, 1, 2}
+            n, m = np.divmod(unknowns, spectrum.dim)
+            assert (m == n).any() and (m < n).any() and (m > n).any()
         # the shared closed form with G = -K/2 is the scheme's system matrix
-        kind, m, n = unknowns.T
         g = -0.5 * sum(np.asarray(L).conj().T @ np.asarray(L) for L in jumps)
         block = _hermitian_block([np.asarray(L, dtype=complex) for L in jumps], g,
-                                 (m[:, None], n[:, None], _KIND_READS[kind][:, None]),
-                                 (m, n, _KIND_WEIGHTS[kind]))
+                                 unknowns[:, None], unknowns)
         assert np.array_equal(block, system.matrix)
         reference = dissipator_columns(jumps, unknowns)
         assert block.dtype == float and block.shape == reference.shape
         assert np.max(np.abs(block - reference)) <= 8 * eps * np.max(np.abs(reference))
+
+
+def test_system_matrix_is_the_oracles_block_on_the_unknowns():
+    # one basis on both sides: A is the principal submatrix, on the scheme's
+    # unknowns, of the oracle's real dissipator block (all energies zero, so
+    # G = -K/2), and so reads the oracle's singular values
+    rng = np.random.default_rng(67)
+    cfg = OscillatorSpinConfig(n_levels=4, omega=1.0, delta=1.0, jump_variant=SigmaXY(0.3, 0.2j))
+    cases = [build_oscillator_spin(cfg), protected_class_model(rng)]
+    eps = np.finfo(float).eps
+    for spectrum, jumps in cases:
+        d = spectrum.dim
+        system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
+        assert len(system.unknowns) > d
+        full = np.zeros((d * d, d * d))
+        for idx, sub in _real_blocks(EnergySpectrum(np.zeros(d)), jumps):
+            for i, block in zip(idx, sub):
+                full[np.ix_(i, i)] = block
+        principal = full[np.ix_(system.unknowns, system.unknowns)]
+        assert np.max(np.abs(system.matrix - principal)) <= 8 * eps * np.max(np.abs(principal))
 
 
 # --- rank-checked solve -------------------------------------------------------
@@ -668,11 +687,11 @@ def test_scheme_holds_one_set_of_free_directions_at_D64():
         assert np.max(np.abs(dissipator(jumps, v)[internal])) < 1e-12
 
 
-def _unweighted_free_span(spectrum, jumps):
+def _free_span_before_qr(spectrum, jumps):
     """The free directions before orthonormalisation: order zero's null space less pivot multiples."""
     system = assemble_internal_system_deg(jumps, classify_pairs(spectrum))
     null = system.nullspace
-    components = [float((system.unknowns[:, 0] == 0) @ v) for v in null]
+    components = [float((system.unknowns % (spectrum.dim + 1) == 0) @ v) for v in null]
     j = int(np.argmax(np.abs(components)))
     remaining = [v - (c / components[j]) * null[j]
                  for i, (v, c) in enumerate(zip(null, components)) if i != j]
@@ -695,10 +714,11 @@ def test_free_directions_are_frobenius_orthonormal_traceless_with_the_same_span(
         for v in dirs:
             assert abs(v.trace()) < 1e-12
             assert np.max(np.abs(v - v.conj().T)) < 1e-14
-        # the weighted QR spans what the unweighted construction spanned
-        assert span_gap(dirs, _unweighted_free_span(spectrum, jumps)) < 1e-12
+        # the QR spans what the pivot elimination spanned
+        assert span_gap(dirs, _free_span_before_qr(spectrum, jumps)) < 1e-12
         coherent += any(np.max(np.abs(v - np.diag(np.diag(v)))) > 0.1 for v in dirs)
-    # the weights matter only where directions hold internal-pair coherences
+    # orthonormal coordinates give Frobenius-orthonormal matrices also where
+    # the directions hold internal-pair coherences
     assert coherent == 6
 
 
@@ -728,7 +748,7 @@ def test_scheme_reaches_each_layer_through_module_globals(monkeypatch):
 
 
 def test_scheme_sets_up_its_trace_condition_once(monkeypatch):
-    # every order shares the pivot and the free directions: one weighted QR and
+    # every order shares the pivot and the free directions: one QR and
     # one full SVD per run, whatever the number of orders
     import fgkls.perturbation as pert
 
